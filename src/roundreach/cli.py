@@ -489,8 +489,8 @@ def _cmd_compile_qbf(args: argparse.Namespace) -> int:
 
 
 def _cmd_rotate(args: argparse.Namespace) -> int:
-    if args.radius < 0:
-        raise ValueError("--radius must be nonnegative")
+    if args.radius < 1:
+        raise ValueError("--radius must be positive")
     if args.budget < 1:
         raise ValueError("--budget must be positive")
     theta = parse_theta(args.theta)
@@ -501,7 +501,7 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
             {
                 "radius": args.radius,
                 "theta": report.theta,
-                "starts": len(report.orbits) + len(report.unresolved),
+                "starts": len(report.orbits),
                 "unresolved": len(report.unresolved),
                 "cells": len(report.cells),
                 "max_modulus_sq": _rational_str(report.max_modulus_sq()),

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import mpmath
 
@@ -70,30 +70,48 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _zeta_power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Vectors of zeta^k over the power basis 1..zeta^(deg-1), for k in [0, order)."""
-    deg = totient(order)
-    phi = cyclotomic_coeffs(order)
-    # phi is monic; zeta^deg = -(phi[0] + phi[1] zeta + ... + phi[deg-1] zeta^(deg-1))
-    table: list[tuple[Fraction, ...]] = []
-    current = [Fraction(0)] * deg
-    current[0] = Fraction(1)
-    for _ in range(order):
-        table.append(tuple(current))
-        shifted = [Fraction(0)] + current[:-1]
-        overflow = current[-1]
-        if overflow:
-            for j in range(deg):
-                shifted[j] -= overflow * phi[j]
-        current = shifted
-    return tuple(table)
+class _FieldTables:
+    """Integer tables for arithmetic in the order-th cyclotomic field.
+
+    Built once per order, on first use, by `_field`.  With deg = totient(order):
+    `powers[k]` is zeta^k over the power basis 1..zeta^(deg-1) for k in
+    [0, order); `reduce_rows[k - deg]` lists the nonzero (j, c) of zeta^k for k
+    in [deg, 2*deg - 1), the powers a product of two reduced vectors reaches;
+    `conj_rows[j]` lists the nonzero (k, c) of zeta^(-j) for j in [0, deg).
+    The cyclotomic polynomial is monic, so every entry is an integer.
+    """
+
+    __slots__ = ("deg", "powers", "reduce_rows", "conj_rows", "cos", "roots")
+
+    def __init__(self, order: int) -> None:
+        deg = totient(order)
+        phi = cyclotomic_coeffs(order)
+        # zeta^deg = -(phi[0] + phi[1] zeta + ... + phi[deg-1] zeta^(deg-1))
+        powers: list[tuple[int, ...]] = []
+        current = [1] + [0] * (deg - 1)
+        for _ in range(order):
+            powers.append(tuple(current))
+            overflow = current[-1]
+            current = [0] + current[:-1]
+            if overflow:
+                for j in range(deg):
+                    current[j] -= overflow * phi[j]
+
+        def sparse(vec: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+            return tuple((j, c) for j, c in enumerate(vec) if c)
+
+        self.deg = deg
+        self.powers = tuple(powers)
+        self.reduce_rows = tuple(sparse(powers[k % order]) for k in range(deg, 2 * deg - 1))
+        self.conj_rows = tuple(sparse(powers[-j % order]) for j in range(deg))
+        w = 2.0 * math.pi / order
+        self.cos = tuple(math.cos(2.0 * math.pi * j / order) for j in range(deg))
+        self.roots = tuple(cmath.exp(1j * w * j) for j in range(deg))
 
 
 @lru_cache(maxsize=None)
-def _unit_root_table(order: int) -> tuple[complex, ...]:
-    w = 2.0 * math.pi / order
-    return tuple(cmath.exp(1j * w * j) for j in range(totient(order)))
+def _field(order: int) -> _FieldTables:
+    return _FieldTables(order)
 
 
 @dataclass(frozen=True)
@@ -166,36 +184,41 @@ class Angle:
 class CycloNum:
     """An element of the cyclotomic field of the given order, over the power basis.
 
-    Coefficient vectors have length totient(order) and are reduced modulo the
-    order-th cyclotomic polynomial, so equality of vectors is equality in the
-    field. Orders are expected to be multiples of 4 so that i is in the field.
+    The value is sum(num[j] * zeta^j) / den with zeta = e^(2*pi*i/order):
+    `num` holds totient(order) integers reduced modulo the order-th
+    cyclotomic polynomial and `den` is a positive integer with
+    gcd(den, *num) == 1.  That form is canonical, so equality of
+    (order, num, den) is equality in the field.  Orders are expected to be
+    multiples of 4 so that i is in the field.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]) -> None:
-        deg = totient(order)
+    def __init__(self, order: int, coeffs: Sequence[Rational]) -> None:
+        deg = _field(order).deg
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        # with each coefficient in lowest terms, the lcm leaves gcd(den, *num) == 1
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
 
-    def __setattr__(self, name: str, value) -> None:
-        if hasattr(self, "coeffs") and name in ("order", "coeffs"):
-            raise AttributeError("CycloNum is immutable")
-        super().__setattr__(name, value)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as rationals."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @staticmethod
     def from_rational(order: int, value: Rational) -> "CycloNum":
-        deg = totient(order)
-        coeffs = [Fraction(0)] * deg
-        coeffs[0] = Fraction(value)
-        return CycloNum(order, tuple(coeffs))
+        q = Fraction(value)
+        return _cyclo(order, (q.numerator,) + (0,) * (_field(order).deg - 1), q.denominator)
 
     @staticmethod
     def zeta_pow(order: int, exponent: int) -> "CycloNum":
-        table = _zeta_power_table(order)
-        return CycloNum(order, table[exponent % order])
+        return _cyclo(order, _field(order).powers[exponent % order], 1)
 
     @staticmethod
     def i_unit(order: int) -> "CycloNum":
@@ -214,11 +237,22 @@ class CycloNum:
             return CycloNum.from_rational(self.order, other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _combine(self, o: "CycloNum", sign: int) -> "CycloNum":
+        """self + sign * o over the least common denominator."""
+        da, db = self.den, o.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, o.num)]
+            return _reduced(self.order, num, da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        num = [a * fa + b * fb for a, b in zip(self.num, o.num)]
+        return _reduced(self.order, num, da * fa)
+
     def __add__(self, other) -> "CycloNum":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloNum(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -226,7 +260,7 @@ class CycloNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycloNum(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, -1)
 
     def __rsub__(self, other) -> "CycloNum":
         o = self._coerce(other)
@@ -235,77 +269,79 @@ class CycloNum:
         return o - self
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, tuple(-a for a in self.coeffs))
+        return _cyclo(self.order, tuple([-a for a in self.num]), self.den)
+
+    def _scaled(self, p: int, q: int) -> "CycloNum":
+        """self * p / q for integers p and q > 0."""
+        return _reduced(self.order, [a * p for a in self.num], self.den * q)
 
     def __mul__(self, other) -> "CycloNum":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, CycloNum):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        deg = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
+        if other.order != self.order:
+            raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
+        tables = _field(self.order)
+        deg = tables.deg
+        # integer convolution, then zeta^k for k >= deg folded back in
+        prod = [0] * (2 * deg - 1)
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in right:
                     prod[i + j] += a * b
-        table = _zeta_power_table(self.order)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(prod):
-            if not c:
-                continue
-            if k < deg:
-                out[k] += c
-            else:
-                vec = table[k]
-                for j, v in enumerate(vec):
-                    if v:
-                        out[j] += c * v
-        return CycloNum(self.order, tuple(out))
+        out = prod[:deg]
+        for c, row in zip(prod[deg:], tables.reduce_rows):
+            if c:
+                for j, v in row:
+                    out[j] += c * v
+        return _reduced(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division of a cyclotomic number by zero")
-            return CycloNum(self.order, tuple(a / q for a in self.coeffs))
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, q = other.numerator, other.denominator
+        if p == 0:
+            raise ZeroDivisionError("division of a cyclotomic number by zero")
+        if p < 0:
+            return self._scaled(-q, -p)
+        return self._scaled(q, p)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.order, other)
         if not isinstance(other, CycloNum):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycloNum.from_rational(self.order, other)
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def conjugate(self) -> "CycloNum":
-        table = _zeta_power_table(self.order)
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            vec = table[(self.order - j) % self.order]
-            for k, v in enumerate(vec):
-                if v:
+        tables = _field(self.order)
+        out = [0] * tables.deg
+        for c, row in zip(self.num, tables.conj_rows):
+            if c:
+                for k, v in row:
                     out[k] += c * v
-        return CycloNum(self.order, tuple(out))
+        # conjugation is an integer involution, so it keeps gcd(den, *num) == 1
+        return _cyclo(self.order, tuple(out), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_real_symbolic(self) -> bool:
         return self == self.conjugate()
@@ -318,10 +354,9 @@ class CycloNum:
         return (w + w.conjugate()) / 2
 
     def approx_complex(self) -> complex:
-        roots = _unit_root_table(self.order)
-        return sum(
-            float(c) * roots[j] for j, c in enumerate(self.coeffs) if c
-        )
+        roots = _field(self.order).roots
+        den = self.den
+        return sum(c / den * roots[j] for j, c in enumerate(self.num) if c)
 
     def __repr__(self) -> str:
         terms = [
@@ -331,6 +366,25 @@ class CycloNum:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo[{self.order}]({body})"
+
+
+def _cyclo(order: int, num: tuple[int, ...], den: int) -> CycloNum:
+    """A CycloNum from integer numerators already in lowest terms over den > 0."""
+    z = object.__new__(CycloNum)
+    z.order = order
+    z.num = num
+    z.den = den
+    return z
+
+
+def _reduced(order: int, num: list[int], den: int) -> CycloNum:
+    """A CycloNum from integer numerators over den > 0, brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _cyclo(order, tuple(num), den)
 
 
 CycloLike = Union[CycloNum, Fraction, int]
@@ -367,35 +421,37 @@ def angle_sin(angle: Angle, order: int) -> CycloNum:
     return embed_polar(1, angle, order).imag_part()
 
 
-@lru_cache(maxsize=None)
-def _float_cos_table(order: int) -> tuple[float, ...]:
-    return tuple(
-        math.cos(2.0 * math.pi * j / order) for j in range(totient(order))
-    )
-
-
 def _float_real_estimate(z: CycloNum) -> Union[tuple[float, float], None]:
     """Double-precision estimate of the real value of z with a rigorous slack.
 
-    Conversions, table cosines, products, and the running sum are each
-    correctly rounded to within a couple of ulps, so the combined error is
-    far below (magnitude+1)*(terms+1)*2^-46; None when floats overflow.
+    The estimate is fl(sum_j fl(num_j) * cos_j) / fl(den), with M the sum of
+    |num_j| and u = 2^-53.  Converting each numerator costs u*|num_j|; each
+    table cosine is within 20u of cos(2*pi*j/order) (its argument carries
+    three roundings of a value below 2*pi, and libm adds an ulp); each
+    product and each of the `terms` additions adds at most u times the
+    running magnitude.  So the numerator sum is within (terms + 21)*u*M of
+    the exact one.  Converting den and dividing add 3u*M/den, and underflow
+    at most 2^-1074.  The slack (M/den + 1)*(terms + 2)*2^-46 is
+    128*(terms + 2)*u*(M/den + 1), which covers all of it for every
+    `terms`, with room left for the rounding of M and of the slack itself.
+    None when a float overflows.
     """
-    table = _float_cos_table(z.order)
+    table = _field(z.order).cos
     total = 0.0
     magnitude = 0.0
     terms = 0
     try:
-        for j, c in enumerate(z.coeffs):
-            if not c:
-                continue
-            f = float(c)
-            total += f * table[j]
-            magnitude += abs(f)
-            terms += 1
+        for c, cos in zip(z.num, table):
+            if c:
+                f = float(c)
+                total += f * cos
+                magnitude += abs(f)
+                terms += 1
+        den = float(z.den)
     except OverflowError:
         return None
-    slack = (magnitude + 1.0) * (terms + 1) * 2.0**-46
+    total /= den
+    slack = (magnitude / den + 1.0) * (terms + 2) * 2.0**-46
     if not (math.isfinite(total) and math.isfinite(slack)):
         return None
     return total, slack
@@ -415,15 +471,15 @@ def _interval_real_value(z: CycloNum):
     """Certified mpmath interval for the (real) value of z at current iv precision."""
     prec = mpmath.iv.prec
     total = mpmath.iv.mpf(0)
-    for j, c in enumerate(z.coeffs):
+    for j, c in enumerate(z.num):
         if not c:
             continue
-        coef = mpmath.iv.mpf(c.numerator) / mpmath.iv.mpf(c.denominator)
+        coef = mpmath.iv.mpf(c)
         if j == 0:
             total += coef
         else:
             total += coef * _interval_cos(z.order, j, prec)
-    return total
+    return total / mpmath.iv.mpf(z.den)
 
 
 def _refined_sign(z: CycloNum) -> int:
@@ -455,18 +511,18 @@ def _refined_sign(z: CycloNum) -> int:
 def _sign_symmetric(z: CycloNum) -> int:
     """Sign for values that are symmetric by construction (w + conj(w) shapes)."""
     if z.is_rational():
-        q = z.coeffs[0]
+        q = z.num[0]
         return (q > 0) - (q < 0)
     return _refined_sign(z)
 
 
 def sign_of_real(z: CycloLike) -> int:
     """Certified sign of a symbolically real cyclotomic number."""
-    if isinstance(z, (int, Fraction)):
+    if not isinstance(z, CycloNum):
         q = Fraction(z)
         return (q > 0) - (q < 0)
     if z.is_rational():
-        q = z.as_rational()
+        q = z.num[0]
         return (q > 0) - (q < 0)
     if not z.is_real_symbolic():
         raise NotRealError("sign_of_real needs a real value")
@@ -475,18 +531,16 @@ def sign_of_real(z: CycloLike) -> int:
 
 def certified_floor(z: CycloLike, granularity: Rational = 1) -> int:
     """floor(z / granularity) for a symbolically real z, decided exactly."""
-    g = Fraction(granularity)
-    if g <= 0:
+    g = granularity if isinstance(granularity, Fraction) else Fraction(granularity)
+    if g.numerator <= 0:
         raise ValueError("granularity must be positive")
-    if isinstance(z, (int, Fraction)):
+    if not isinstance(z, CycloNum):
         return math.floor(Fraction(z) / g)
     if z.is_rational():
-        return math.floor(z.as_rational() / g)
+        return z.num[0] * g.denominator // (z.den * g.numerator)
     if not z.is_real_symbolic():
         raise NotRealError("certified_floor needs a real value")
-    w = z / g
-    if w.is_rational():
-        return math.floor(w.as_rational())
+    w = z._scaled(g.denominator, g.numerator)
     est = _float_real_estimate(w)
     if est is not None:
         approx, slack = est
@@ -499,10 +553,11 @@ def certified_floor(z: CycloLike, granularity: Rational = 1) -> int:
         while prec <= _PREC_CAP:
             mpmath.iv.prec = prec
             box = _interval_real_value(w)
-            lo = mpmath.mpf(box.a)
-            hi = mpmath.mpf(box.b)
-            f_lo = int(mpmath.floor(lo))
-            f_hi = int(mpmath.floor(hi))
+            # endpoints carry prec bits; reading them at mpmath's default
+            # 53 bits would round them and could move the floor
+            with mpmath.workprec(prec):
+                f_lo = int(mpmath.floor(mpmath.mpf(box.a)))
+                f_hi = int(mpmath.floor(mpmath.mpf(box.b)))
             if f_lo == f_hi:
                 return f_lo
             prec *= 2

@@ -1,9 +1,11 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
-from roundreach.cli import main, parse_instance, serialize_instance
+from roundreach.cli import dispatch, main, parse_instance, serialize_instance
 from roundreach.numerics import Angle
 from roundreach.rounding import (
     ArgandPoint,
@@ -197,6 +199,29 @@ def test_rotate_out_file(tmp_path, capsys):
     body = target.read_text().splitlines()
     assert body[0] == "x,y,first_generation"
     assert len(body) == 30
+
+
+def test_rotate_out_counts_each_start_once(tmp_path, capsys):
+    target = tmp_path / "grid.csv"
+    assert main(["rotate", "--radius", "3", "--theta", "1/2 pi", "--budget", "1",
+                 "--out", str(target)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["unresolved"] > 0
+    assert summary["starts"] == 29
+
+
+def test_rotate_rejects_nonpositive_radius(capsys):
+    for radius in ("0", "-2"):
+        assert main(["rotate", "--radius", radius, "--theta", "1/2 pi"]) == 1
+        assert "--radius must be positive" in capsys.readouterr().err
+
+
+def test_readme_instance_blocks_decide_as_stated():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    stated = re.findall(r"# (Reached\(step=\d+\))", readme)
+    assert stated == ["Reached(step=4)", "Reached(step=13)"]
+    assert [str(dispatch(parse_instance(block))) for block in blocks] == stated
 
 
 def test_stdin_instance(tmp_path, capsys, monkeypatch):

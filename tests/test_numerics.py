@@ -4,10 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_cyclo as ref
+from roundreach import numerics
 from roundreach.errors import NotRealError, OrderMismatchError
 from roundreach.numerics import (
     Angle,
@@ -247,3 +250,185 @@ def test_as_cyclo_accepts_mixed():
     assert as_cyclo(4, Fraction(1, 2)).as_rational() == Fraction(1, 2)
     z = CycloNum.from_rational(4, 7)
     assert as_cyclo(4, z) is z
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the Fraction-tuple reference kernel
+
+DIFF_ORDERS = (4, 8, 12, 20, 24)
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-40), max_value=Fraction(40), max_denominator=30),
+)
+nonzero_rationals = st.fractions(
+    min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12
+).filter(bool)
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 12), max_value=Fraction(9), max_denominator=12
+)
+
+
+@st.composite
+def cyclo_pair(draw):
+    """Two elements of one field, each as (integer kernel, Fraction reference)."""
+    order = draw(st.sampled_from(DIFF_ORDERS))
+    deg = totient(order)
+    out = []
+    for _ in range(2):
+        coeffs = tuple(draw(st.lists(coefficients, min_size=deg, max_size=deg)))
+        out.append((CycloNum(order, coeffs), ref.CycloNum(order, coeffs)))
+    return out
+
+
+def assert_same(z: CycloNum, r: "ref.CycloNum") -> None:
+    assert z.order == r.order
+    assert z.coeffs == r.coeffs
+    assert all(type(c) is int for c in z.num) and type(z.den) is int
+    assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+    assert z == CycloNum(r.order, r.coeffs)
+    assert hash(z) == hash(CycloNum(r.order, r.coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_pair(), nonzero_rationals)
+def test_field_operations_match_fraction_reference(pair, q):
+    (a, ra), (b, rb) = pair
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    assert_same(-a, -ra)
+    assert_same(a * q, ra * q)
+    assert_same(q * a, q * ra)
+    assert_same(a + q, ra + q)
+    assert_same(q - a, q - ra)
+    assert_same(a / q, ra / q)
+    assert_same(a.conjugate(), ra.conjugate())
+    assert_same(a.real_part(), ra.real_part())
+    assert_same(a.imag_part(), ra.imag_part())
+    assert (a == b) == (ra == rb)
+    assert (a == q) == (ra == q)
+    assert a.is_rational() == ra.is_rational()
+    assert a.approx_complex() == ra.approx_complex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_pair(), positive_rationals)
+def test_certified_functions_match_fraction_reference(pair, g):
+    (a, ra), (b, rb) = pair
+    real, ref_real = (a * b).real_part(), (ra * rb).real_part()
+    assert certified_floor(real, g) == ref.certified_floor(ref_real, g)
+    assert sign_of_real(real) == ref.sign_of_real(ref_real)
+    assert sign_of_real(real - b.real_part()) == ref.sign_of_real(ref_real - rb.real_part())
+    square, ref_square = modulus_sq(a), ref.modulus_sq(ra)
+    assert floor_sqrt(square) == ref.floor_sqrt(ref_square)
+    assert ceil_sqrt(square) == ref.ceil_sqrt(ref_square)
+    assert half_up_sqrt(square) == ref.half_up_sqrt(ref_square)
+    if not a.is_zero():
+        for resolution in range(2, a.order // 2 + 1):
+            if a.order % (2 * resolution) == 0:
+                assert nearest_angle_index(a, resolution) == ref.nearest_angle_index(
+                    ra, resolution)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_pair(), st.integers(0, 60))
+def test_float_estimate_slack_bounds_its_error(pair, shift):
+    (a, _), (b, _) = pair
+    real = (a * b).real_part() * Fraction(3**shift, 2**shift)
+    est = numerics._float_real_estimate(real)
+    assert est is not None
+    approx, slack = est
+    saved = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 400
+        box = numerics._interval_real_value(real)
+    finally:
+        mpmath.iv.prec = saved
+    with mpmath.workprec(400):
+        assert mpmath.mpf(approx) - mpmath.mpf(slack) <= mpmath.mpf(box.a)
+        assert mpmath.mpf(box.b) <= mpmath.mpf(approx) + mpmath.mpf(slack)
+
+
+# ---------------------------------------------------------------------------
+# Certified paths of the integer kernel, each forced
+
+def sqrt2() -> CycloNum:
+    return CycloNum.zeta_pow(8, 1) + CycloNum.zeta_pow(8, 7)
+
+
+def test_numerators_beyond_float_range_use_intervals():
+    big = 10**400
+    w = sqrt2() * big
+    assert numerics._float_real_estimate(w) is None
+    assert certified_floor(w) == math.isqrt(2 * big * big)
+    assert sign_of_real(w - math.isqrt(2 * big * big)) == 1
+    assert floor_sqrt(w * w) == math.isqrt(2 * big * big)
+    # a denominator beyond float range, with a value near 1.41
+    v = w / (big + 1)
+    assert numerics._float_real_estimate(v) is None
+    assert certified_floor(v) == 1
+    assert certified_floor(v, Fraction(1, 100)) == 141
+    assert sign_of_real(v - Fraction(141, 100)) == 1
+
+
+@pytest.mark.parametrize("k", [30, 31, 60, 61])
+def test_values_within_float_slack_of_an_integer(k):
+    # (1 + sqrt2)^k + (1 - sqrt2)^k is an integer L and |1 - sqrt2|^k is tiny,
+    # so (1 + sqrt2)^k sits just below L for even k and just above for odd k.
+    up = 1 + sqrt2()
+    down = 1 - sqrt2()
+    power_up, power_down = CycloNum.from_rational(8, 1), CycloNum.from_rational(8, 1)
+    for _ in range(k):
+        power_up, power_down = power_up * up, power_down * down
+    lucas = (power_up + power_down).as_rational()
+    assert lucas.denominator == 1
+    approx, slack = numerics._float_real_estimate(power_up)
+    assert math.floor(approx - slack) != math.floor(approx + slack)
+    expected = int(lucas) - 1 if k % 2 == 0 else int(lucas)
+    assert certified_floor(power_up) == expected
+    assert sign_of_real(power_up - lucas) == (-1 if k % 2 == 0 else 1)
+    assert certified_floor(power_up / 3, Fraction(1, 3)) == expected
+
+
+def test_equal_values_from_different_denominators_are_canonical():
+    z = CycloNum(12, (Fraction(1, 6), Fraction(-5, 4), Fraction(0), Fraction(7, 10)))
+    sixth = CycloNum(12, (Fraction(1, 6), Fraction(1, 6), Fraction(0), Fraction(1, 6)))
+    third = CycloNum(12, (Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(1, 3)))
+    half = CycloNum(12, (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1, 2)))
+    routes = [
+        sixth + third,
+        half * Fraction(7, 9) / Fraction(7, 9),
+        (half * 6 - half * 2) / 4,
+        (z + half) - z,
+        half.conjugate().conjugate(),
+    ]
+    for value in routes:
+        assert value == half
+        assert hash(value) == hash(half)
+        assert (value.num, value.den) == ((1, 1, 0, 1), 2)
+    zero = z - z
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == 0 and hash(zero) == hash(CycloNum.from_rational(12, 0))
+    assert z * 0 == zero and hash(z * 0) == hash(zero)
+
+
+def test_kernel_stores_integers_and_builds_tables_once(monkeypatch):
+    calls = []
+
+    def counting_totient(n):
+        calls.append(n)
+        return totient(n)
+
+    monkeypatch.setattr(numerics, "totient", counting_totient)
+    numerics._field.cache_clear()
+    try:
+        z = CycloNum(24, tuple(Fraction(j - 3, j + 1) for j in range(8)))
+        for _ in range(3):
+            w = z * z.conjugate() + CycloNum.zeta_pow(24, 5) - 1
+            certified_floor(w.real_part())
+            nearest_angle_index(z, 6)
+        assert calls == [24]
+        assert not hasattr(z, "__dict__")
+        assert all(type(c) is int for c in w.num) and type(w.den) is int
+    finally:
+        numerics._field.cache_clear()
