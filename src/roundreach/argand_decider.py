@@ -11,18 +11,18 @@ follows from watching the bottom-most nonzero coordinate of each block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import HyperbolicBlockAnalyzer, radii
+from .hyperbolic import decide_by_blocks, escape_table
 from .numerics import Angle, CycloNum, ceil_sqrt, floor_sqrt
 from .rounding import (
     ArgandPoint,
     ArgandRounding,
     RoundingKind,
-    modulus_effect_bound,
     point_value,
 )
 from .system import (
@@ -32,7 +32,6 @@ from .system import (
     JordanBlock,
     StabilizedMismatch,
     Verdict,
-    run_lock_step,
 )
 
 
@@ -95,10 +94,6 @@ class TruncationResourceBounds:
         return (self.growth_base * clamped) ** ((self.size + 1) ** j)
 
 
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
 def _one_norm(points: Sequence[ArgandPoint]) -> Fraction:
     return sum((abs(p.re) + abs(p.im) for p in points), Fraction(0))
 
@@ -111,17 +106,7 @@ def truncation_bounds(
     spec = system.rounding
     if not isinstance(spec, ArgandRounding):
         raise ValueError("these budgets are defined for componentwise rounding")
-    unit_blocks = [
-        i for i, b in enumerate(system.blocks) if b.eigen_modulus == 1
-    ]
-    if block_index is None:
-        if len(unit_blocks) != 1:
-            raise ValueError(
-                "pass block_index when the system has several unit blocks"
-            )
-        block_index = unit_blocks[0]
-    block = system.blocks[block_index]
-    start, end = system.block_slices()[block_index]
+    block, start, end = system.unit_block(block_index)
     i_s = _one_norm(system.initial[start:end])
     return _truncation_tables(block.size, i_s, spec.granularity)
 
@@ -135,10 +120,10 @@ def _truncation_tables(
     u = [Fraction(0)] * size
     t = [0] * size
     u[size - 1] = initial_size
-    t[size - 1] = _ceil_fraction((2 * u[size - 1] / g) ** size)
+    t[size - 1] = math.ceil((2 * u[size - 1] / g) ** size)
     for k in range(size - 2, -1, -1):
         u[k] = initial_size + size * t[k + 1] * u[k + 1]
-        t[k] = _ceil_fraction((2 * u[k] / g) ** size) + t[k + 1]
+        t[k] = math.ceil((2 * u[k] / g) ** size) + t[k + 1]
     bounds = TruncationResourceBounds(size, g, initial_size, tuple(u), tuple(t))
     for j in range(size):
         if bounds.modulus_bounds[size - 1 - j] > bounds.doubly_exponential_ceiling(j):
@@ -390,22 +375,14 @@ def argand_step_cap(system: JnfSystem) -> int:
             y1 = _one_norm(target_slice)
             q_max = max((p.modulus_sq() for p in target_slice), default=Fraction(0))
             slack = (
-                _ceil_fraction((y1 + bounds.modulus_bounds[0]) / g)
-                + _ceil_fraction(q_max / (g * g))
+                math.ceil((y1 + bounds.modulus_bounds[0]) / g)
+                + math.ceil(q_max / (g * g))
                 + 8
             )
             settle += bounds.settle_bounds[0] + slack
             states *= 4
         else:
-            delta = modulus_effect_bound(spec)
-            table = radii(
-                block,
-                delta,
-                system.target[start:end],
-                system.initial[start:end],
-                spec.granularity,
-            )
-            states *= table.step_bound(spec)
+            states *= escape_table(system, index).step_bound(spec)
     return settle + states + 2
 
 
@@ -415,32 +392,7 @@ def _decide_argand(system: JnfSystem, kind: RoundingKind, analyzer_cls) -> Verdi
         raise ValueError(
             f"this decision procedure needs componentwise {kind.value} rounding"
         )
-    order = system.field_order()
-    analyzers = []
-    pure_hyperbolic = True
-    for block, (start, end) in zip(system.blocks, system.block_slices()):
-        if block.eigen_modulus == 1:
-            pure_hyperbolic = False
-            analyzers.append(
-                analyzer_cls(start, block, spec, system.target[start:end], order)
-            )
-        else:
-            delta = modulus_effect_bound(spec)
-            table = radii(
-                block,
-                delta,
-                system.target[start:end],
-                system.initial[start:end],
-                spec.granularity,
-            )
-            analyzers.append(HyperbolicBlockAnalyzer(start, table))
-    cap = argand_step_cap(system)
-    return run_lock_step(
-        system,
-        analyzers,
-        step_cap=cap,
-        cap_is_state_bound=pure_hyperbolic,
-    )
+    return decide_by_blocks(system, analyzer_cls, argand_step_cap(system))
 
 
 def decide_truncation(system: JnfSystem) -> Verdict:

@@ -26,13 +26,12 @@ from .errors import (
     RoundReachError,
 )
 from .hyperbolic import (
-    conjugate_rounding,
+    block_tables,
     decide_hyperbolic_general,
     decide_hyperbolic_jnf,
-    jnf_rational,
-    mat_vec,
-    parse_jordan_blocks,
-    radii,
+    eigenbasis,
+    escape_table,
+    hyperbolic_step_cap,
 )
 from .numerics import Angle
 from .polar_decider import decide_polar, polar_step_cap, resource_bounds
@@ -52,7 +51,6 @@ from .rounding import (
     PolarRounding,
     RoundingKind,
     RoundingSpec,
-    modulus_effect_bound,
 )
 from .system import (
     CycleDetected,
@@ -279,7 +277,7 @@ def dispatch(system: Instance) -> Union[Verdict, Undecided]:
         return decide_truncation(system)
     if spec.kind is RoundingKind.EXPAND:
         return decide_expansion(system)
-    if all(b.eigen_modulus != 1 for b in system.blocks):
+    if system.is_hyperbolic:
         return decide_hyperbolic_jnf(system)
     return Undecided(
         f"a modulus-one eigenvalue under componentwise {spec.kind.value} rounding "
@@ -357,29 +355,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _bounds_lines(system: Instance) -> list[str]:
+    """The tables and step cap the decider for this instance uses."""
     lines = []
     if isinstance(system, RationalSystem):
-        p, j = jnf_rational(system.matrix)
-        blocks = parse_jordan_blocks(j)
-        conj = conjugate_rounding(p, system.rounding)
-        z0 = mat_vec(conj.p_inverse, system.initial)
-        zt = mat_vec(conj.p_inverse, system.target)
-        lines.append(f"eigenbasis rounding effect: {_rational_str(conj.delta)}")
-        all_radii: list[Fraction] = []
-        at = 0
-        for i, block in enumerate(blocks):
-            if block.eigen_modulus == 1:
-                raise ModulusOneSpectrumError(
-                    "no escape radii exist for a modulus-one eigenvalue"
-                )
-            table = radii(
-                block,
-                conj.delta,
-                zt[at : at + block.size],
-                z0[at : at + block.size],
-                system.rounding.granularity,
-            )
-            at += block.size
+        basis, tables, cap = eigenbasis(system)
+        lines.append(f"eigenbasis rounding effect: {_rational_str(basis.conj.delta)}")
+        for i, (block, table) in enumerate(zip(basis.blocks, tables)):
             lines.append(
                 f"block {i}: size {block.size}, "
                 f"eigenvalue modulus {_rational_str(block.eigen_modulus)}"
@@ -388,15 +369,7 @@ def _bounds_lines(system: Instance) -> list[str]:
                 "  escape radius per dimension: "
                 + ", ".join(_rational_str(r) for r in table.radii)
             )
-            all_radii.extend(table.radii)
-        g = system.rounding.granularity
-        cap = 1
-        for row in p:
-            reach = sum(
-                (abs(c) * r for c, r in zip(row, all_radii)), Fraction(0)
-            )
-            cap *= 2 * (reach // g) + 1
-        lines.append(f"step cap: {cap}")
+        lines.append(f"step cap: {cap} (proved state bound)")
         return lines
     spec = system.rounding
     for i, block in enumerate(system.blocks):
@@ -406,17 +379,9 @@ def _bounds_lines(system: Instance) -> list[str]:
             f"angle {_angle_str(block.eigen_angle)}"
         )
         if block.eigen_modulus != 1:
-            start, end = system.block_slices()[i]
-            table = radii(
-                block,
-                modulus_effect_bound(spec),
-                system.target[start:end],
-                system.initial[start:end],
-                spec.granularity,
-            )
             lines.append(
                 "  escape radius per dimension: "
-                + ", ".join(_rational_str(r) for r in table.radii)
+                + ", ".join(_rational_str(r) for r in escape_table(system, i).radii)
             )
             continue
         if isinstance(spec, PolarRounding):
@@ -433,9 +398,16 @@ def _bounds_lines(system: Instance) -> list[str]:
         )
         lines.append(f"  growth base: {_rational_str(bounds.growth_base)}")
     if isinstance(spec, PolarRounding):
-        lines.append(f"step cap: {polar_step_cap(system)}")
+        cap = polar_step_cap(system)
     elif spec.kind in (RoundingKind.TRUNCATE, RoundingKind.EXPAND):
-        lines.append(f"step cap: {argand_step_cap(system)}")
+        cap = argand_step_cap(system)
+    elif system.is_hyperbolic:
+        cap = hyperbolic_step_cap(system, block_tables(system))
+    else:
+        return lines
+    # the deciders pass system.is_hyperbolic as cap_is_state_bound
+    label = "proved state bound" if system.is_hyperbolic else "safety net"
+    lines.append(f"step cap: {cap} ({label})")
     return lines
 
 

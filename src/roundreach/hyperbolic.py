@@ -25,14 +25,12 @@ from .rounding import (
 )
 from .system import (
     Certificate,
-    CycleDetected,
     EscapedRadius,
     JnfSystem,
     JordanBlock,
-    NotReached,
     RationalSystem,
-    Reached,
     Verdict,
+    iterate,
     run_lock_step,
 )
 
@@ -151,22 +149,32 @@ def _block_is_real(system: JnfSystem, block: JordanBlock, start: int, end: int) 
     return True
 
 
-def block_tables(system: JnfSystem) -> list[RadiusTable]:
-    """Escape radii for every block of a system without modulus-one eigenvalues."""
-    tables = []
-    for block, (start, end) in zip(system.blocks, system.block_slices()):
+def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTable:
+    """Escape radii of one block: the one place they are built.
+
+    In an eigenbasis the effect bound is the conjugated rounding's; on the
+    grid it is the modulus effect bound, the real-only one for a real block
+    under componentwise rounding.
+    """
+    block = system.blocks[index]
+    start, end = system.block_slices()[index]
+    if isinstance(system, Eigenbasis):
+        delta = system.conj.delta
+    else:
         real_only = _block_is_real(system, block, start, end)
         delta = modulus_effect_bound(system.rounding, real_only=real_only)
-        tables.append(
-            radii(
-                block,
-                delta,
-                system.target[start:end],
-                system.initial[start:end],
-                system.rounding.granularity,
-            )
-        )
-    return tables
+    return radii(
+        block,
+        delta,
+        system.target[start:end],
+        system.initial[start:end],
+        system.rounding.granularity,
+    )
+
+
+def block_tables(system: JnfSystem) -> list[RadiusTable]:
+    """Escape radii for every block of a system without modulus-one eigenvalues."""
+    return [escape_table(system, i) for i in range(len(system.blocks))]
 
 
 def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
@@ -182,20 +190,41 @@ def decide_hyperbolic_jnf(system: JnfSystem) -> Verdict:
 
     Orbit coordinates either meet their escape radius (a permanent no) or stay
     confined, where exact repeat detection and the ball-count pigeonhole bound
-    conclude.
+    conclude.  A modulus-one block raises ModulusOneSpectrumError.
     """
-    for block in system.blocks:
-        if block.eigen_modulus == 1:
-            raise ModulusOneSpectrumError(
-                "a modulus-one block cannot be decided by the escape-radius method"
-            )
     tables = block_tables(system)
     analyzers = [
         HyperbolicBlockAnalyzer(start, table)
         for (start, _end), table in zip(system.block_slices(), tables)
     ]
     cap = hyperbolic_step_cap(system, tables)
-    return run_lock_step(system, analyzers, step_cap=cap, cap_is_state_bound=True)
+    return run_lock_step(
+        system, analyzers, step_cap=cap, cap_is_state_bound=system.is_hyperbolic
+    )
+
+
+def decide_by_blocks(system: JnfSystem, unit_analyzer, step_cap: int) -> Verdict:
+    """Run the lock-step driver with unit_analyzer(start, block, rounding,
+    target slice, field order) on every unit-modulus block and the
+    escape-radius analyzer on every other block."""
+    order = system.field_order()
+    analyzers = []
+    for index, (block, (start, end)) in enumerate(
+        zip(system.blocks, system.block_slices())
+    ):
+        if block.eigen_modulus == 1:
+            analyzers.append(
+                unit_analyzer(
+                    start, block, system.rounding, system.target[start:end], order
+                )
+            )
+        else:
+            analyzers.append(
+                HyperbolicBlockAnalyzer(start, escape_table(system, index))
+            )
+    return run_lock_step(
+        system, analyzers, step_cap=step_cap, cap_is_state_bound=system.is_hyperbolic
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +352,77 @@ def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
     return blocks
 
 
+@dataclass(frozen=True)
+class Eigenbasis:
+    """A rational-matrix system in its Jordan basis z = P^-1 x, where it
+    steps as z' = J z + P^-1 (round(P J z) - P J z) exactly."""
+
+    conj: ConjugatedRounding
+    j: RationalMatrix
+    blocks: tuple[JordanBlock, ...]
+    initial: tuple[Fraction, ...]
+    target: tuple[Fraction, ...]
+
+    block_slices = JnfSystem.block_slices
+
+    @property
+    def rounding(self) -> ArgandRounding:
+        return self.conj.spec
+
+    def step(self, z: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], None]:
+        return self.conj.apply(mat_vec(self.j, z)), None
+
+
+def eigenbasis(
+    system: RationalSystem,
+    p: Optional[RationalMatrix] = None,
+    j: Optional[RationalMatrix] = None,
+) -> tuple[Eigenbasis, list[RadiusTable], int]:
+    """The system in its Jordan basis, every block's escape radii there, and
+    a proved bound on the number of distinct states.
+
+    The bound counts grid points x = P z in the box the radii span.  A
+    modulus-one eigenvalue raises ModulusOneSpectrumError, a non-rational
+    one NonRationalSpectrumError.
+    """
+    if p is None or j is None:
+        p, j = jnf_rational(system.matrix)
+    if mat_mul(mat_mul(p, j), mat_inv(p)) != system.matrix:
+        raise ValueError("P J P^-1 does not reconstruct the system matrix")
+    conj = conjugate_rounding(p, system.rounding)
+    basis = Eigenbasis(
+        conj,
+        j,
+        tuple(parse_jordan_blocks(j)),
+        mat_vec(conj.p_inverse, system.initial),
+        mat_vec(conj.p_inverse, system.target),
+    )
+    tables = [escape_table(basis, i) for i in range(len(basis.blocks))]
+    all_radii = [c for table in tables for c in table.radii]
+    g = system.rounding.granularity
+    cap = 1
+    for row in p:
+        reach = sum((abs(c) * r for c, r in zip(row, all_radii)), Fraction(0))
+        cap *= 2 * math.floor(reach / g) + 1
+    return basis, tables, cap
+
+
+class _EigenbasisEscape:
+    """Certifies NO once an eigenbasis coordinate meets its escape radius."""
+
+    def __init__(self, radii_flat: Sequence[Fraction]) -> None:
+        self.radii = radii_flat
+
+    def observe_initial(self, state: Sequence[Fraction]) -> Optional[Certificate]:
+        for d, (v, c) in enumerate(zip(state, self.radii)):
+            if abs(v) >= c:
+                return EscapedRadius(d, c)
+        return None
+
+    def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
+        return self.observe_initial(new)
+
+
 def decide_hyperbolic_general(
     system: RationalSystem,
     p: Optional[RationalMatrix] = None,
@@ -331,70 +431,16 @@ def decide_hyperbolic_general(
     """Decide a rational-matrix system by passing to the eigenbasis.
 
     The update matrix must have a rational spectrum with no modulus-one
-    eigenvalue. The conjugated system z' = J z + P^-1(round(P J z) - P J z)
-    is simulated exactly; its escape radii use the conjugated effect bound.
+    eigenvalue. The conjugated system is simulated exactly; its escape radii
+    use the conjugated effect bound.
     """
-    if p is None or j is None:
-        p, j = jnf_rational(system.matrix)
-    if mat_mul(mat_mul(p, j), mat_inv(p)) != system.matrix:
-        raise ValueError("P J P^-1 does not reconstruct the system matrix")
-    blocks = parse_jordan_blocks(j)
-    for block in blocks:
-        if block.eigen_modulus == 1:
-            raise ModulusOneSpectrumError(
-                "a modulus-one eigenvalue cannot be decided by the escape-radius method"
-            )
-    conj = conjugate_rounding(p, system.rounding)
-    z0 = mat_vec(conj.p_inverse, system.initial)
-    z_target = mat_vec(conj.p_inverse, system.target)
-    tables = []
-    at = 0
-    for block in blocks:
-        tables.append(
-            radii(
-                block,
-                conj.delta,
-                z_target[at : at + block.size],
-                z0[at : at + block.size],
-                system.rounding.granularity,
-            )
-        )
-        at += block.size
-    all_radii: list[Fraction] = []
-    for t in tables:
-        all_radii.extend(t.radii)
-    # distinct z-states correspond to grid points of x = P z inside a box
-    g = system.rounding.granularity
-    cap = 1
-    for row in p:
-        reach = sum((abs(c) * r for c, r in zip(row, all_radii)), Fraction(0))
-        cap *= 2 * math.floor(reach / g) + 1
-    state = z0
-    if state == z_target:
-        return Reached(0)
-    escaped = _z_escape(state, all_radii)
-    if escaped is not None:
-        return NotReached(escaped)
-    visited = {state: 0}
-    i = 0
-    while True:
-        v = mat_vec(j, state)
-        state = conj.apply(v)
-        i += 1
-        if state == z_target:
-            return Reached(i)
-        escaped = _z_escape(state, all_radii)
-        if escaped is not None:
-            return NotReached(escaped)
-        if state in visited:
-            return NotReached(CycleDetected(i))
-        visited[state] = i
-        if i >= cap:
-            return NotReached(CycleDetected(cap))
-
-
-def _z_escape(state: Sequence[Fraction], radii_flat: Sequence[Fraction]) -> Optional[Certificate]:
-    for d, (v, c) in enumerate(zip(state, radii_flat)):
-        if abs(v) >= c:
-            return EscapedRadius(d, c)
-    return None
+    basis, tables, cap = eigenbasis(system, p, j)
+    escape = _EigenbasisEscape([c for table in tables for c in table.radii])
+    return iterate(
+        basis.step,
+        basis.initial,
+        basis.target,
+        [escape],
+        cap=cap,
+        cap_is_state_bound=True,
+    )

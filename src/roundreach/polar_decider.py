@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, UnsupportedAngleError
-from .hyperbolic import HyperbolicBlockAnalyzer, radii
+from .hyperbolic import decide_by_blocks, escape_table
 from .numerics import Angle, CycloNum, embed_polar, modulus_sq, sign_of_real
 from .rounding import (
     PolarPoint,
@@ -32,7 +32,6 @@ from .system import (
     JordanBlock,
     StabilizedMismatch,
     Verdict,
-    run_lock_step,
 )
 
 
@@ -154,10 +153,6 @@ class PolarResourceBounds:
         return (self.growth_base * i_s) ** (2**j)
 
 
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
 def resource_bounds(
     system: JnfSystem, block_index: Optional[int] = None
 ) -> PolarResourceBounds:
@@ -166,17 +161,7 @@ def resource_bounds(
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("resource tables are defined for polar rounding")
-    unit_blocks = [
-        i for i, b in enumerate(system.blocks) if b.eigen_modulus == 1
-    ]
-    if block_index is None:
-        if len(unit_blocks) != 1:
-            raise ValueError(
-                "pass block_index when the system has several unit blocks"
-            )
-        block_index = unit_blocks[0]
-    block = system.blocks[block_index]
-    start, end = system.block_slices()[block_index]
+    block, start, end = system.unit_block(block_index)
     i_s = sum((p.modulus for p in system.initial[start:end]), Fraction(0))
     y_s = sum((p.modulus for p in system.target[start:end]), Fraction(0))
     return _resource_tables(
@@ -200,7 +185,7 @@ def _resource_tables(
     angle_count_sq = (2 * resolution) ** 2
     for k in range(size - 2, -1, -1):
         u[k] = initial_size + size * t[k + 1] * u[k + 1]
-        t[k] = _ceil_fraction((target_size + u[k]) * angle_count_sq) + t[k + 1]
+        t[k] = ceil((target_size + u[k]) * angle_count_sq) + t[k + 1]
     bounds = PolarResourceBounds(
         size,
         resolution,
@@ -439,30 +424,15 @@ def polar_step_cap(system: JnfSystem) -> int:
     spec = system.rounding
     settle = 0
     states = 1
-    for index, (block, (start, end)) in enumerate(
-        zip(system.blocks, system.block_slices())
-    ):
+    for index, block in enumerate(system.blocks):
         if block.eigen_modulus == 1:
             bounds = resource_bounds(system, index)
             settle += bounds.settle_bounds[0]
-            per_dim = []
             for j in range(block.size):
                 steps = int(bounds.modulus_bounds[j] / spec.granularity) + 1
-                per_dim.append(1 + steps * 2 * spec.angle_resolution)
-            prod = 1
-            for c in per_dim:
-                prod *= c
-            states *= prod
+                states *= 1 + steps * 2 * spec.angle_resolution
         else:
-            delta = modulus_effect_bound(spec)
-            table = radii(
-                block,
-                delta,
-                system.target[start:end],
-                system.initial[start:end],
-                spec.granularity,
-            )
-            states *= table.step_bound(spec)
+            states *= escape_table(system, index).step_bound(spec)
     return settle + states + 2
 
 
@@ -472,34 +442,7 @@ def decide_polar(system: JnfSystem) -> Verdict:
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("this decision procedure needs polar rounding")
-    order = system.field_order()
-    analyzers = []
-    pure_hyperbolic = True
-    for block, (start, end) in zip(system.blocks, system.block_slices()):
-        if block.eigen_modulus == 1:
-            pure_hyperbolic = False
-            analyzers.append(
-                PolarBlockAnalyzer(
-                    start, block, spec, system.target[start:end], order
-                )
-            )
-        else:
-            delta = modulus_effect_bound(spec)
-            table = radii(
-                block,
-                delta,
-                system.target[start:end],
-                system.initial[start:end],
-                spec.granularity,
-            )
-            analyzers.append(HyperbolicBlockAnalyzer(start, table))
-    cap = polar_step_cap(system)
-    return run_lock_step(
-        system,
-        analyzers,
-        step_cap=cap,
-        cap_is_state_bound=pure_hyperbolic,
-    )
+    return decide_by_blocks(system, PolarBlockAnalyzer, polar_step_cap(system))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import GadgetBrokenError, InternalInvariantError
 from .rounding import ArgandRounding, RoundingKind, round_real
+from .system import Reached, iterate
 
 
 # ---------------------------------------------------------------------------
@@ -835,14 +836,22 @@ def hardness_simulate(instance: HardnessInstance, steps: int) -> list[tuple[int,
 
 
 def decide_hardness(instance: HardnessInstance, step_bound: int) -> tuple[bool, Optional[int]]:
-    """Reachability of the all-ones copy-zero target within step_bound steps."""
-    state = instance.initial
-    if state == instance.target:
-        return True, 0
-    for i in range(1, step_bound + 1):
-        state = hardness_step(instance, state)
-        if state == instance.target:
-            return True, i
+    """Reachability of the all-ones copy-zero target within step_bound steps.
+
+    The orbit stops early at its first repeated state, after which the
+    target can no longer come.  Reaching step_bound answers the question
+    too, so the cap counts as a conclusion.
+    """
+    verdict = iterate(
+        lambda state: (hardness_step(instance, state), None),
+        instance.initial,
+        instance.target,
+        (),
+        cap=step_bound,
+        cap_is_state_bound=True,
+    )
+    if isinstance(verdict, Reached):
+        return True, verdict.step
     return False, None
 
 

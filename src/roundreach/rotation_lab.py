@@ -168,8 +168,11 @@ class _IntervalRotator:
                     box = a * s + b * c + mpmath.iv.mpf("0.5")
                 else:
                     box = a * c - b * s + mpmath.iv.mpf("0.5")
-                lo = int(mpmath.floor(mpmath.mpf(box.a)))
-                hi = int(mpmath.floor(mpmath.mpf(box.b)))
+                # endpoints carry prec bits; read them at prec, not at
+                # mpmath's default 53 bits, or the floor can move
+                with mpmath.workprec(prec):
+                    lo = int(mpmath.floor(mpmath.mpf(box.a)))
+                    hi = int(mpmath.floor(mpmath.mpf(box.b)))
                 if lo == hi:
                     return lo
                 prec *= 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .errors import InternalInvariantError
 from .numerics import Angle, CycloNum, embed_polar
@@ -67,6 +67,12 @@ class JnfSystem:
     def dimension(self) -> int:
         return sum(b.size for b in self.blocks)
 
+    @property
+    def is_hyperbolic(self) -> bool:
+        """No eigenvalue has modulus one.  The deciders' step caps are then
+        proved bounds on the number of distinct states, else safety nets."""
+        return all(b.eigen_modulus != 1 for b in self.blocks)
+
     def field_order(self) -> int:
         parts = [4]
         if isinstance(self.rounding, PolarRounding):
@@ -82,6 +88,18 @@ class JnfSystem:
             out.append((at, at + b.size))
             at += b.size
         return out
+
+    def unit_block(self, index: Optional[int] = None) -> tuple[JordanBlock, int, int]:
+        """Block index with its coordinate range; with no index, the only
+        block whose eigenvalue has modulus one."""
+        if index is None:
+            units = [i for i, b in enumerate(self.blocks) if b.eigen_modulus == 1]
+            if len(units) != 1:
+                raise ValueError(
+                    "pass block_index when the system has several unit blocks"
+                )
+            index = units[0]
+        return (self.blocks[index], *self.block_slices()[index])
 
     def eigen_value(self, block: JordanBlock, order: Optional[int] = None) -> CycloNum:
         order = order or self.field_order()
@@ -114,15 +132,12 @@ def step(system: JnfSystem, state: tuple[GridPoint, ...]) -> tuple[GridPoint, ..
     return step_with_intermediates(system, state)[0]
 
 
-def simulate(system: JnfSystem, steps: int) -> list[tuple[GridPoint, ...]]:
+def simulate(system: Union[JnfSystem, RationalSystem], steps: int) -> list[tuple]:
     """The orbit from the stored initial point, inclusive: steps+1 states."""
-    order = system.field_order()
-    eigen = [system.eigen_value(b, order) for b in system.blocks]
+    advance = orbit_step(system)
     out = [system.initial]
-    state = system.initial
     for _ in range(steps):
-        state, _w = step_with_intermediates(system, state, order, eigen)
-        out.append(state)
+        out.append(advance(out[-1])[0])
     return out
 
 
@@ -165,12 +180,7 @@ def rational_step(system: RationalSystem, state: tuple[Fraction, ...]) -> tuple[
 
 
 def rational_simulate(system: RationalSystem, steps: int) -> list[tuple[Fraction, ...]]:
-    out = [system.initial]
-    state = system.initial
-    for _ in range(steps):
-        state = rational_step(system, state)
-        out.append(state)
-    return out
+    return simulate(system, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,7 @@ class Undecided:
 
 
 # ---------------------------------------------------------------------------
-# Lock-step driver
+# The orbit loop and the lock-step driver
 
 
 class BlockAnalyzer(Protocol):
@@ -251,56 +261,123 @@ class BlockAnalyzer(Protocol):
         ...
 
 
+# Repeat detection stores every state in a dict up to this many states, then
+# drops the dict and continues with Brent's constant-memory cycle check.
+STATE_STORE_LIMIT = 2_000_000
+
+
+def iterate(
+    step: Callable[[Any], tuple[Any, Any]],
+    start: Any,
+    target: Any,
+    observers: Sequence[BlockAnalyzer],
+    *,
+    cap: Optional[int],
+    cap_is_state_bound: bool,
+) -> Verdict:
+    """Run the orbit of start under step until a conclusion.
+
+    step(state) returns (new state, unrounded values); observers follow
+    BlockAnalyzer.  Conclusions, in order of checking per step: target hit,
+    an observer certificate, an exact state repeat.  A cap (None for none)
+    is checked before each step.  cap_is_state_bound True means the cap is
+    a proved bound on the number of distinct reachable states, so reaching
+    it without a repeat is a sound cycle conclusion; False makes it an
+    internal error.
+
+    Repeats are found exactly by a dict of every state seen while it holds
+    fewer than STATE_STORE_LIMIT states.  Past that, Brent's tortoise is
+    saved at power-of-two distances; when a later state equals it, the
+    states in between, all target-checked and observed, recur forever.
+    """
+    if start == target:
+        return Reached(0)
+    for observer in observers:
+        cert = observer.observe_initial(start)
+        if cert is not None:
+            return NotReached(cert)
+    visited: Optional[dict] = {start: 0}
+    tortoise, power, lam = None, 1, 0
+    state = start
+    i = 0
+    while True:
+        if cap is not None and i >= cap:
+            if cap_is_state_bound:
+                return NotReached(CycleDetected(cap))
+            raise InternalInvariantError(
+                f"no conclusion within the resource bound of {cap} steps"
+            )
+        new_state, unrounded = step(state)
+        i += 1
+        if new_state == target:
+            return Reached(i)
+        for observer in observers:
+            cert = observer.observe(i - 1, state, unrounded, new_state)
+            if cert is not None:
+                return NotReached(cert)
+        if visited is not None:
+            if new_state in visited:
+                return NotReached(CycleDetected(i))
+            if len(visited) < STATE_STORE_LIMIT:
+                visited[new_state] = i
+            else:
+                visited, tortoise = None, new_state
+        else:
+            lam += 1
+            if new_state == tortoise:
+                return NotReached(CycleDetected(i))
+            if lam == power:
+                tortoise, power, lam = new_state, 2 * power, 0
+        state = new_state
+
+
+def orbit_step(
+    system: Union[JnfSystem, RationalSystem]
+) -> Callable[[Any], tuple[Any, Any]]:
+    """The system's step for iterate: state -> (new state, unrounded values);
+    a rational system has no unrounded values to show."""
+    if isinstance(system, RationalSystem):
+        return lambda state: (rational_step(system, state), None)
+    order = system.field_order()
+    eigen = [system.eigen_value(b, order) for b in system.blocks]
+    return lambda state: step_with_intermediates(system, state, order, eigen)
+
+
 def run_lock_step(
     system: JnfSystem,
     analyzers: Sequence[BlockAnalyzer],
     *,
     step_cap: Optional[int] = None,
     cap_is_state_bound: bool = False,
-    visited_budget: int = 2_000_000,
 ) -> Verdict:
-    """Drive the shared orbit, feeding every analyzer, until a conclusion.
+    """Drive the shared orbit of a Jordan-form system, feeding every
+    analyzer, until a conclusion (see iterate)."""
+    return iterate(
+        orbit_step(system),
+        system.initial,
+        system.target,
+        analyzers,
+        cap=step_cap,
+        cap_is_state_bound=cap_is_state_bound,
+    )
 
-    Conclusions, in order of checking per step: target hit, an analyzer
-    certificate, an exact state repeat. If step_cap is exceeded, the outcome
-    depends on cap_is_state_bound: True means the cap is a proved bound on the
-    number of distinct reachable states, so exceeding it without a repeat is a
-    sound cycle conclusion; False makes exceeding it an internal error.
-    """
-    order = system.field_order()
-    eigen = [system.eigen_value(b, order) for b in system.blocks]
-    state = system.initial
-    if state == system.target:
-        return Reached(0)
-    for analyzer in analyzers:
-        cert = analyzer.observe_initial(state)
-        if cert is not None:
-            return NotReached(cert)
-    visited: Optional[dict] = {state: 0}
-    i = 0
-    while True:
-        new_state, unrounded = step_with_intermediates(system, state, order, eigen)
-        i += 1
-        if new_state == system.target:
-            return Reached(i)
-        for analyzer in analyzers:
-            cert = analyzer.observe(i - 1, state, unrounded, new_state)
-            if cert is not None:
-                return NotReached(cert)
-        if visited is not None:
-            if new_state in visited:
-                return NotReached(CycleDetected(i))
-            if len(visited) >= visited_budget:
-                visited = None
-            else:
-                visited[new_state] = i
-        state = new_state
-        if step_cap is not None and i >= step_cap:
-            if cap_is_state_bound:
-                return NotReached(CycleDetected(step_cap))
-            raise InternalInvariantError(
-                f"no conclusion within the resource bound of {step_cap} steps"
-            )
+
+class _LeavesBall:
+    """Reports EscapedRadius on the first coordinate outside the ball; the
+    start is not checked."""
+
+    def __init__(self, radius: Fraction, outside: Callable[[Any], bool]) -> None:
+        self.radius = radius
+        self.outside = outside
+
+    def observe_initial(self, state: Sequence) -> Optional[Certificate]:
+        return None
+
+    def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
+        for d, v in enumerate(new):
+            if self.outside(v):
+                return EscapedRadius(d, self.radius)
+        return None
 
 
 def brute_force_decide(
@@ -315,39 +392,20 @@ def brute_force_decide(
     target. Hitting step_bound without a repeat yields CycleDetected at the
     bound; the caller picks step_bound large enough for that to be sound.
     """
-    if isinstance(system, RationalSystem):
-        state_r = system.initial
-        if state_r == system.target:
-            return Reached(0)
-        seen = {state_r: 0}
-        for i in range(1, step_bound + 1):
-            state_r = rational_step(system, state_r)
-            if state_r == system.target:
-                return Reached(i)
-            if ball_bound is not None:
-                for d, v in enumerate(state_r):
-                    if abs(v) > ball_bound:
-                        return NotReached(EscapedRadius(d, Fraction(ball_bound)))
-            if state_r in seen:
-                return NotReached(CycleDetected(i))
-            seen[state_r] = i
-        return NotReached(CycleDetected(step_bound))
-    order = system.field_order()
-    eigen = [system.eigen_value(b, order) for b in system.blocks]
-    state = system.initial
-    if state == system.target:
-        return Reached(0)
-    seen_j = {state: 0}
-    bb_sq = None if ball_bound is None else Fraction(ball_bound) ** 2
-    for i in range(1, step_bound + 1):
-        state, _w = step_with_intermediates(system, state, order, eigen)
-        if state == system.target:
-            return Reached(i)
-        if bb_sq is not None:
-            for d, pt in enumerate(state):
-                if pt.modulus_sq() > bb_sq:
-                    return NotReached(EscapedRadius(d, Fraction(ball_bound)))
-        if state in seen_j:
-            return NotReached(CycleDetected(i))
-        seen_j[state] = i
-    return NotReached(CycleDetected(step_bound))
+    observers = []
+    if ball_bound is not None:
+        radius = Fraction(ball_bound)
+        if isinstance(system, RationalSystem):
+            outside = lambda v: abs(v) > radius
+        else:
+            radius_sq = radius * radius
+            outside = lambda pt: pt.modulus_sq() > radius_sq
+        observers.append(_LeavesBall(radius, outside))
+    return iterate(
+        orbit_step(system),
+        system.initial,
+        system.target,
+        observers,
+        cap=step_bound,
+        cap_is_state_bound=True,
+    )

@@ -239,3 +239,27 @@ def test_version_field_checked(tmp_path, capsys):
     path = write(tmp_path, "v.json", json.dumps(obj))
     assert main(["decide", path]) == 1
     assert "version" in capsys.readouterr().err
+
+
+def test_bounds_prints_the_deciders_tables(tmp_path, capsys):
+    # a real block under floor rounding: the decider's real-only effect
+    # bound 1 gives radius 1 + max(|3|, |5|) = 6, not 3/2 + 5
+    system = JnfSystem(
+        (JordanBlock(1, Fraction(2), Angle(Fraction(0))),),
+        (ArgandPoint(Fraction(3), Fraction(0)),),
+        (ArgandPoint(Fraction(5), Fraction(0)),),
+        ArgandRounding(RoundingKind.FLOOR),
+    )
+    path = write(tmp_path, "inst.json", serialize_instance(system))
+    assert main(["bounds", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  escape radius per dimension: 6" in lines
+    assert lines[-1].startswith("step cap: ")
+    assert lines[-1].endswith(" (proved state bound)")
+    assert main(["decide", path]) == 0
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert certificate == {"type": "escaped_radius", "dimension": 0, "radius": "6"}
+
+    path = write(tmp_path, "polar.json", serialize_instance(polar_example()))
+    assert main(["bounds", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" (safety net)")

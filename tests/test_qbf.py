@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from roundreach import qbf_compiler
 from roundreach.qbf_compiler import (
     CONST,
     And,
@@ -249,3 +250,22 @@ def test_perturb_rejects_breaking_factor():
     base = compile_qbf(f, GadgetFamily.MINIMAL_ERROR)
     with pytest.raises(Exception):
         perturb(base, Fraction(3))
+
+
+def test_decide_hardness_stops_at_the_first_repeat(monkeypatch):
+    # a false formula of the two-variable one-operator slice: its orbit
+    # cycles without the target, so the run ends before the step bound
+    formula = QbfFormula((("a", 1), ("e", 2)), And(Var(1), Var(2)))
+    assert not evaluate_qbf(formula)
+    instance = compile_qbf(formula, GadgetFamily.MINIMAL_ERROR)
+    bound = instance.program.step_count * 2 ** 4
+    calls = []
+    real_step = qbf_compiler.hardness_step
+
+    def counting_step(inst, state):
+        calls.append(state)
+        return real_step(inst, state)
+
+    monkeypatch.setattr(qbf_compiler, "hardness_step", counting_step)
+    assert decide_hardness(instance, bound) == (False, None)
+    assert 0 < len(calls) < bound

@@ -166,3 +166,12 @@ def test_irrational_angle_runs_and_matches_float_picture():
     assert record.period is not None
     first = rotate_round((10, 0), "2^(2/5)/10 pi")
     assert first == (9, 4)
+
+
+def test_interval_rotator_reads_endpoints_at_working_precision():
+    # past 2^53 a read of the interval endpoints at 53 bits moves the floor;
+    # the expected pair is the rounding computed at 300 bits
+    assert rotate_round((10**17 + 3, 7), "2^(2/5)/10 pi") == (
+        91530344875848829,
+        40276493974875402,
+    )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from roundreach import system as system_module
 from roundreach.errors import InternalInvariantError
 from roundreach.numerics import Angle
 from roundreach.rounding import (
@@ -23,6 +24,7 @@ from roundreach.system import (
     Reached,
     StabilizedMismatch,
     brute_force_decide,
+    iterate,
     rational_simulate,
     rational_step,
     run_lock_step,
@@ -215,3 +217,46 @@ def test_driver_observe_indices():
     # observation i carries the transition x^(i) -> x^(i+1)
     assert seen[1][0] == 0 and seen[1][1] == states[0] and seen[1][2] == states[1]
     assert seen[2][0] == 1 and seen[2][1] == states[1] and seen[2][2] == states[2]
+
+
+def test_brute_force_zero_bound_takes_no_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("the oracle stepped past a zero bound")
+
+    monkeypatch.setattr(system_module, "step_with_intermediates", no_step)
+    system = rotation_system((P(5), P(4)), (P(16, 1), P(4, 2)))
+    assert brute_force_decide(system, step_bound=0) == NotReached(CycleDetected(0))
+
+
+def test_driver_detects_repeats_past_the_state_store(monkeypatch):
+    # four stored states are used up at step 4, long before the first
+    # repeat at step 15; Brent's check must still end the run in a cycle
+    monkeypatch.setattr(system_module, "STATE_STORE_LIMIT", 4)
+    system = rotation_system((P(5), P(4)), (P(16, 1), P(4, 2)))
+    verdict = run_lock_step(system, [_SilentAnalyzer()], step_cap=10_000,
+                            cap_is_state_bound=False)
+    assert isinstance(verdict, NotReached)
+    assert isinstance(verdict.certificate, CycleDetected)
+    assert 15 <= verdict.certificate.step_bound < 10_000
+
+
+def test_iterate_brent_phase_is_exact(monkeypatch):
+    # a tail 0..9 into the cycle 10..15; the dict holds two states
+    monkeypatch.setattr(system_module, "STATE_STORE_LIMIT", 2)
+
+    def step_fn(x):
+        return (x + 1 if x < 15 else 10), None
+
+    def run(target):
+        return iterate(step_fn, 0, target, (), cap=1000, cap_is_state_bound=False)
+
+    # every state of the orbit is still hit at its first step
+    for target in range(16):
+        assert run(target) == Reached(target)
+    verdict = run(99)
+    repeat = verdict.certificate.step_bound
+    orbit = [0]
+    for _ in range(repeat):
+        orbit.append(step_fn(orbit[-1])[0])
+    # the concluding state really was seen before
+    assert orbit[-1] in orbit[:-1] and repeat < 1000
