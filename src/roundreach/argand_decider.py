@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import decide_by_blocks, escape_table
+from .hyperbolic import Fragment, RadiusTable, decide_by_blocks
 from .numerics import Angle, CycloNum, ceil_sqrt, floor_sqrt
 from .rounding import (
     ArgandPoint,
@@ -107,16 +107,11 @@ def truncation_bounds(
     if not isinstance(spec, ArgandRounding):
         raise ValueError("these budgets are defined for componentwise rounding")
     block, start, end = system.unit_block(block_index)
-    i_s = _one_norm(system.initial[start:end])
-    return _truncation_tables(block.size, i_s, spec.granularity)
-
-
-def _truncation_tables(
-    size: int, initial_size: Fraction, granularity: Fraction
-) -> TruncationResourceBounds:
+    initial_size = _one_norm(system.initial[start:end])
+    size = block.size
     if size < 1:
         raise ValueError("block size must be positive")
-    g = Fraction(granularity)
+    g = Fraction(spec.granularity)
     u = [Fraction(0)] * size
     t = [0] * size
     u[size - 1] = initial_size
@@ -359,51 +354,55 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
         return None
 
 
-def argand_step_cap(system: JnfSystem) -> int:
+def argand_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
     """Safety-net step bound: per-block budgets, target-distance slack for
-    the scheduled divergences, and a joint state count for the cycle."""
+    the scheduled divergences, and a joint state count for the cycle, read
+    off the blocks' tables (built here when none are given)."""
     spec = system.rounding
+    if tables is None:
+        tables = TRUNCATION.tables(system)
     settle = 0
     states = 1
-    for index, (block, (start, end)) in enumerate(
-        zip(system.blocks, system.block_slices())
-    ):
-        if block.eigen_modulus == 1:
-            bounds = truncation_bounds(system, index)
-            g = spec.granularity
-            target_slice = system.target[start:end]
-            y1 = _one_norm(target_slice)
-            q_max = max((p.modulus_sq() for p in target_slice), default=Fraction(0))
-            slack = (
-                math.ceil((y1 + bounds.modulus_bounds[0]) / g)
-                + math.ceil(q_max / (g * g))
-                + 8
-            )
-            settle += bounds.settle_bounds[0] + slack
-            states *= 4
-        else:
-            states *= escape_table(system, index).step_bound(spec)
+    for (start, end), table in zip(system.block_slices(), tables):
+        if isinstance(table, RadiusTable):
+            states *= table.step_bound(spec)
+            continue
+        g = spec.granularity
+        target_slice = system.target[start:end]
+        y1 = _one_norm(target_slice)
+        q_max = max((p.modulus_sq() for p in target_slice), default=Fraction(0))
+        slack = (
+            math.ceil((y1 + table.modulus_bounds[0]) / g)
+            + math.ceil(q_max / (g * g))
+            + 8
+        )
+        settle += table.settle_bounds[0] + slack
+        states *= 4
     return settle + states + 2
 
 
-def _decide_argand(system: JnfSystem, kind: RoundingKind, analyzer_cls) -> Verdict:
+TRUNCATION = Fragment(argand_step_cap, truncation_bounds, TruncationBlockAnalyzer)
+EXPANSION = Fragment(argand_step_cap, truncation_bounds, ExpansionBlockAnalyzer)
+
+
+def _decide_argand(system: JnfSystem, kind: RoundingKind, fragment: Fragment) -> Verdict:
     spec = system.rounding
     if not isinstance(spec, ArgandRounding) or spec.kind is not kind:
         raise ValueError(
             f"this decision procedure needs componentwise {kind.value} rounding"
         )
-    return decide_by_blocks(system, analyzer_cls, argand_step_cap(system))
+    return decide_by_blocks(system, fragment)
 
 
 def decide_truncation(system: JnfSystem) -> Verdict:
     """Decide reachability when rounding truncates each component toward
     zero; unit-modulus blocks get the settling analysis, the rest the
     escape-radius analysis."""
-    return _decide_argand(system, RoundingKind.TRUNCATE, TruncationBlockAnalyzer)
+    return _decide_argand(system, RoundingKind.TRUNCATE, TRUNCATION)
 
 
 def decide_expansion(system: JnfSystem) -> Verdict:
     """Decide reachability when rounding pushes each component away from
     zero; unit-modulus blocks get the growth analysis, the rest the
     escape-radius analysis."""
-    return _decide_argand(system, RoundingKind.EXPAND, ExpansionBlockAnalyzer)
+    return _decide_argand(system, RoundingKind.EXPAND, EXPANSION)

@@ -11,30 +11,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .argand_decider import (
-    argand_step_cap,
-    decide_expansion,
-    decide_truncation,
-    truncation_bounds,
-)
+from .argand_decider import EXPANSION, TRUNCATION, decide_expansion, decide_truncation
 from .errors import (
     ModulusOneSpectrumError,
     NonRationalSpectrumError,
     RoundReachError,
 )
 from .hyperbolic import (
-    block_tables,
+    HYPERBOLIC,
+    Fragment,
+    RadiusTable,
     decide_hyperbolic_general,
     decide_hyperbolic_jnf,
     eigenbasis,
-    escape_table,
-    hyperbolic_step_cap,
 )
 from .numerics import Angle
-from .polar_decider import decide_polar, polar_step_cap, resource_bounds
+from .polar_decider import POLAR, decide_polar
 from .qbf_compiler import (
     GadgetFamily,
     HardnessInstance,
@@ -258,32 +254,60 @@ def serialize_instance(system: Instance) -> str:
 # Dispatch
 
 
-def dispatch(system: Instance) -> Union[Verdict, Undecided]:
-    """Route an instance to the decider covering it, if any."""
+@dataclass(frozen=True)
+class Route:
+    """The decider covering an instance and the fragment whose tables and
+    step cap it runs on; fragment is None for a rational-matrix system,
+    which is decided in its eigenbasis."""
+
+    decide: Callable[[Instance], Verdict]
+    fragment: Optional[Fragment]
+
+
+def route(system: Instance) -> Union[Route, Undecided]:
+    """The one place an instance is matched to the decider covering it, by
+    its kind, rounding shape and kind, and whether it is hyperbolic."""
     if isinstance(system, RationalSystem):
-        try:
-            return decide_hyperbolic_general(system)
-        except NonRationalSpectrumError as exc:
-            return Undecided(str(exc))
-        except ModulusOneSpectrumError:
-            return Undecided(
-                "the matrix has a modulus-one eigenvalue; for a general rational "
-                "matrix no fragment of this tool applies"
-            )
+        return Route(decide_hyperbolic_general, None)
     spec = system.rounding
     if isinstance(spec, PolarRounding):
-        return decide_polar(system)
+        return Route(decide_polar, POLAR)
     if spec.kind is RoundingKind.TRUNCATE:
-        return decide_truncation(system)
+        return Route(decide_truncation, TRUNCATION)
     if spec.kind is RoundingKind.EXPAND:
-        return decide_expansion(system)
+        return Route(decide_expansion, EXPANSION)
     if system.is_hyperbolic:
-        return decide_hyperbolic_jnf(system)
+        return Route(decide_hyperbolic_jnf, HYPERBOLIC)
     return Undecided(
         f"a modulus-one eigenvalue under componentwise {spec.kind.value} rounding "
         "is outside every fragment this tool decides (for minimal-error rounding "
         "even the single rotation block is not known to be decidable)"
     )
+
+
+def _routed(system: Instance, use: Callable[[Route, Instance], object]):
+    """use(route, system) with the route covering the instance, or
+    Undecided: no fragment covers it, or it is a rational matrix whose
+    spectrum the eigenbasis fragment excludes."""
+    chosen = route(system)
+    if isinstance(chosen, Undecided):
+        return chosen
+    if chosen.fragment is not None:
+        return use(chosen, system)
+    try:
+        return use(chosen, system)
+    except NonRationalSpectrumError as exc:
+        return Undecided(str(exc))
+    except ModulusOneSpectrumError:
+        return Undecided(
+            "the matrix has a modulus-one eigenvalue; for a general rational "
+            "matrix no fragment of this tool applies"
+        )
+
+
+def dispatch(system: Instance) -> Union[Verdict, Undecided]:
+    """Run the decider the route picks for an instance, if any."""
+    return _routed(system, lambda chosen, s: chosen.decide(s))
 
 
 def _certificate_json(certificate) -> dict:
@@ -354,66 +378,58 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_lines(system: Instance) -> list[str]:
-    """The tables and step cap the decider for this instance uses."""
-    lines = []
-    if isinstance(system, RationalSystem):
+def _table_lines(chosen: Route, system: Instance) -> list[str]:
+    """The tables and step cap of the route's decider, built as it builds
+    them: the fragment's, or with no fragment the eigenbasis decider's."""
+    fragment = chosen.fragment
+    if fragment is None:
         basis, tables, cap = eigenbasis(system)
-        lines.append(f"eigenbasis rounding effect: {_rational_str(basis.conj.delta)}")
-        for i, (block, table) in enumerate(zip(basis.blocks, tables)):
-            lines.append(
-                f"block {i}: size {block.size}, "
-                f"eigenvalue modulus {_rational_str(block.eigen_modulus)}"
-            )
+        lines = [f"eigenbasis rounding effect: {_rational_str(basis.conj.delta)}"]
+        blocks, proved = basis.blocks, True
+    else:
+        tables = fragment.tables(system)
+        cap = fragment.step_cap(system, tables)
+        # the deciders pass system.is_hyperbolic as cap_is_state_bound
+        lines, blocks, proved = [], system.blocks, system.is_hyperbolic
+    for i, (block, table) in enumerate(zip(blocks, tables)):
+        angle = f", angle {_angle_str(block.eigen_angle)}" if fragment is not None else ""
+        lines.append(
+            f"block {i}: size {block.size}, "
+            f"eigenvalue modulus {_rational_str(block.eigen_modulus)}{angle}"
+        )
+        if isinstance(table, RadiusTable):
             lines.append(
                 "  escape radius per dimension: "
                 + ", ".join(_rational_str(r) for r in table.radii)
             )
-        lines.append(f"step cap: {cap} (proved state bound)")
-        return lines
-    spec = system.rounding
-    for i, block in enumerate(system.blocks):
-        lines.append(
-            f"block {i}: size {block.size}, "
-            f"eigenvalue modulus {_rational_str(block.eigen_modulus)}, "
-            f"angle {_angle_str(block.eigen_angle)}"
-        )
-        if block.eigen_modulus != 1:
-            lines.append(
-                "  escape radius per dimension: "
-                + ", ".join(_rational_str(r) for r in escape_table(system, i).radii)
-            )
             continue
-        if isinstance(spec, PolarRounding):
-            bounds = resource_bounds(system, i)
-        else:
-            bounds = truncation_bounds(system, i)
         lines.append(
             "  modulus ceiling per dimension: "
-            + ", ".join(_rational_str(u) for u in bounds.modulus_bounds)
+            + ", ".join(_rational_str(u) for u in table.modulus_bounds)
         )
         lines.append(
             "  settle bound per dimension:    "
-            + ", ".join(str(t) for t in bounds.settle_bounds)
+            + ", ".join(str(t) for t in table.settle_bounds)
         )
-        lines.append(f"  growth base: {_rational_str(bounds.growth_base)}")
-    if isinstance(spec, PolarRounding):
-        cap = polar_step_cap(system)
-    elif spec.kind in (RoundingKind.TRUNCATE, RoundingKind.EXPAND):
-        cap = argand_step_cap(system)
-    elif system.is_hyperbolic:
-        cap = hyperbolic_step_cap(system, block_tables(system))
-    else:
-        return lines
-    # the deciders pass system.is_hyperbolic as cap_is_state_bound
-    label = "proved state bound" if system.is_hyperbolic else "safety net"
+        lines.append(f"  growth base: {_rational_str(table.growth_base)}")
+    label = "proved state bound" if proved else "safety net"
     lines.append(f"step cap: {cap} ({label})")
     return lines
 
 
+def _bounds_lines(system: Instance) -> Union[list[str], Undecided]:
+    """The tables and step cap the decider for this instance uses, or why
+    no decider covers it."""
+    return _routed(system, _table_lines)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     system = parse_instance(_read(args.instance))
-    for line in _bounds_lines(system):
+    lines = _bounds_lines(system)
+    if isinstance(lines, Undecided):
+        _emit(verdict_json(lines, system))
+        return 2
+    for line in lines:
         print(line)
     return 0
 

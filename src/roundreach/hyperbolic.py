@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import sympy
 
@@ -24,6 +24,7 @@ from .rounding import (
     round_real,
 )
 from .system import (
+    BlockAnalyzer,
     Certificate,
     EscapedRadius,
     JnfSystem,
@@ -172,17 +173,68 @@ def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTa
     )
 
 
-def block_tables(system: JnfSystem) -> list[RadiusTable]:
-    """Escape radii for every block of a system without modulus-one eigenvalues."""
-    return [escape_table(system, i) for i in range(len(system.blocks))]
-
-
 def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
     cap = 1
     for table in tables:
         for c in table.radii:
             cap *= kball_count(c, system.rounding)
     return cap
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """What a Jordan-form decider runs on: unit_tables(system, index) builds
+    the tables of a block whose eigenvalue has modulus one, unit_analyzer
+    (offset, block, rounding, target slice, field order) watches such a
+    block, and step_cap(system, tables) reads the cap off every block's
+    table.  With no unit_tables the fragment covers no modulus-one block."""
+
+    step_cap: Callable[[JnfSystem, Sequence], int]
+    unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
+    unit_analyzer: Optional[Callable[..., BlockAnalyzer]] = None
+
+    def tables(self, system: JnfSystem) -> list:
+        """Every block's table, each built once: escape radii where the
+        eigenvalue modulus is not one, unit_tables where it is (without
+        unit_tables, ModulusOneSpectrumError)."""
+        return [
+            self.unit_tables(system, i)
+            if self.unit_tables is not None and block.eigen_modulus == 1
+            else escape_table(system, i)
+            for i, block in enumerate(system.blocks)
+        ]
+
+
+HYPERBOLIC = Fragment(hyperbolic_step_cap)
+
+
+def block_tables(system: JnfSystem) -> list[RadiusTable]:
+    """Escape radii for every block of a system without modulus-one eigenvalues."""
+    return HYPERBOLIC.tables(system)
+
+
+def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
+    """Run the lock-step driver over the fragment's tables: the escape-radius
+    analyzer on every block with a radius table, the fragment's unit
+    analyzer on the others, and the cap read off the same tables."""
+    tables = fragment.tables(system)
+    order = system.field_order()
+    analyzers = [
+        HyperbolicBlockAnalyzer(start, table)
+        if isinstance(table, RadiusTable)
+        else fragment.unit_analyzer(
+            start, block, system.rounding, system.target[start:end], order
+        )
+        for block, (start, end), table in zip(
+            system.blocks, system.block_slices(), tables
+        )
+    ]
+    return run_lock_step(
+        system,
+        analyzers,
+        step_cap=fragment.step_cap(system, tables),
+        cap_is_state_bound=system.is_hyperbolic,
+    )
 
 
 def decide_hyperbolic_jnf(system: JnfSystem) -> Verdict:
@@ -192,39 +244,7 @@ def decide_hyperbolic_jnf(system: JnfSystem) -> Verdict:
     confined, where exact repeat detection and the ball-count pigeonhole bound
     conclude.  A modulus-one block raises ModulusOneSpectrumError.
     """
-    tables = block_tables(system)
-    analyzers = [
-        HyperbolicBlockAnalyzer(start, table)
-        for (start, _end), table in zip(system.block_slices(), tables)
-    ]
-    cap = hyperbolic_step_cap(system, tables)
-    return run_lock_step(
-        system, analyzers, step_cap=cap, cap_is_state_bound=system.is_hyperbolic
-    )
-
-
-def decide_by_blocks(system: JnfSystem, unit_analyzer, step_cap: int) -> Verdict:
-    """Run the lock-step driver with unit_analyzer(start, block, rounding,
-    target slice, field order) on every unit-modulus block and the
-    escape-radius analyzer on every other block."""
-    order = system.field_order()
-    analyzers = []
-    for index, (block, (start, end)) in enumerate(
-        zip(system.blocks, system.block_slices())
-    ):
-        if block.eigen_modulus == 1:
-            analyzers.append(
-                unit_analyzer(
-                    start, block, system.rounding, system.target[start:end], order
-                )
-            )
-        else:
-            analyzers.append(
-                HyperbolicBlockAnalyzer(start, escape_table(system, index))
-            )
-    return run_lock_step(
-        system, analyzers, step_cap=step_cap, cap_is_state_bound=system.is_hyperbolic
-    )
+    return decide_by_blocks(system, HYPERBOLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +393,7 @@ class Eigenbasis:
         return self.conj.apply(mat_vec(self.j, z)), None
 
 
-def eigenbasis(
-    system: RationalSystem,
-    p: Optional[RationalMatrix] = None,
-    j: Optional[RationalMatrix] = None,
-) -> tuple[Eigenbasis, list[RadiusTable], int]:
+def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], int]:
     """The system in its Jordan basis, every block's escape radii there, and
     a proved bound on the number of distinct states.
 
@@ -385,10 +401,7 @@ def eigenbasis(
     modulus-one eigenvalue raises ModulusOneSpectrumError, a non-rational
     one NonRationalSpectrumError.
     """
-    if p is None or j is None:
-        p, j = jnf_rational(system.matrix)
-    if mat_mul(mat_mul(p, j), mat_inv(p)) != system.matrix:
-        raise ValueError("P J P^-1 does not reconstruct the system matrix")
+    p, j = jnf_rational(system.matrix)
     conj = conjugate_rounding(p, system.rounding)
     basis = Eigenbasis(
         conj,
@@ -423,18 +436,14 @@ class _EigenbasisEscape:
         return self.observe_initial(new)
 
 
-def decide_hyperbolic_general(
-    system: RationalSystem,
-    p: Optional[RationalMatrix] = None,
-    j: Optional[RationalMatrix] = None,
-) -> Verdict:
+def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
     """Decide a rational-matrix system by passing to the eigenbasis.
 
     The update matrix must have a rational spectrum with no modulus-one
     eigenvalue. The conjugated system is simulated exactly; its escape radii
     use the conjugated effect bound.
     """
-    basis, tables, cap = eigenbasis(system, p, j)
+    basis, tables, cap = eigenbasis(system)
     escape = _EigenbasisEscape([c for table in tables for c in table.radii])
     return iterate(
         basis.step,

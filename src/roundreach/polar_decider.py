@@ -17,7 +17,7 @@ from math import ceil, isqrt
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, UnsupportedAngleError
-from .hyperbolic import decide_by_blocks, escape_table
+from .hyperbolic import Fragment, RadiusTable, decide_by_blocks
 from .numerics import Angle, CycloNum, embed_polar, modulus_sq, sign_of_real
 from .rounding import (
     PolarPoint,
@@ -113,16 +113,6 @@ class PhiMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DimensionPhase:
-    """Snapshot of the tracked dimension's separation-angle machine."""
-
-    dim: int
-    phi: Optional[Angle]
-    mode: PhiMode
-    steps_in_state: int
-
-
-@dataclass(frozen=True)
 class PolarResourceBounds:
     """Modulus and settling-time tables for one unit-modulus block.
 
@@ -162,20 +152,10 @@ def resource_bounds(
     if not isinstance(spec, PolarRounding):
         raise ValueError("resource tables are defined for polar rounding")
     block, start, end = system.unit_block(block_index)
-    i_s = sum((p.modulus for p in system.initial[start:end]), Fraction(0))
-    y_s = sum((p.modulus for p in system.target[start:end]), Fraction(0))
-    return _resource_tables(
-        block.size, i_s, y_s, spec.angle_resolution, spec.granularity
-    )
-
-
-def _resource_tables(
-    size: int,
-    initial_size: Fraction,
-    target_size: Fraction,
-    resolution: int,
-    granularity: Fraction,
-) -> PolarResourceBounds:
+    initial_size = sum((p.modulus for p in system.initial[start:end]), Fraction(0))
+    target_size = sum((p.modulus for p in system.target[start:end]), Fraction(0))
+    size = block.size
+    resolution = spec.angle_resolution
     if size < 1:
         raise ValueError("block size must be positive")
     u = [Fraction(0)] * size
@@ -191,7 +171,7 @@ def _resource_tables(
         resolution,
         initial_size,
         target_size,
-        Fraction(granularity),
+        Fraction(spec.granularity),
         tuple(u),
         tuple(t),
     )
@@ -213,13 +193,9 @@ class _DimensionMachine:
         self.mode = PhiMode.PHI_I
         self.prev_phi: Optional[Angle] = None
         self.prev_phi_modulus: Optional[Fraction] = None
-        self.steps_in_state = 0
         self.assert_next_phi_small = False
         self.visited: dict = {}
         self.history: list[Fraction] = []
-
-    def phase(self) -> DimensionPhase:
-        return DimensionPhase(self.dim, self.prev_phi, self.mode, self.steps_in_state)
 
 
 class PolarBlockAnalyzer:
@@ -357,12 +333,11 @@ class PolarBlockAnalyzer:
                             "modulus changed right after a rotation witness"
                         )
                     return self._promote(new, dim, prev_index - 1)
-                if phi.pi_multiple < machine.prev_phi.pi_multiple:
-                    if machine.mode is not PhiMode.PHI_SMALL:
-                        machine.mode = PhiMode.PHI_D
-                    machine.steps_in_state = 0
-                else:
-                    machine.steps_in_state += 1
+                if (
+                    phi.pi_multiple < machine.prev_phi.pi_multiple
+                    and machine.mode is not PhiMode.PHI_SMALL
+                ):
+                    machine.mode = PhiMode.PHI_D
             machine.prev_phi = phi
             machine.prev_phi_modulus = prev_modulus
             if phi.compare_to_right_angle() <= 0:
@@ -370,7 +345,6 @@ class PolarBlockAnalyzer:
         else:
             machine.prev_phi = None
             machine.prev_phi_modulus = None
-            machine.steps_in_state = 0
 
         if machine.mode is PhiMode.PHI_SMALL:
             if new_modulus < prev_modulus:
@@ -419,21 +393,26 @@ class PolarBlockAnalyzer:
         return gamma_exceeds_right_angle(w, a)
 
 
-def polar_step_cap(system: JnfSystem) -> int:
-    """Safety-net step bound: settle times plus a joint state count."""
+def polar_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
+    """Safety-net step bound: settle times plus a joint state count, read
+    off the blocks' tables (POLAR's, built here when none are given)."""
     spec = system.rounding
+    if tables is None:
+        tables = POLAR.tables(system)
     settle = 0
     states = 1
-    for index, block in enumerate(system.blocks):
-        if block.eigen_modulus == 1:
-            bounds = resource_bounds(system, index)
-            settle += bounds.settle_bounds[0]
-            for j in range(block.size):
-                steps = int(bounds.modulus_bounds[j] / spec.granularity) + 1
-                states *= 1 + steps * 2 * spec.angle_resolution
-        else:
-            states *= escape_table(system, index).step_bound(spec)
+    for table in tables:
+        if isinstance(table, RadiusTable):
+            states *= table.step_bound(spec)
+            continue
+        settle += table.settle_bounds[0]
+        for bound in table.modulus_bounds:
+            steps = int(bound / spec.granularity) + 1
+            states *= 1 + steps * 2 * spec.angle_resolution
     return settle + states + 2
+
+
+POLAR = Fragment(polar_step_cap, resource_bounds, PolarBlockAnalyzer)
 
 
 def decide_polar(system: JnfSystem) -> Verdict:
@@ -442,7 +421,7 @@ def decide_polar(system: JnfSystem) -> Verdict:
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("this decision procedure needs polar rounding")
-    return decide_by_blocks(system, PolarBlockAnalyzer, polar_step_cap(system))
+    return decide_by_blocks(system, POLAR)
 
 
 # ---------------------------------------------------------------------------

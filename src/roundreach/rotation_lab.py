@@ -99,7 +99,27 @@ def _half_floor_fast(value: float, slack: float) -> Optional[int]:
     return lo if lo == hi else None
 
 
-class _RationalRotator:
+class _Rotator:
+    """Rotate, then round half up: a float prefilter on each coordinate with
+    the subclass's cos_f and sin_f, and its certified _fallback for one
+    near a rounding tie."""
+
+    def _fallback(self, a: int, b: int, im: bool) -> int:
+        raise NotImplementedError
+
+    def step(self, p: IntPair) -> IntPair:
+        a, b = p
+        slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
+        re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
+        im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
+        if re_v is None:
+            re_v = self._fallback(a, b, im=False)
+        if im_v is None:
+            im_v = self._fallback(a, b, im=True)
+        return (re_v, im_v)
+
+
+class _RationalRotator(_Rotator):
     """Rotation by a rational multiple of pi: float prefilter, exact
     cyclotomic arithmetic whenever a coordinate is near a tie."""
 
@@ -119,26 +139,15 @@ class _RationalRotator:
         finally:
             mpmath.mp.prec = saved
 
-    def _exact(self, a: int, b: int, im: bool) -> int:
+    def _fallback(self, a: int, b: int, im: bool) -> int:
         if im:
             value = Fraction(a) * self.sin_exact + Fraction(b) * self.cos_exact
         else:
             value = Fraction(a) * self.cos_exact - Fraction(b) * self.sin_exact
         return certified_floor(value + self.half)
 
-    def step(self, p: IntPair) -> IntPair:
-        a, b = p
-        slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
-        re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
-        im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
-        if re_v is None:
-            re_v = self._exact(a, b, im=False)
-        if im_v is None:
-            im_v = self._exact(a, b, im=True)
-        return (re_v, im_v)
 
-
-class _IntervalRotator:
+class _IntervalRotator(_Rotator):
     """Rotation by an interval-only angle: float prefilter, then doubling
     interval precision; an unresolved tie at the cap is an error."""
 
@@ -155,7 +164,7 @@ class _IntervalRotator:
         finally:
             mpmath.iv.prec = saved
 
-    def _refine(self, a: int, b: int, im: bool) -> int:
+    def _fallback(self, a: int, b: int, im: bool) -> int:
         prec = _INTERVAL_PREC_START
         saved = mpmath.iv.prec
         try:
@@ -183,22 +192,8 @@ class _IntervalRotator:
         finally:
             mpmath.iv.prec = saved
 
-    def step(self, p: IntPair) -> IntPair:
-        a, b = p
-        slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
-        re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
-        im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
-        if re_v is None:
-            re_v = self._refine(a, b, im=False)
-        if im_v is None:
-            im_v = self._refine(a, b, im=True)
-        return (re_v, im_v)
 
-
-Rotator = Union[_RationalRotator, _IntervalRotator]
-
-
-def _make_rotator(theta: Union[Theta, str]) -> Rotator:
+def _make_rotator(theta: Union[Theta, str]) -> _Rotator:
     if isinstance(theta, str):
         theta = parse_theta(theta)
     if isinstance(theta, Angle):
@@ -239,7 +234,7 @@ class GridReport:
         return max((x * x + y * y for x, y in self.cells), default=0)
 
 
-def _run_orbit(rotator: Rotator, start: IntPair, budget: int) -> OrbitRecord:
+def _run_orbit(rotator: _Rotator, start: IntPair, budget: int) -> OrbitRecord:
     seen = {start: 0}
     visited = [(start, 0)]
     state = start
@@ -283,6 +278,8 @@ def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> 
         raise ValueError("radius must be positive")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if isinstance(theta, str):
+        theta = parse_theta(theta)
     rotator = _make_rotator(theta)
     cells: dict[IntPair, int] = {}
     orbits = []
@@ -296,8 +293,6 @@ def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> 
             old = cells.get(point)
             if old is None or step < old:
                 cells[point] = step
-    if isinstance(theta, str):
-        theta = parse_theta(theta)
     return GridReport(
         radius, _theta_descriptor(theta), cells, tuple(unresolved), tuple(orbits)
     )

@@ -131,6 +131,21 @@ def test_decide_rejects_wrong_rounding():
         decide_truncation(s)
 
 
+def test_truncation_builds_each_escape_table_once(monkeypatch):
+    # the escape table the analyzer watches is the one the step cap reads
+    from roundreach import hyperbolic
+
+    calls = []
+    radii = hyperbolic.radii
+    monkeypatch.setattr(
+        hyperbolic, "radii", lambda *args: calls.append(args) or radii(*args)
+    )
+    blocks = B1_45 + (JordanBlock(1, Fraction(1, 2), Angle(Fraction(0))),)
+    s = make(blocks, (A(3), A(4)), (A(0), A(0)), TR)
+    assert decide_truncation(s) == Reached(5)
+    assert len(calls) == 1
+
+
 def test_truncation_bounds_frozen_tables():
     s = make(B1_45, (A(3),), (A(0),), TR)
     b = truncation_bounds(s)

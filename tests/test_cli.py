@@ -1,10 +1,15 @@
 """End-to-end runs of the command line entry point."""
 
+import itertools
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from roundreach import hyperbolic, system as system_module
 from roundreach.cli import dispatch, main, parse_instance, serialize_instance
 from roundreach.numerics import Angle
 from roundreach.rounding import (
@@ -216,8 +221,11 @@ def test_rotate_rejects_nonpositive_radius(capsys):
         assert "--radius must be positive" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_instance_blocks_decide_as_stated():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
     stated = re.findall(r"# (Reached\(step=\d+\))", readme)
     assert stated == ["Reached(step=4)", "Reached(step=13)"]
@@ -263,3 +271,110 @@ def test_bounds_prints_the_deciders_tables(tmp_path, capsys):
     path = write(tmp_path, "polar.json", serialize_instance(polar_example()))
     assert main(["bounds", path]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(" (safety net)")
+
+
+def unit_floor_example() -> JnfSystem:
+    return JnfSystem(
+        (JordanBlock(1, Fraction(1), Angle(Fraction(1, 4))),),
+        (ArgandPoint(Fraction(3), Fraction(0)),),
+        (ArgandPoint(Fraction(0), Fraction(0)),),
+        ArgandRounding(RoundingKind.FLOOR),
+    )
+
+
+def unit_rational_example() -> RationalSystem:
+    return RationalSystem(
+        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))),
+        (Fraction(3), Fraction(1)),
+        (Fraction(0), Fraction(0)),
+        ArgandRounding(RoundingKind.FLOOR),
+    )
+
+
+@pytest.mark.parametrize("example", [unit_floor_example, unit_rational_example])
+def test_bounds_is_undecided_where_decide_is(example, tmp_path, capsys):
+    path = write(tmp_path, "inst.json", serialize_instance(example()))
+    assert main(["decide", path]) == 2
+    decided = capsys.readouterr().out
+    assert json.loads(decided)["outcome"] == "undecided-by-this-tool"
+    assert main(["bounds", path]) == 2
+    assert capsys.readouterr().out == decided
+
+
+def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypatch):
+    caps = []
+    iterate = system_module.iterate
+
+    def recording(*args, cap, cap_is_state_bound):
+        caps.append((cap, cap_is_state_bound))
+        return iterate(*args, cap=cap, cap_is_state_bound=cap_is_state_bound)
+
+    monkeypatch.setattr(system_module, "iterate", recording)
+    monkeypatch.setattr(hyperbolic, "iterate", recording)
+    unit_45 = JordanBlock(1, Fraction(1), Angle(Fraction(1, 4)))
+    half = JordanBlock(1, Fraction(1, 2), Angle(Fraction(0)))
+    points = (ArgandPoint(Fraction(3), Fraction(0)), ArgandPoint(Fraction(4), Fraction(0)))
+    far = (ArgandPoint(Fraction(9), Fraction(0)), ArgandPoint(Fraction(0), Fraction(0)))
+    floor_hyperbolic = JnfSystem(
+        (JordanBlock(1, Fraction(2), Angle(Fraction(0))), half),
+        points,
+        far,
+        ArgandRounding(RoundingKind.FLOOR),
+    )
+    truncate = JnfSystem((unit_45, half), points, far, ArgandRounding(RoundingKind.TRUNCATE))
+    expand = JnfSystem((unit_45, half), points, far, ArgandRounding(RoundingKind.EXPAND))
+    routes = (floor_hyperbolic, polar_example(), truncate, expand, rational_example())
+    for system in routes:
+        path = write(tmp_path, "inst.json", serialize_instance(system))
+        assert main(["decide", path]) == 0
+        capsys.readouterr()
+        (cap, cap_is_state_bound), = caps
+        caps.clear()
+        assert main(["bounds", path]) == 0
+        label = "proved state bound" if cap_is_state_bound else "safety net"
+        assert capsys.readouterr().out.splitlines()[-1] == f"step cap: {cap} ({label})"
+    assert not caps
+
+
+def _readme_command_lines(readme: str) -> list[list[str]]:
+    """Every `roundreach ...` line of the Command line block, with its
+    bracketed options left out, then put in once per listed alternative."""
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    runs = []
+    for line in block.splitlines():
+        line = line.split("#")[0].strip()
+        assert line.startswith("roundreach ")
+        template = re.sub(r"\[[^]]*\]", "{}", line)
+        options = []
+        for bracket in re.findall(r"\[([^]]*)\]", line):
+            flag, _, alternatives = bracket.partition(" ")
+            options.append(
+                [f"{flag} {a}" for a in alternatives.split("|")] if alternatives else [flag]
+            )
+        runs.append(shlex.split(template.format(*[""] * len(options)))[1:])
+        if options:
+            for chosen in itertools.product(*options):
+                runs.append(shlex.split(template.format(*chosen))[1:])
+    return runs
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    readme = README.read_text()
+    instances = re.findall(r"```json\n(.*?)```", readme, re.S)
+    formula = re.search(r"matrix: `([^`]+)`", readme).group(1)
+    (tmp_path / "formula.txt").write_text(formula + "\n")
+    (tmp_path / "formula.qdimacs").write_text("p cnf 1 1\n1 0\n")
+    monkeypatch.chdir(tmp_path)
+    runs = _readme_command_lines(readme)
+    assert len(runs) == 10
+    assert ["bounds", "instance.json"] in runs
+    for instance in instances:
+        (tmp_path / "instance.json").write_text(instance)
+        for argv in runs:
+            # as the README says, a ceiling copy row cannot take the 11/10 scale
+            rejected = "ceil" in argv and "--perturb" in argv
+            assert main(argv) == (1 if rejected else 0), argv
+            out = capsys.readouterr().out
+            if argv[0] == "bounds":
+                assert out.splitlines()[-1].startswith("step cap: ")
+    assert (tmp_path / "out.json").exists() and (tmp_path / "grid.csv").exists()
