@@ -455,9 +455,14 @@ def hardness_json(instance: HardnessInstance) -> dict:
 
 
 def _cmd_compile_qbf(args: argparse.Namespace) -> int:
+    if args.perturb and args.family is GadgetFamily.CEIL:
+        raise ValueError(
+            "--family ceil cannot be used with --perturb: a ceiling copy row "
+            "rounds 11/10 up to 2; use --family floor or minerr"
+        )
     text = _read(args.formula)
     formula = parse_qdimacs(text) if args.qdimacs else parse_prefix_formula(text)
-    instance = compile_qbf(formula, GadgetFamily(args.family))
+    instance = compile_qbf(formula, args.family)
     if args.perturb:
         instance = perturb(instance, Fraction(11, 10))
     payload = json.dumps(hardness_json(instance), indent=2) + "\n"
@@ -529,8 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help="formula file ('-' for stdin)")
     p.add_argument(
         "--family",
-        choices=[f.value for f in GadgetFamily],
-        default=GadgetFamily.MINIMAL_ERROR.value,
+        type=GadgetFamily,
+        default=GadgetFamily.MINIMAL_ERROR,
+        metavar="{" + ",".join(f.value for f in GadgetFamily) + "}",
+        help="gadget family; minimal_error_up also names minerr",
     )
     p.add_argument("--qdimacs", action="store_true", help="input is QDIMACS")
     p.add_argument("--perturb", action="store_true", help="scale gadgets by 11/10")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 from .errors import GadgetBrokenError, InternalInvariantError
-from .rounding import ArgandRounding, RoundingKind, round_real
+from .rounding import ArgandRounding, RoundingKind
 from .system import Reached, iterate
 
 
@@ -346,6 +348,14 @@ class GadgetFamily(enum.Enum):
     CEIL = "ceil"
     MINIMAL_ERROR = "minerr"
 
+    @classmethod
+    def _missing_(cls, value: object) -> Optional["GadgetFamily"]:
+        # instance files spell a family by its rounding kind: minimal_error_up
+        for family in cls:
+            if family.rounding_kind.value == value:
+                return family
+        return None
+
     @property
     def rounding_kind(self) -> RoundingKind:
         return {
@@ -353,6 +363,14 @@ class GadgetFamily(enum.Enum):
             GadgetFamily.CEIL: RoundingKind.CEIL,
             GadgetFamily.MINIMAL_ERROR: RoundingKind.MINIMAL_ERROR_UP,
         }[self]
+
+    def round_ratio(self, num: int, den: int) -> int:
+        """num/den rounded by the family's kind, for den > 0; exact."""
+        if self is GadgetFamily.FLOOR:
+            return num // den
+        if self is GadgetFamily.CEIL:
+            return -(-num // den)
+        return (2 * num + den) // (2 * den)
 
 
 CONST = -1  # placeholder column resolved to the constant-true slot
@@ -446,6 +464,31 @@ def copy_row(u: Operand) -> Row:
 
 def zero_row() -> Row:
     return {}
+
+
+IntegerRow = tuple[tuple[tuple[int, int], ...], int]
+
+
+def integer_row(row: Collection[tuple[int, Fraction]], factor: Fraction = Fraction(1)) -> IntegerRow:
+    """A sparse row times factor as integer numerators over one positive
+    common denominator: ((col, numerator), ...), denominator.  The terms need
+    not be in lowest terms: scaling a sum and its denominator alike changes
+    none of the family roundings."""
+    base = math.lcm(*(coeff.denominator for _col, coeff in row))
+    terms = tuple(
+        (col, coeff.numerator * (base // coeff.denominator) * factor.numerator)
+        for col, coeff in row
+    )
+    return terms, base * factor.denominator
+
+
+def round_row(row: IntegerRow, state: Sequence[int] | Mapping[int, int], family: GadgetFamily) -> int:
+    """The row applied to state, rounded by the family's kind; exact."""
+    terms, den = row
+    acc = 0
+    for col, num in terms:
+        acc += num * state[col]
+    return family.round_ratio(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -731,19 +774,14 @@ def program_initial_state(program: Program) -> tuple[int, ...]:
 
 
 def program_step(program: Program, state: Sequence[int], instr: Instruction) -> tuple[int, ...]:
-    kind = program.family.rounding_kind
     new = list(state)
     for target, row in instr.items():
-        acc = Fraction(0)
-        for col, coeff in row.items():
-            if state[col]:
-                acc += coeff * state[col]
-        value = round_real(acc, kind, 1)
+        value = round_row(integer_row(row.items()), state, program.family)
         if value not in (0, 1):
             raise InternalInvariantError(
                 f"non-boolean value {value} written to slot {target}"
             )
-        new[target] = int(value)
+        new[target] = value
     return tuple(new)
 
 
@@ -784,6 +822,17 @@ class HardnessInstance:
     def rounding(self) -> ArgandRounding:
         return ArgandRounding(self.program.family.rounding_kind, Fraction(1))
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[IntegerRow, ...], tuple[tuple[int, ...], ...]]:
+        """The rows with the factor folded in, as `integer_row` gives them,
+        and for each column the rows that read it; built once per instance."""
+        rows = tuple(integer_row(row, self.factor) for row in self.rows)
+        readers: list[list[int]] = [[] for _ in rows]
+        for r, (terms, _den) in enumerate(rows):
+            for col, _num in terms:
+                readers[col].append(r)
+        return rows, tuple(map(tuple, readers))
+
 
 def explode_program_to_matrix(program: Program) -> HardnessInstance:
     t = program.var_count
@@ -809,20 +858,14 @@ def explode_program_to_matrix(program: Program) -> HardnessInstance:
 
 
 def hardness_step(instance: HardnessInstance, state: Sequence[int]) -> tuple[int, ...]:
-    kind = instance.program.family.rounding_kind
-    factor = instance.factor
-    out = []
-    for row in instance.rows:
-        acc = Fraction(0)
-        for col, coeff in row:
-            if state[col]:
-                acc += coeff * state[col]
-        if factor != 1:
-            acc *= factor
-        value = round_real(acc, kind, 1)
-        if value.denominator != 1:
-            raise InternalInvariantError("non-integer state in hardness orbit")
-        out.append(int(value))
+    """One rounded step of the system.  Only the rows that read a nonzero
+    entry are evaluated: any other row sums to 0, which every family rounds
+    to 0, so the step is exact on every integer state, reachable or not."""
+    rows, readers = instance.integer_rows
+    family = instance.program.family
+    out = [0] * len(rows)
+    for r in {r for col, value in enumerate(state) if value for r in readers[col]}:
+        out[r] = round_row(rows[r], state, family)
     return tuple(out)
 
 
@@ -855,34 +898,28 @@ def decide_hardness(instance: HardnessInstance, step_bound: int) -> tuple[bool, 
     return False, None
 
 
-def _row_references(row: Row) -> list[int]:
-    return sorted(k for k in row.keys())
-
-
 def _validate_row(
     row: Row,
     const_slot: Optional[int],
-    kind: RoundingKind,
+    family: GadgetFamily,
     factor: Fraction,
     description: str,
 ) -> None:
-    cols = _row_references(row)
-    free = [c for c in cols if c != const_slot]
+    free = [c for c in sorted(row) if c != const_slot]
     if len(free) > 4:
         raise InternalInvariantError("unexpectedly wide gadget row")
+    base_row = integer_row(row.items())
+    scaled_row = integer_row(row.items(), factor)
     for mask in range(1 << len(free)):
         assignment = {c: (mask >> i) & 1 for i, c in enumerate(free)}
         if const_slot is not None:
             assignment[const_slot] = 1
-        acc = Fraction(0)
-        for col, coeff in row.items():
-            acc += coeff * assignment[col]
-        base = round_real(acc, kind, 1)
+        base = round_row(base_row, assignment, family)
         if base not in (0, 1):
             raise GadgetBrokenError(
                 f"{description}: non-boolean base value {base} on {assignment}"
             )
-        scaled = round_real(acc * factor, kind, 1)
+        scaled = round_row(scaled_row, assignment, family)
         if scaled != base:
             raise GadgetBrokenError(
                 f"{description}: factor {factor} changes {assignment} "
@@ -898,17 +935,16 @@ def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
         raise ValueError("the perturbation factor must be positive")
     combined = instance.factor * factor
     program = instance.program
-    kind = program.family.rounding_kind
     layout = program.layout
     _validate_row(
-        {0: Fraction(1)}, None, kind, combined, "identity copy row"
+        {0: Fraction(1)}, None, program.family, combined, "identity copy row"
     )
     for step_index, instr in enumerate(program.instructions):
         for target, row in instr.items():
             _validate_row(
                 row,
                 layout.const,
-                kind,
+                program.family,
                 combined,
                 f"instruction {step_index}, slot {layout.name(target)}",
             )

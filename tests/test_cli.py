@@ -12,6 +12,7 @@ import pytest
 from roundreach import hyperbolic, system as system_module
 from roundreach.cli import dispatch, main, parse_instance, serialize_instance
 from roundreach.numerics import Angle
+from roundreach.qbf_compiler import GadgetFamily
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -176,6 +177,25 @@ def test_compile_qbf_flags(tmp_path, capsys):
     meta = json.loads(capsys.readouterr().out)
     assert meta["out"] == str(target)
     assert json.loads(target.read_text())["kind"] == "hardness"
+
+
+def test_compile_qbf_rejects_ceil_perturb_up_front(tmp_path, capsys):
+    # the formula file is never read: the combination fails for every formula
+    missing = str(tmp_path / "no-such-formula.txt")
+    assert main(["compile-qbf", missing, "--family", "ceil", "--perturb"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--family ceil" in captured.err and "--perturb" in captured.err
+
+
+def test_compile_qbf_accepts_the_instance_file_spelling(tmp_path, capsys):
+    assert GadgetFamily("minimal_error_up") is GadgetFamily.MINIMAL_ERROR
+    formula = write(tmp_path, "f.txt", "forall x1 exists x2 : x1 | x2\n")
+    assert main(["compile-qbf", formula, "--family", "minerr"]) == 0
+    minerr = capsys.readouterr().out
+    assert main(["compile-qbf", formula, "--family", "minimal_error_up"]) == 0
+    assert capsys.readouterr().out == minerr
+    assert json.loads(minerr)["family"] == "minerr"
 
 
 def test_compile_qbf_qdimacs(tmp_path, capsys):

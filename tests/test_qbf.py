@@ -1,11 +1,16 @@
 """Gadget rows, formula plumbing, program lowering, and the matrix explosion."""
 
+import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_hardness
 from roundreach import qbf_compiler
 from roundreach.qbf_compiler import (
     CONST,
@@ -27,6 +32,8 @@ from roundreach.qbf_compiler import (
     expr_vars,
     explode_program_to_matrix,
     hardness_simulate,
+    hardness_step,
+    integer_row,
     lower_qbf_to_program,
     not_row,
     op_count,
@@ -39,6 +46,7 @@ from roundreach.qbf_compiler import (
     zero_row,
 )
 from roundreach.rounding import round_real
+from test_acceptance import hardness_corpus
 
 FAMILIES = list(GadgetFamily)
 
@@ -269,3 +277,95 @@ def test_decide_hardness_stops_at_the_first_repeat(monkeypatch):
     monkeypatch.setattr(qbf_compiler, "hardness_step", counting_step)
     assert decide_hardness(instance, bound) == (False, None)
     assert 0 < len(calls) < bound
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(num=st.integers(-200, 200), den=st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_round_ratio_matches_round_real(family, num, den):
+    # exact halves (den even) separate minimal-error rounding from the rest
+    assert family.round_ratio(num, den) == round_real(Fraction(num, den), family.rounding_kind)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_instance(text, family):
+    return compile_qbf(parse_prefix_formula(text), family)
+
+
+SMALL_FORMULAS = (
+    "forall x1 exists x2 : x1 | !x2",
+    "forall x1 exists x2 : x1 & x2",
+    "exists x1 : !x1",
+)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1), Fraction(11, 10)], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hardness_step_matches_dense_reference(family, factor, data):
+    # the factor is set directly: perturb rejects the ceiling family, whose
+    # rows still have to scale exactly
+    base = _small_instance(data.draw(st.sampled_from(SMALL_FORMULAS)), family)
+    instance = dataclasses.replace(base, factor=factor)
+    entries = data.draw(st.sampled_from([st.integers(-3, 3),
+                                         st.sampled_from([0] * 7 + [-3, -1, 1, 2, 3])]))
+    state = tuple(data.draw(st.lists(entries, min_size=instance.dimension,
+                                     max_size=instance.dimension)))
+    assert hardness_step(instance, state) == dense_hardness.dense_hardness_step(instance, state)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
+def test_corpus_orbits_match_dense_reference(perturbed, monkeypatch):
+    # criterion 2's corpus: the dense step must give the whole orbit that
+    # decide_hardness walks, so it would reach the same decision
+    steps_taken = [0]
+    real_step = qbf_compiler.hardness_step
+
+    def counting_step(inst, state):
+        steps_taken[0] += 1
+        return real_step(inst, state)
+
+    monkeypatch.setattr(qbf_compiler, "hardness_step", counting_step)
+    for formula, _family, instance in hardness_corpus():
+        if perturbed:
+            instance = perturb(instance, Fraction(11, 10))
+        bound = instance.program.step_count * 2 ** (len(canonicalize(formula).prefix) + 2)
+        steps_taken[0] = 0
+        decided, _hit = decide_hardness(instance, bound)
+        assert decided == evaluate_qbf(formula)
+        steps = steps_taken[0]
+        assert (hardness_simulate(instance, steps)
+                == dense_hardness.dense_hardness_simulate(instance, steps)), formula
+
+
+def test_integer_rows_are_built_once_per_instance(monkeypatch):
+    built = []
+    real_integer_row = qbf_compiler.integer_row
+
+    def counting_integer_row(row, factor=Fraction(1)):
+        built.append(factor)
+        return real_integer_row(row, factor)
+
+    monkeypatch.setattr(qbf_compiler, "integer_row", counting_integer_row)
+    base = compile_qbf(parse_prefix_formula("forall x1 exists x2 : x1 | x2"),
+                       GadgetFamily.MINIMAL_ERROR)
+    hardness_simulate(base, 3 * base.program.step_count)
+    assert built == [Fraction(1)] * base.dimension
+
+    scaled = perturb(base, Fraction(11, 10))
+    scaled = perturb(scaled, Fraction(10, 9))
+    built.clear()
+    hardness_simulate(scaled, 3 * base.program.step_count)
+    hardness_simulate(base, 3 * base.program.step_count)
+    assert built == [Fraction(11, 9)] * base.dimension
+    rows, _readers = scaled.integer_rows
+    assert rows == tuple(real_integer_row(row, Fraction(11, 9)) for row in base.rows)
+    assert base.integer_rows[0] == tuple(real_integer_row(row) for row in base.rows)
+
+
+def test_integer_row_folds_the_factor_over_one_denominator():
+    row = ((3, Fraction(1, 3)), (5, Fraction(-1, 2)), (7, Fraction(2)))
+    assert integer_row(row) == (((3, 2), (5, -3), (7, 12)), 6)
+    assert integer_row(row, Fraction(11, 10)) == (((3, 22), (5, -33), (7, 132)), 60)
+    assert integer_row(()) == ((), 1)
