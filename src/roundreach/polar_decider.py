@@ -13,16 +13,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil
 from typing import Optional, Sequence
 
-from .errors import InternalInvariantError, UnsupportedAngleError
+from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, decide_by_blocks
 from .numerics import Angle, CycloNum, embed_polar, modulus_sq, sign_of_real
 from .rounding import (
     PolarPoint,
     PolarRounding,
-    RoundingKind,
     modulus_effect_bound,
 )
 from .system import (
@@ -422,143 +421,3 @@ def decide_polar(system: JnfSystem) -> Verdict:
     if not isinstance(spec, PolarRounding):
         raise ValueError("this decision procedure needs polar rounding")
     return decide_by_blocks(system, POLAR)
-
-
-# ---------------------------------------------------------------------------
-# Fast exact simulation on the four-direction grid
-
-
-_DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-@dataclass(frozen=True)
-class PolarAxisRun:
-    """Orbit shape of an axis-grid simulation: transient length, period,
-    and the largest modulus step count seen in each dimension."""
-
-    transient: int
-    period: int
-    max_modulus_steps: tuple[int, ...]
-    exceeded: bool = False
-
-
-def _round_axis_steps(sq: int, kind: RoundingKind) -> int:
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return (isqrt(4 * sq) + 1) // 2
-    root = isqrt(sq)
-    if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE):
-        return root
-    return root if root * root == sq else root + 1
-
-
-def _axis_direction(p: int, q: int) -> tuple[int, int]:
-    ap, aq = abs(p), abs(q)
-    if ap > aq:
-        return (1, 0) if p > 0 else (-1, 0)
-    if aq > ap:
-        return (0, 1) if q > 0 else (0, -1)
-    # exact diagonal: take the counterclockwise one of the two nearest axes
-    if p > 0 and q > 0:
-        return (0, 1)
-    if p < 0 and q > 0:
-        return (-1, 0)
-    if p < 0 and q < 0:
-        return (0, -1)
-    return (1, 0)
-
-
-def simulate_polar_axis(
-    system: JnfSystem, step_cap: int = 10_000_000
-) -> PolarAxisRun:
-    """Exact orbit-shape simulation for resolution-2 polar rounding with
-    unit-modulus eigenvalues on right-angle multiples.
-
-    Values stay on the axes, so each coordinate is an integer pair in grid
-    units and cycle detection runs in constant memory.
-    """
-    spec = system.rounding
-    if not isinstance(spec, PolarRounding) or spec.angle_resolution != 2:
-        raise UnsupportedAngleError("the axis simulation needs resolution 2")
-    rotations = []
-    sizes = []
-    for block in system.blocks:
-        if block.eigen_modulus != 1:
-            raise UnsupportedAngleError("the axis simulation needs unit moduli")
-        if not block.eigen_angle.is_multiple_of_right_angle():
-            raise UnsupportedAngleError(
-                "the axis simulation needs right-angle eigen rotations"
-            )
-        rotations.append(block.eigen_angle.grid_index(2))
-        sizes.append(block.size)
-    kind = spec.modulus_kind
-
-    def encode(point: PolarPoint) -> tuple[int, int]:
-        units = int(point.modulus / spec.granularity)
-        d = _DIRECTIONS[point.angle_index]
-        return (units * d[0], units * d[1])
-
-    initial = tuple(encode(p) for p in system.initial)
-
-    def rotate(v: tuple[int, int], quarter_turns: int) -> tuple[int, int]:
-        p, q = v
-        for _ in range(quarter_turns % 4):
-            p, q = -q, p
-        return (p, q)
-
-    def step(state: tuple) -> tuple:
-        out = []
-        at = 0
-        for rot, size in zip(rotations, sizes):
-            for j in range(size):
-                p, q = rotate(state[at + j], rot)
-                if j + 1 < size:
-                    p += state[at + j + 1][0]
-                    q += state[at + j + 1][1]
-                steps = _round_axis_steps(p * p + q * q, kind)
-                if steps == 0:
-                    out.append((0, 0))
-                else:
-                    d = _axis_direction(p, q)
-                    out.append((steps * d[0], steps * d[1]))
-            at += size
-        return tuple(out)
-
-    # Brent's cycle detection
-    power = 1
-    lam = 1
-    tortoise = initial
-    hare = step(initial)
-    used = 1
-    while tortoise != hare:
-        if used >= step_cap:
-            return PolarAxisRun(0, 0, (), exceeded=True)
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        used += 1
-        lam += 1
-    tortoise = hare = initial
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        mu += 1
-        if mu > step_cap:
-            raise InternalInvariantError("cycle start search overran its bound")
-
-    dim = system.dimension
-    max_steps = [0] * dim
-    state = initial
-    for _ in range(mu + lam):
-        for j in range(dim):
-            p, q = state[j]
-            m = isqrt(p * p + q * q)
-            if m * m != p * p + q * q:
-                raise InternalInvariantError("axis state left the grid")
-            max_steps[j] = max(max_steps[j], m)
-        state = step(state)
-    return PolarAxisRun(mu, lam, tuple(max_steps))

@@ -20,6 +20,7 @@ import mpmath
 
 from .errors import UndecidableTieError
 from .numerics import Angle, CycloNum, angle_cos, angle_sin, certified_floor
+from .system import OrbitRecord, orbit_shape
 
 IntPair = tuple[int, int]
 
@@ -208,18 +209,6 @@ def rotate_round(p: IntPair, theta: Union[Theta, str]) -> IntPair:
 
 
 @dataclass(frozen=True)
-class OrbitRecord:
-    """One start point's orbit: the states before the cycle, the cycle
-    length (None when the budget ran out or a tie was undecidable), and
-    every visited point with its first-visit step."""
-
-    start: IntPair
-    transient: int
-    period: Optional[int]
-    visited: tuple[tuple[IntPair, int], ...]
-
-
-@dataclass(frozen=True)
 class GridReport:
     """Aggregated occupancy of a disk experiment: for every cell the
     earliest generation at which any orbit placed a point there."""
@@ -234,28 +223,11 @@ class GridReport:
         return max((x * x + y * y for x, y in self.cells), default=0)
 
 
-def _run_orbit(rotator: _Rotator, start: IntPair, budget: int) -> OrbitRecord:
-    seen = {start: 0}
-    visited = [(start, 0)]
-    state = start
-    for step in range(1, budget + 1):
-        try:
-            state = rotator.step(state)
-        except UndecidableTieError:
-            return OrbitRecord(start, step - 1, None, tuple(visited))
-        if state in seen:
-            first = seen[state]
-            return OrbitRecord(start, first, step - first, tuple(visited))
-        seen[state] = step
-        visited.append((state, step))
-    return OrbitRecord(start, budget, None, tuple(visited))
-
-
 def run_orbit(start: IntPair, theta: Union[Theta, str], budget: int = 1_000_000) -> OrbitRecord:
     """Iterate one start point until its orbit repeats or the budget ends."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return _run_orbit(_make_rotator(theta), (int(start[0]), int(start[1])), budget)
+    return orbit_shape(_make_rotator(theta).step, (int(start[0]), int(start[1])), budget)
 
 
 def disk_points(radius: int) -> list[IntPair]:
@@ -285,7 +257,7 @@ def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> 
     orbits = []
     unresolved = []
     for start in disk_points(radius):
-        record = _run_orbit(rotator, start, budget)
+        record = orbit_shape(rotator.step, start, budget)
         orbits.append(record)
         if record.period is None:
             unresolved.append(start)

@@ -1,4 +1,5 @@
-"""System descriptions, orbit stepping, verdicts, and the shared decision driver."""
+"""System descriptions, orbit stepping, verdicts, the shared decision driver,
+and the orbit-shape loop."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, UndecidableTieError
 from .numerics import Angle, CycloNum, embed_polar
 from .rounding import (
     ArgandRounding,
@@ -329,6 +330,41 @@ def iterate(
             if lam == power:
                 tortoise, power, lam = new_state, 2 * power, 0
         state = new_state
+
+
+@dataclass(frozen=True)
+class OrbitRecord:
+    """One start point's orbit: the states before the cycle, the cycle
+    length (None when the budget ran out or a tie was undecidable), and
+    every visited point with its first-visit step."""
+
+    start: Any
+    transient: int
+    period: Optional[int]
+    visited: tuple[tuple[Any, int], ...]
+
+
+def orbit_shape(step: Callable[[Any], Any], start: Any, budget: int) -> OrbitRecord:
+    """Iterate a plain state -> state step from start until a state repeats
+    or budget steps have run, keeping every state at its first-visit step.
+
+    A step that raises UndecidableTieError ends the orbit unresolved at the
+    last completed step.
+    """
+    seen = {start: 0}
+    visited = [(start, 0)]
+    state = start
+    for i in range(1, budget + 1):
+        try:
+            state = step(state)
+        except UndecidableTieError:
+            return OrbitRecord(start, i - 1, None, tuple(visited))
+        if state in seen:
+            first = seen[state]
+            return OrbitRecord(start, first, i - first, tuple(visited))
+        seen[state] = i
+        visited.append((state, i))
+    return OrbitRecord(start, budget, None, tuple(visited))
 
 
 def orbit_step(

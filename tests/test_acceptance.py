@@ -35,6 +35,7 @@ from roundreach.system import (
     JordanBlock,
     Reached,
     brute_force_decide,
+    orbit_shape,
     step,
 )
 from roundreach.hyperbolic import block_tables, decide_hyperbolic_jnf
@@ -42,7 +43,6 @@ from roundreach.polar_decider import (
     decide_polar,
     polar_step_cap,
     resource_bounds,
-    simulate_polar_axis,
 )
 from roundreach.argand_decider import (
     decide_expansion,
@@ -264,23 +264,16 @@ def test_criterion_5_rotation_tower_growth():
     label = "tower orbits settle at modulus 4^(2^(d-k)) per dimension"
     with criterion(5, label, 60.0):
         spec = PolarRounding(MU, 2)
-        blocks = (JordanBlock(2, Fraction(1), Angle(Fraction(1, 2))),)
-        start = (PolarPoint(Fraction(5), 0), PolarPoint(Fraction(4), 0))
-        run = simulate_polar_axis(JnfSystem(blocks, start, start, spec))
-        assert not run.exceeded
-        assert run.period == 4
-        assert run.max_modulus_steps == (4 ** 2 ** 1, 4 ** 2 ** 0)
-    blocks = (JordanBlock(3, Fraction(1), Angle(Fraction(1, 2))),)
-    start = (PolarPoint(Fraction(6), 0), PolarPoint(Fraction(5), 0),
-             PolarPoint(Fraction(4), 0))
-    run = simulate_polar_axis(JnfSystem(blocks, start, start, spec),
-                              step_cap=10_000_000)
-    if run.exceeded:
-        print("ACCEPTANCE 5 NOTE: dimension-3 tower exceeded the "
-              "10^7-step cap; growth checked up to the cap")
-    else:
-        assert run.period == 4
-        assert run.max_modulus_steps == (4 ** 2 ** 2, 4 ** 2 ** 1, 4 ** 2 ** 0)
+        for moduli, transient in (((5, 4), 11), ((6, 5, 4), 204)):
+            d = len(moduli)
+            blocks = (JordanBlock(d, Fraction(1), Angle(Fraction(1, 2))),)
+            start = tuple(PolarPoint(Fraction(m), 0) for m in moduli)
+            s = JnfSystem(blocks, start, start, spec)
+            run = orbit_shape(lambda state: step(s, state), start, 10_000)
+            assert (run.transient, run.period) == (transient, 4)
+            largest = tuple(max(state[k].modulus for state, _i in run.visited)
+                            for k in range(d))
+            assert largest == tuple(4 ** 2 ** (d - 1 - k) for k in range(d))
 
 
 # -- criterion 6: polar decisions against budgeted brute force --------------

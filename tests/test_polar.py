@@ -20,7 +20,6 @@ from roundreach.polar_decider import (
     phi_angle,
     polar_step_cap,
     resource_bounds,
-    simulate_polar_axis,
 )
 from roundreach.system import (
     CycleDetected,
@@ -31,6 +30,9 @@ from roundreach.system import (
     Reached,
     StabilizedMismatch,
     brute_force_decide,
+    orbit_shape,
+    simulate,
+    step,
 )
 
 MU, FL = RoundingKind.MINIMAL_ERROR_UP, RoundingKind.FLOOR
@@ -100,8 +102,6 @@ def test_divergence_stop_frozen():
 def test_divergence_stop_is_permanent_on_example():
     # once the top dimension outruns its feeder and the target, its modulus
     # never comes back down: check along a long orbit
-    from roundreach.system import simulate
-
     s = system(B3, (P(6), P(5), P(4)), (P(6), P(5), P(4)))
     states = simulate(s, 300)
     fired_at = None
@@ -230,42 +230,36 @@ def test_decide_agrees_with_brute_force_randomized():
             assert mine == ref
 
 
+def tower_orbit(s):
+    return orbit_shape(lambda state: step(s, state), s.initial, 10_000)
+
+
+def largest_moduli(run):
+    return tuple(max(state[j].modulus for state, _i in run.visited)
+                 for j in range(len(run.start)))
+
+
 def test_axis_simulation_example_growth():
-    s = system(B2, (P(5), P(4)), (P(5), P(4)))
-    run = simulate_polar_axis(s)
+    run = tower_orbit(system(B2, (P(5), P(4)), (P(5), P(4))))
     assert (run.transient, run.period) == (11, 4)
-    assert run.max_modulus_steps == (16, 4)
-    assert not run.exceeded
+    assert largest_moduli(run) == (16, 4)
 
-    s3 = system(B3, (P(6), P(5), P(4)), (P(6), P(5), P(4)))
-    run = simulate_polar_axis(s3)
+    run = tower_orbit(system(B3, (P(6), P(5), P(4)), (P(6), P(5), P(4))))
     assert (run.transient, run.period) == (204, 4)
-    assert run.max_modulus_steps == (256, 16, 4)
+    assert largest_moduli(run) == (256, 16, 4)
 
 
-def test_axis_simulation_guards():
-    from roundreach.errors import UnsupportedAngleError
-
-    bad_angle = (JordanBlock(1, Fraction(1), Angle(Fraction(1, 3))),)
-    s = JnfSystem(bad_angle, (P(1),), (P(1),), PolarRounding(MU, 2))
-    with pytest.raises(UnsupportedAngleError):
-        simulate_polar_axis(s)
-    bad_res = system(B1, (P(1),), (P(1),), resolution=3)
-    with pytest.raises(UnsupportedAngleError):
-        simulate_polar_axis(bad_res)
-
-
-def test_axis_simulation_matches_plain_simulation():
-    from roundreach.system import simulate
-
-    s = system(B2, (P(5), P(4)), (P(5), P(4)))
-    run = simulate_polar_axis(s)
-    states = simulate(s, run.transient + run.period)
-    max_top = max(int(st[0].modulus) for st in states)
-    assert max_top == run.max_modulus_steps[0]
-    assert states[run.transient] == states[run.transient + run.period] or \
-        simulate(s, run.transient + 2 * run.period)[run.transient + run.period] == \
-        states[run.transient]
+def test_orbit_shape_matches_plain_simulation():
+    towers = (system(B2, (P(5), P(4)), (P(5), P(4))),
+              system(B3, (P(6), P(5), P(4)), (P(6), P(5), P(4))))
+    for s in towers:
+        run = tower_orbit(s)
+        end = run.transient + run.period
+        states = simulate(s, end)
+        assert len({state for state, _i in run.visited}) == len(run.visited)
+        assert [i for _state, i in run.visited] == list(range(end))
+        assert run.visited == tuple(zip(states[:end], range(end)))
+        assert states[end] == states[run.transient]
 
 
 def test_rounded_angle_never_moves_into_target_mismatch():

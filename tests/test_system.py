@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from roundreach import system as system_module
-from roundreach.errors import InternalInvariantError
+from roundreach.errors import InternalInvariantError, UndecidableTieError
 from roundreach.numerics import Angle
 from roundreach.rounding import (
     ArgandPoint,
@@ -25,6 +25,7 @@ from roundreach.system import (
     StabilizedMismatch,
     brute_force_decide,
     iterate,
+    orbit_shape,
     rational_simulate,
     rational_step,
     run_lock_step,
@@ -260,3 +261,18 @@ def test_iterate_brent_phase_is_exact(monkeypatch):
         orbit.append(step_fn(orbit[-1])[0])
     # the concluding state really was seen before
     assert orbit[-1] in orbit[:-1] and repeat < 1000
+
+
+def test_orbit_shape_ends_unresolved_at_an_undecidable_tie():
+    calls = []
+
+    def step_fn(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise UndecidableTieError("tie at the precision cap")
+        return x + 1
+
+    run = orbit_shape(step_fn, 0, 100)
+    assert run.period is None
+    assert run.transient == 2
+    assert run.visited == ((0, 0), (1, 1), (2, 2))
