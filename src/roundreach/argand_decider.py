@@ -109,8 +109,6 @@ def truncation_bounds(
     block, start, end = system.unit_block(block_index)
     initial_size = _one_norm(system.initial[start:end])
     size = block.size
-    if size < 1:
-        raise ValueError("block size must be positive")
     g = Fraction(spec.granularity)
     u = [Fraction(0)] * size
     t = [0] * size

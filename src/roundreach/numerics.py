@@ -22,6 +22,7 @@ Rational = Union[int, Fraction]
 
 _PREC_START = 64
 _PREC_CAP = 1 << 16
+_ONE = Fraction(1)
 
 
 def totient(n: int) -> int:
@@ -161,21 +162,6 @@ class Angle:
 
     def is_zero(self) -> bool:
         return self.pi_multiple == 0
-
-    def is_multiple_of_right_angle(self) -> bool:
-        return self.denominator in (1, 2)
-
-    def grid_index(self, resolution: int) -> int:
-        """Index k with this angle == k*pi/resolution, if on that grid."""
-        scaled = self.pi_multiple * resolution
-        if scaled.denominator != 1:
-            raise UnsupportedAngleError(
-                f"angle {self.pi_multiple}*pi is not a multiple of pi/{resolution}"
-            )
-        return scaled.numerator % (2 * resolution)
-
-    def float_radians(self) -> float:
-        return math.pi * self.numerator / self.denominator
 
     def __str__(self) -> str:
         return f"{self.pi_multiple} pi"
@@ -390,14 +376,6 @@ def _reduced(order: int, num: list[int], den: int) -> CycloNum:
 CycloLike = Union[CycloNum, Fraction, int]
 
 
-def as_cyclo(order: int, value: CycloLike) -> CycloNum:
-    if isinstance(value, CycloNum):
-        if value.order != order:
-            raise OrderMismatchError(f"orders differ: {value.order} vs {order}")
-        return value
-    return CycloNum.from_rational(order, value)
-
-
 @lru_cache(maxsize=1 << 14)
 def embed_polar(modulus: Rational, angle: Angle, order: int) -> CycloNum:
     """The value modulus * e^(i*angle) as an element of the order-th field."""
@@ -482,38 +460,72 @@ def _interval_real_value(z: CycloNum):
     return total / mpmath.iv.mpf(z.den)
 
 
-def _refined_sign(z: CycloNum) -> int:
-    """Sign of a value already known to be symbolically real."""
-    est = _float_real_estimate(z)
-    if est is not None:
-        approx, slack = est
-        if approx > slack:
-            return 1
-        if approx < -slack:
-            return -1
+def refine(enclose, cap: int, decide):
+    """Decide a question about a real value from certified enclosures of it.
+
+    `enclose()` returns an mpmath interval at the current iv precision; the
+    ladder reads its endpoints at that precision (a read at mpmath's default
+    53 bits would round them and could move a floor) and calls
+    `decide(floor(lo), floor(hi))`.  The first verdict that is not None is
+    returned.  The precision doubles from _PREC_START up to `cap`; past the
+    cap the answer is None.
+    """
     prec = _PREC_START
     saved = mpmath.iv.prec
     try:
-        while prec <= _PREC_CAP:
+        while prec <= cap:
             mpmath.iv.prec = prec
-            box = _interval_real_value(z)
-            if box > 0:
-                return 1
-            if box < 0:
-                return -1
+            box = enclose()
+            with mpmath.workprec(prec):
+                lo = int(mpmath.floor(mpmath.mpf(box.a)))
+                hi = int(mpmath.floor(mpmath.mpf(box.b)))
+            verdict = decide(lo, hi)
+            if verdict is not None:
+                return verdict
             prec *= 2
     finally:
         mpmath.iv.prec = saved
-    # A nonzero field element has a nonzero value, so refinement must decide.
-    raise PrecisionExhaustedError("sign refinement exceeded the precision cap")
+    return None
 
 
-def _sign_symmetric(z: CycloNum) -> int:
-    """Sign for values that are symmetric by construction (w + conj(w) shapes)."""
+def _decide_real(z: CycloNum, decide):
+    """`refine` on the real value of a non-rational z, after the float bracket.
+
+    An irrational value sits strictly inside some unit interval and is never
+    zero, so the decisions asked here settle at some finite precision.
+    """
+    est = _float_real_estimate(z)
+    if est is not None:
+        approx, slack = est
+        verdict = decide(math.floor(approx - slack), math.floor(approx + slack))
+        if verdict is not None:
+            return verdict
+    verdict = refine(lambda: _interval_real_value(z), _PREC_CAP, decide)
+    if verdict is None:
+        raise PrecisionExhaustedError("refinement exceeded the precision cap")
+    return verdict
+
+
+def _sign_decision(lo: int, hi: int) -> Union[int, None]:
+    # sound only for a value that is never zero
+    if lo >= 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
+
+
+def settled_floor(lo: int, hi: int) -> Union[int, None]:
+    """The floor, once both ends of an enclosure share it."""
+    return lo if lo == hi else None
+
+
+def _real_sign(z: CycloNum) -> int:
+    """Sign of a value that is symbolically real by construction."""
     if z.is_rational():
         q = z.num[0]
         return (q > 0) - (q < 0)
-    return _refined_sign(z)
+    return _decide_real(z, _sign_decision)
 
 
 def sign_of_real(z: CycloLike) -> int:
@@ -521,50 +533,24 @@ def sign_of_real(z: CycloLike) -> int:
     if not isinstance(z, CycloNum):
         q = Fraction(z)
         return (q > 0) - (q < 0)
-    if z.is_rational():
-        q = z.num[0]
-        return (q > 0) - (q < 0)
-    if not z.is_real_symbolic():
+    if not z.is_rational() and not z.is_real_symbolic():
         raise NotRealError("sign_of_real needs a real value")
-    return _refined_sign(z)
+    return _real_sign(z)
 
 
-def certified_floor(z: CycloLike, granularity: Rational = 1) -> int:
+def certified_floor(z: CycloLike, granularity: Rational = _ONE) -> int:
     """floor(z / granularity) for a symbolically real z, decided exactly."""
     g = granularity if isinstance(granularity, Fraction) else Fraction(granularity)
     if g.numerator <= 0:
         raise ValueError("granularity must be positive")
     if not isinstance(z, CycloNum):
-        return math.floor(Fraction(z) / g)
+        q = z if isinstance(z, Fraction) else Fraction(z)
+        return q.numerator * g.denominator // (q.denominator * g.numerator)
     if z.is_rational():
         return z.num[0] * g.denominator // (z.den * g.numerator)
     if not z.is_real_symbolic():
         raise NotRealError("certified_floor needs a real value")
-    w = z._scaled(g.denominator, g.numerator)
-    est = _float_real_estimate(w)
-    if est is not None:
-        approx, slack = est
-        f_lo = math.floor(approx - slack)
-        if f_lo == math.floor(approx + slack):
-            return f_lo
-    prec = _PREC_START
-    saved = mpmath.iv.prec
-    try:
-        while prec <= _PREC_CAP:
-            mpmath.iv.prec = prec
-            box = _interval_real_value(w)
-            # endpoints carry prec bits; reading them at mpmath's default
-            # 53 bits would round them and could move the floor
-            with mpmath.workprec(prec):
-                f_lo = int(mpmath.floor(mpmath.mpf(box.a)))
-                f_hi = int(mpmath.floor(mpmath.mpf(box.b)))
-            if f_lo == f_hi:
-                return f_lo
-            prec *= 2
-    finally:
-        mpmath.iv.prec = saved
-    # An irrational w is never an integer, so the interval eventually resolves.
-    raise PrecisionExhaustedError("floor refinement exceeded the precision cap")
+    return _decide_real(z._scaled(g.denominator, g.numerator), settled_floor)
 
 
 def modulus_sq(z: CycloNum) -> CycloNum:
@@ -573,7 +559,7 @@ def modulus_sq(z: CycloNum) -> CycloNum:
 
 def floor_sqrt(value: CycloLike) -> int:
     """floor(sqrt(value)) for a nonnegative real value; exact."""
-    f = certified_floor(value, 1)
+    f = certified_floor(value)
     if f < 0:
         raise ValueError("floor_sqrt needs a nonnegative value")
     return math.isqrt(f)
@@ -581,11 +567,7 @@ def floor_sqrt(value: CycloLike) -> int:
 
 def half_up_sqrt(value: CycloLike) -> int:
     """Nearest integer to sqrt(value), half ties rounded up; exact."""
-    if isinstance(value, CycloNum):
-        scaled: CycloLike = value * 4
-    else:
-        scaled = Fraction(value) * 4
-    f = certified_floor(scaled, 1)
+    f = certified_floor(value * 4)
     if f < 0:
         raise ValueError("half_up_sqrt needs a nonnegative value")
     return (math.isqrt(f) + 1) // 2
@@ -593,11 +575,7 @@ def half_up_sqrt(value: CycloLike) -> int:
 
 def ceil_sqrt(value: CycloLike) -> int:
     s = floor_sqrt(value)
-    if isinstance(value, CycloNum):
-        exact = value == Fraction(s * s)
-    else:
-        exact = Fraction(value) == s * s
-    return s if exact else s + 1
+    return s if value == s * s else s + 1
 
 
 def nearest_angle_index(z: CycloNum, resolution: int) -> int:
@@ -621,33 +599,26 @@ def nearest_angle_index(z: CycloNum, resolution: int) -> int:
         w = z * CycloNum.zeta_pow(z.order, (-k * stride) % z.order)
         return w + w.conjugate()
 
-    approx = z.approx_complex()
-    if approx != 0:
-        guess = round(cmath.phase(approx) / (math.pi / resolution)) % count
-        s0 = score(guess)
-        d_prev = _sign_symmetric(s0 - score((guess - 1) % count))
-        d_next = _sign_symmetric(s0 - score((guess + 1) % count))
-        if d_prev > 0 and d_next > 0:
-            return guess
-        if d_prev > 0 and d_next == 0:
-            # exact midpoint between guess and guess+1: counterclockwise wins
-            return (guess + 1) % count
-        if d_prev == 0 and d_next > 0:
-            return guess
-    # fall back to an exact tournament over all candidate indices
-    best = 0
-    for k in range(1, count):
-        if _sign_symmetric(score(k) - score(best)) > 0:
-            best = k
-    ties = [
-        k for k in range(count) if _sign_symmetric(score(k) - score(best)) == 0
-    ]
-    if len(ties) == 1:
-        return ties[0]
-    if len(ties) == 2:
-        a, b = ties
-        if (a + 1) % count == b:
-            return b
-        if (b + 1) % count == a:
-            return a
-    raise ValueError("angle scores tied on non-adjacent indices")
+    # score(k) = 2|z|cos(arg z - k*pi/R) is unimodal around the circle, and
+    # neighbours tie only at the midpoints of the top pair and of the bottom
+    # pair; so climbing while a neighbour scores strictly higher ends at the
+    # top.  The float guess is usually the top already: three scores, two signs.
+    try:
+        k = round(cmath.phase(z.approx_complex()) / (math.pi / resolution)) % count
+    except (OverflowError, ValueError):
+        k = 0  # past float range there is no guess
+    s, nxt, prv = score(k), score((k + 1) % count), score((k - 1) % count)
+    up, down = _real_sign(nxt - s), _real_sign(prv - s)
+    while up > 0 or down > 0:
+        if up > 0:
+            k = (k + 1) % count
+            s, down = nxt, -1
+            nxt = score((k + 1) % count)
+            up = _real_sign(nxt - s)
+        else:
+            k = (k - 1) % count
+            s, up = prv, -1
+            prv = score((k - 1) % count)
+            down = _real_sign(prv - s)
+    # an exact tie with the next index: counterclockwise wins
+    return (k + 1) % count if up == 0 else k

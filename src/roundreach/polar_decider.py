@@ -155,8 +155,6 @@ def resource_bounds(
     target_size = sum((p.modulus for p in system.target[start:end]), Fraction(0))
     size = block.size
     resolution = spec.angle_resolution
-    if size < 1:
-        raise ValueError("block size must be positive")
     u = [Fraction(0)] * size
     t = [0] * size
     u[size - 1] = initial_size
@@ -224,16 +222,8 @@ class PolarBlockAnalyzer:
         self.resolution = spec.angle_resolution
         self.rotating_moduli: dict[int, Fraction] = {}
         self.machine: Optional[_DimensionMachine] = None
-        self._eigen_cache: Optional[CycloNum] = None
 
     # -- helpers
-
-    def _eigen(self) -> CycloNum:
-        if self._eigen_cache is None:
-            self._eigen_cache = embed_polar(
-                self.block.eigen_modulus, self.block.eigen_angle, self.order
-            )
-        return self._eigen_cache
 
     def _substate(self, state: Sequence, low: int) -> tuple:
         return tuple(state[self.offset + j] for j in range(low, self.size))
@@ -386,7 +376,8 @@ class PolarBlockAnalyzer:
     def _gamma_wide_and_growing(
         self, upper_prev: PolarPoint, w: CycloNum
     ) -> bool:
-        a = self._eigen() * upper_prev.value(self.order, self.resolution)
+        eigen = embed_polar(self.block.eigen_modulus, self.block.eigen_angle, self.order)
+        a = eigen * upper_prev.value(self.order, self.resolution)
         if sign_of_real(modulus_sq(w) - modulus_sq(a)) <= 0:
             return False
         return gamma_exceeds_right_angle(w, a)

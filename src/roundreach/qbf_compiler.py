@@ -599,6 +599,14 @@ def _resolve_const(row: Row, layout: VarLayout) -> Row:
     return out
 
 
+def _leaf_operand(node: BoolExpr, layout: VarLayout) -> Operand:
+    if isinstance(node, Var):
+        return Operand.of(layout.x(node.index))
+    if isinstance(node, Const):
+        return Operand.true() if node.value else Operand.false()
+    raise InternalInvariantError("operator operands must be lowered first")
+
+
 def lower_gadgets(
     expr: BoolExpr,
     family: GadgetFamily,
@@ -612,19 +620,9 @@ def lower_gadgets(
     rows: list[tuple[int, Row]] = []
     next_aux = [0]
 
-    def operand_of(node: BoolExpr) -> Operand:
-        if isinstance(node, Var):
-            return Operand.of(layout.x(node.index))
-        if isinstance(node, Const):
-            return Operand.true() if node.value else Operand.false()
-        raise InternalInvariantError("operator operands must be lowered first")
-
     def lower(node: BoolExpr, target: Optional[int]) -> Operand:
         if isinstance(node, (Var, Const)):
-            if target is not None:
-                rows.append((target, copy_row(operand_of(node))))
-                return Operand.of(target)
-            return operand_of(node)
+            return _leaf_operand(node, layout)
         if target is None:
             target = layout.psi_aux(next_aux[0])
             next_aux[0] += 1
@@ -644,17 +642,7 @@ def lower_gadgets(
     if isinstance(expr, (Var, Const)):
         return []
     # the root writes psi directly; children go to the scratch pool
-    if isinstance(expr, Not):
-        u = lower(expr.sub, None)
-        rows.append((layout.psi, not_row(u)))
-    elif isinstance(expr, And):
-        u = lower(expr.left, None)
-        v = lower(expr.right, None)
-        rows.append((layout.psi, and_row(family, u, v)))
-    else:
-        u = lower(expr.left, None)
-        v = lower(expr.right, None)
-        rows.append((layout.psi, or_row(family, u, v)))
+    lower(expr, layout.psi)
     if next_aux[0] > layout.l:
         raise InternalInvariantError("scratch pool overflow in the lowering")
     return rows
@@ -676,17 +664,7 @@ def lower_qbf_to_program(formula: QbfFormula, family: GadgetFamily) -> Program:
     for target, row in lower_gadgets(formula.matrix, family, layout):
         instructions.append({target: _resolve_const(row, layout)})
 
-    if l == 0:
-        if isinstance(formula.matrix, Var):
-            psi_op = Operand.of(layout.x(formula.matrix.index))
-        else:
-            psi_op = (
-                Operand.true()
-                if formula.matrix.value  # type: ignore[union-attr]
-                else Operand.false()
-            )
-    else:
-        psi_op = Operand.of(layout.psi)
+    psi_op = Operand.of(layout.psi) if l else _leaf_operand(formula.matrix, layout)
 
     xn = layout.x(n)
     f = family

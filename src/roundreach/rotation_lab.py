@@ -19,16 +19,27 @@ from typing import Optional, Union
 import mpmath
 
 from .errors import UndecidableTieError
-from .numerics import Angle, CycloNum, angle_cos, angle_sin, certified_floor
+from .numerics import (
+    Angle, CycloNum, angle_cos, angle_sin, certified_floor, refine, settled_floor,
+)
 from .system import OrbitRecord, orbit_shape
 
 IntPair = tuple[int, int]
 
-# float products are good to a couple of ulps; anything closer than this to
-# a rounding boundary goes to the slow path
+# The prefilter rounds t = a*cos - b*sin + 1/2 (or a*sin + b*cos + 1/2) as
+# floor(fl(fl(V + 0.5) -+ S)) with V = fl(fl(A*C) -+ fl(B*S')), where A and
+# B are a and b converted to floats, C and S' the float cosine and sine, and
+# S = fl(m) * _FLOAT_SLACK the slack for m = |a| + |b| + 1.  With u = 2^-53:
+# converting an int costs u|a| (nothing below 2^53); C and S' are within 2u
+# of the true values (a 128-bit value rounded once, or for an interval angle
+# the midpoint of two rounded endpoints); so |A*C - a*cos| <= 3u|a| + O(u^2).
+# The two products, the sum, the + 0.5 and the -+ S each add one rounding,
+# at most u|a|, u|b|, u(|a| + |b|), u*m and u*m.  The total is below
+# 7u*m + O(u^2 m), and S >= 8u*m*(1 - u), so both ends of the bracket lie
+# on their side of t and equal floors are the exact floor.  Past float range
+# a conversion raises OverflowError and both coordinates take the fallback.
 _FLOAT_SLACK = 2.0**-50
 
-_INTERVAL_PREC_START = 64
 _INTERVAL_PREC_CAP = 2**12
 
 
@@ -110,9 +121,12 @@ class _Rotator:
 
     def step(self, p: IntPair) -> IntPair:
         a, b = p
-        slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
-        re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
-        im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
+        try:
+            slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
+            re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
+            im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
+        except OverflowError:
+            re_v = im_v = None  # past float range there is no float answer
         if re_v is None:
             re_v = self._fallback(a, b, im=False)
         if im_v is None:
@@ -166,32 +180,21 @@ class _IntervalRotator(_Rotator):
             mpmath.iv.prec = saved
 
     def _fallback(self, a: int, b: int, im: bool) -> int:
-        prec = _INTERVAL_PREC_START
-        saved = mpmath.iv.prec
-        try:
-            while prec <= _INTERVAL_PREC_CAP:
-                mpmath.iv.prec = prec
-                angle_box = self.theta.interval()
-                c = mpmath.iv.cos(angle_box)
-                s = mpmath.iv.sin(angle_box)
-                if im:
-                    box = a * s + b * c + mpmath.iv.mpf("0.5")
-                else:
-                    box = a * c - b * s + mpmath.iv.mpf("0.5")
-                # endpoints carry prec bits; read them at prec, not at
-                # mpmath's default 53 bits, or the floor can move
-                with mpmath.workprec(prec):
-                    lo = int(mpmath.floor(mpmath.mpf(box.a)))
-                    hi = int(mpmath.floor(mpmath.mpf(box.b)))
-                if lo == hi:
-                    return lo
-                prec *= 2
+        def enclose():
+            angle_box = self.theta.interval()
+            c = mpmath.iv.cos(angle_box)
+            s = mpmath.iv.sin(angle_box)
+            if im:
+                return a * s + b * c + mpmath.iv.mpf("0.5")
+            return a * c - b * s + mpmath.iv.mpf("0.5")
+
+        verdict = refine(enclose, _INTERVAL_PREC_CAP, settled_floor)
+        if verdict is None:
             raise UndecidableTieError(
                 f"rounding of {(a, b)} under {self.theta.descriptor} "
                 f"is still ambiguous at {_INTERVAL_PREC_CAP} bits"
             )
-        finally:
-            mpmath.iv.prec = saved
+        return verdict
 
 
 def _make_rotator(theta: Union[Theta, str]) -> _Rotator:

@@ -21,7 +21,6 @@ from .numerics import (
     half_up_sqrt,
     modulus_sq,
     nearest_angle_index,
-    sign_of_real,
 )
 
 
@@ -69,14 +68,19 @@ class PolarRounding:
 RoundingSpec = Union[ArgandRounding, PolarRounding]
 
 
+def _fraction(value: Rational) -> Fraction:
+    # Fraction(q) on a Fraction rebuilds it through an ABC instance check
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class ArgandPoint:
     re: Fraction
     im: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        object.__setattr__(self, "re", _fraction(self.re))
+        object.__setattr__(self, "im", _fraction(self.im))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -94,7 +98,7 @@ class PolarPoint:
     angle_index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", Fraction(self.modulus))
+        object.__setattr__(self, "modulus", _fraction(self.modulus))
         if self.modulus < 0:
             raise ValueError("modulus must be nonnegative")
         if self.modulus == 0 and self.angle_index != 0:
@@ -136,28 +140,31 @@ def is_admissible(point: GridPoint, spec: RoundingSpec) -> bool:
 
 
 def round_real(value: CycloLike, kind: RoundingKind, granularity: Rational = 1) -> Fraction:
-    """Round a real value to the g-grid with the given kind; exact."""
-    g = Fraction(granularity)
+    """Round a real value to the g-grid with the given kind; exact.
+
+    Every kind reads one certified floor f of value/g (of value/g + 1/2 for
+    minimal error).  Off the grid, value/g lies strictly between f and f + 1,
+    and f >= 0 exactly when the value is positive.
+    """
+    g = _fraction(granularity)
     if g <= 0:
         raise ValueError("granularity must be positive")
-    if kind is RoundingKind.FLOOR:
-        return certified_floor(value, g) * g
-    if kind is RoundingKind.CEIL:
-        neg = -value if isinstance(value, CycloNum) else -Fraction(value)
-        return -certified_floor(neg, g) * g
     if kind is RoundingKind.MINIMAL_ERROR_UP:
-        shifted = value + g / 2
-        return certified_floor(shifted, g) * g
-    sign = sign_of_real(value)
-    if sign == 0:
-        return Fraction(0)
-    if kind is RoundingKind.TRUNCATE:
-        toward = RoundingKind.FLOOR if sign > 0 else RoundingKind.CEIL
+        return certified_floor(value + g / 2, g) * g
+    f = certified_floor(value, g)
+    if kind is RoundingKind.FLOOR:
+        return f * g
+    if kind is RoundingKind.CEIL:
+        up = True
+    elif kind is RoundingKind.TRUNCATE:
+        up = f < 0
     elif kind is RoundingKind.EXPAND:
-        toward = RoundingKind.CEIL if sign > 0 else RoundingKind.FLOOR
+        up = f >= 0
     else:
         raise ValueError(f"unknown rounding kind: {kind}")
-    return round_real(value, toward, g)
+    if up and value == f * g:
+        up = False  # on the grid every kind keeps the value
+    return (f + up) * g
 
 
 def _round_modulus_steps(value_sq: CycloLike, kind: RoundingKind, g: Fraction) -> int:
@@ -179,15 +186,15 @@ def round_value(value: CycloLike, spec: RoundingSpec) -> GridPoint:
             re = value.real_part()
             im = value.imag_part()
         else:
-            re = Fraction(value)
+            re = _fraction(value)
             im = Fraction(0)
         return ArgandPoint(
             round_real(re, spec.kind, spec.granularity),
             round_real(im, spec.kind, spec.granularity),
         )
     g = spec.granularity
-    if isinstance(value, (int, Fraction)):
-        v = Fraction(value)
+    if not isinstance(value, CycloNum):
+        v = _fraction(value)
         steps = _round_modulus_steps(v * v, spec.modulus_kind, g)
         if steps == 0:
             return PolarPoint(Fraction(0), 0)

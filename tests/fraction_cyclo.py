@@ -8,7 +8,8 @@ can check the integer kernel against an independent exact implementation.
 Only the tests import it.  One change from the original: `certified_floor`
 reads interval endpoints at the interval's own precision, not at mpmath's
 default 53 bits, which rounded them and could return a wrong floor above
-2^53.
+2^53.  `round_real` keeps the original recursive rounding (a sign pass, then
+a floor or ceiling) on top of this kernel's floor and sign.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from roundreach.errors import (
     UnsupportedAngleError,
 )
 from roundreach.numerics import cyclotomic_coeffs, totient
+from roundreach.rounding import RoundingKind
 
 Rational = Union[int, Fraction]
 
@@ -462,3 +464,28 @@ def nearest_angle_index(z: CycloNum, resolution: int) -> int:
         if (b + 1) % count == a:
             return a
     raise ValueError("angle scores tied on non-adjacent indices")
+
+
+def round_real(value: CycloLike, kind: RoundingKind, granularity: Rational = 1) -> Fraction:
+    """Round a real value to the g-grid with the given kind; exact."""
+    g = Fraction(granularity)
+    if g <= 0:
+        raise ValueError("granularity must be positive")
+    if kind is RoundingKind.FLOOR:
+        return certified_floor(value, g) * g
+    if kind is RoundingKind.CEIL:
+        neg = -value if isinstance(value, CycloNum) else -Fraction(value)
+        return -certified_floor(neg, g) * g
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        shifted = value + g / 2
+        return certified_floor(shifted, g) * g
+    sign = sign_of_real(value)
+    if sign == 0:
+        return Fraction(0)
+    if kind is RoundingKind.TRUNCATE:
+        toward = RoundingKind.FLOOR if sign > 0 else RoundingKind.CEIL
+    elif kind is RoundingKind.EXPAND:
+        toward = RoundingKind.CEIL if sign > 0 else RoundingKind.FLOOR
+    else:
+        raise ValueError(f"unknown rounding kind: {kind}")
+    return round_real(value, toward, g)

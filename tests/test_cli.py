@@ -76,6 +76,23 @@ def test_decide_reached_exit_zero(tmp_path, capsys):
     assert "witness" in out
 
 
+def test_decide_polar_instance_past_float_range(tmp_path, capsys):
+    # a quarter-turn-per-two-steps orbit whose moduli no float can hold
+    big = Fraction(10**400)
+    system = JnfSystem(
+        (JordanBlock(1, Fraction(1), Angle(Fraction(1, 4))),),
+        (PolarPoint(big, 0),),
+        (PolarPoint(big, 2),),
+        PolarRounding(RoundingKind.FLOOR, 4),
+    )
+    path = write(tmp_path, "inst.json", serialize_instance(system))
+    assert main(["decide", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "reached"
+    assert out["step"] == 2
+    assert out["witness"] == [{"modulus": str(10**400), "angle_index": 2}]
+
+
 def test_decide_not_reached_certificate(tmp_path, capsys):
     system = rational_example()
     path = write(tmp_path, "inst.json", serialize_instance(system))

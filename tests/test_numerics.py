@@ -1,12 +1,14 @@
 """Exact-arithmetic foundation: field laws, certified floors, sign tests."""
 
+import cmath
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_cyclo as ref
@@ -17,7 +19,6 @@ from roundreach.numerics import (
     CycloNum,
     angle_cos,
     angle_sin,
-    as_cyclo,
     ceil_sqrt,
     certified_floor,
     cyclotomic_coeffs,
@@ -197,8 +198,6 @@ def test_angle_normalization_and_str():
     assert Angle(-1, 2).pi_multiple == Fraction(3, 2)
     assert str(Angle(Fraction(1, 3))) == "1/3 pi"
     assert Angle(2).pi_multiple == 0
-    assert Angle(Fraction(1, 2)).is_multiple_of_right_angle()
-    assert not Angle(Fraction(1, 3)).is_multiple_of_right_angle()
 
 
 def test_angle_distance_and_right_angle_compare():
@@ -243,13 +242,6 @@ def test_nearest_angle_index_quadrants():
     # exactly between grid angles 0 and 1: ties go counterclockwise
     z = embed_polar(Fraction(1), Angle(Fraction(1, 4)), 8)
     assert nearest_angle_index(z, 2) == 1
-
-
-def test_as_cyclo_accepts_mixed():
-    assert as_cyclo(4, 3).as_rational() == 3
-    assert as_cyclo(4, Fraction(1, 2)).as_rational() == Fraction(1, 2)
-    z = CycloNum.from_rational(4, 7)
-    assert as_cyclo(4, z) is z
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +320,46 @@ def test_certified_functions_match_fraction_reference(pair, g):
             if a.order % (2 * resolution) == 0:
                 assert nearest_angle_index(a, resolution) == ref.nearest_angle_index(
                     ra, resolution)
+
+
+def _patched_guess(mode: str, phase: float):
+    """A stand-in for CycloNum.approx_complex that misleads the float guess."""
+    true_approx = CycloNum.approx_complex
+    if mode == "zero":
+        return lambda self: 0j
+    if mode == "random":
+        return lambda self: cmath.rect(1.0, phase)
+    return lambda self: -true_approx(self)  # the antipode
+
+
+guess_modes = st.sampled_from(("zero", "random", "antipode"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_pair(), guess_modes, st.floats(-math.pi, math.pi))
+def test_nearest_angle_climb_matches_tournament_from_any_guess(pair, mode, phase):
+    (a, ra), _ = pair
+    assume(not a.is_zero())
+    with mock.patch.object(CycloNum, "approx_complex", _patched_guess(mode, phase)):
+        for resolution in range(2, a.order // 2 + 1):
+            if a.order % (2 * resolution) == 0:
+                assert nearest_angle_index(a, resolution) == ref.nearest_angle_index(
+                    ra, resolution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4, 6)), st.integers(0, 11), positive_rationals,
+       st.sampled_from(("none", "zero", "random", "antipode")), st.floats(-math.pi, math.pi))
+def test_nearest_angle_exact_midpoints_go_counterclockwise(resolution, k, modulus, mode, phase):
+    # the angle (2k+1)pi/(2R) is exactly between grid indices k and k+1
+    k %= 2 * resolution
+    z = embed_polar(modulus, Angle(2 * k + 1, 2 * resolution), 4 * resolution)
+    expected = (k + 1) % (2 * resolution)
+    if mode == "none":
+        assert nearest_angle_index(z, resolution) == expected
+        return
+    with mock.patch.object(CycloNum, "approx_complex", _patched_guess(mode, phase)):
+        assert nearest_angle_index(z, resolution) == expected
 
 
 @settings(max_examples=150, deadline=None)

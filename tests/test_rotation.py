@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundreach.errors import UndecidableTieError
 from roundreach.numerics import Angle
@@ -11,6 +13,7 @@ from roundreach.rotation_lab import (
     IrrationalTheta,
     _IntervalRotator,
     _RationalRotator,
+    _make_rotator,
     disk_points,
     emit_grid,
     grid_csv,
@@ -175,3 +178,55 @@ def test_interval_rotator_reads_endpoints_at_working_precision():
         91530344875848829,
         40276493974875402,
     )
+
+
+def _rounding_at_4000_bits(p, theta: str):
+    a, b = p
+    with mpmath.workprec(4000):
+        parsed = parse_theta(theta)
+        if isinstance(parsed, Angle):
+            turn = parsed.pi_multiple
+            t = mpmath.pi * turn.numerator / turn.denominator
+        else:
+            e = parsed.exponent
+            t = mpmath.pi * mpmath.mpf(2) ** (mpmath.mpf(e.numerator) / e.denominator)
+            t /= parsed.divisor
+        c, s = mpmath.cos(t), mpmath.sin(t)
+        half = mpmath.mpf(1) / 2
+        return (int(mpmath.floor(a * c - b * s + half)),
+                int(mpmath.floor(a * s + b * c + half)))
+
+
+@pytest.mark.parametrize("theta", ["1/7 pi", "1/3 pi", "2^(2/5)/10 pi"])
+def test_rotate_round_past_float_range(theta):
+    # 10^400 has no float, so the prefilter has no answer and both
+    # coordinates take the certified fallback
+    p = (10**400, 3)
+    assert rotate_round(p, theta) == _rounding_at_4000_bits(p, theta)
+
+
+def test_interval_ladder_gives_up_at_its_cap():
+    # (1, 0) rotated by pi/3 has real part exactly 1/2, so re + 1/2 is the
+    # integer 1 and no interval around it settles its floor
+    rotator = _IntervalRotator(_RationalAsInterval(1, 3))
+    with pytest.raises(UndecidableTieError, match="4096 bits"):
+        rotator.step((1, 0))
+
+
+WORKLOAD_ANGLES = ("1/42 pi", "1/7 pi", "1/4 pi", "1/3 pi", "1/6 pi", "2^(2/5)/10 pi")
+_ROTATORS = {theta: _make_rotator(theta) for theta in WORKLOAD_ANGLES}
+coordinates = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda e, d: (1 << e) + d, st.integers(50, 70), st.integers(-3, 3)),
+    st.integers(-1000, 1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WORKLOAD_ANGLES), coordinates, coordinates)
+def test_float_prefilter_agrees_with_exact_rounding(theta, a, b):
+    # the step answers from the prefilter wherever its slack allows; the
+    # fallback alone is the exact rounding of each coordinate
+    rotator = _ROTATORS[theta]
+    exact = (rotator._fallback(a, b, im=False), rotator._fallback(a, b, im=True))
+    assert rotator.step((a, b)) == exact

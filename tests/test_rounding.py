@@ -1,12 +1,14 @@
 """Grid rounding in both coordinate styles, effect bounds, ball counts."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roundreach.numerics import Angle, CycloNum, embed_polar, modulus_sq
+import fraction_cyclo as ref
+from roundreach.numerics import Angle, CycloNum, embed_polar, modulus_sq, totient
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -79,6 +81,32 @@ def test_round_real_error_bounded(v):
     assert abs(round_real(v, MU, g) - v) <= g / 2
 
 
+@st.composite
+def real_values(draw):
+    """A real field element or a rational, in the integer kernel and the
+    Fraction reference; on a grid point of g a good share of the time."""
+    g = draw(st.fractions(min_value=Fraction(1, 6), max_value=Fraction(3), max_denominator=6))
+    if draw(st.booleans()):
+        q = draw(st.integers(-20, 20)) * g + draw(st.sampled_from((0, 0, g / 2, g / 3)))
+        return q, q, g
+    order = draw(st.sampled_from((4, 8, 12, 24)))
+    deg = totient(order)
+    coeffs = tuple(draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(
+            min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6)),
+        min_size=deg, max_size=deg)))
+    return (CycloNum(order, coeffs).real_part(),
+            ref.CycloNum(order, coeffs).real_part(), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_values())
+def test_round_real_matches_the_recursive_reference(case):
+    value, ref_value, g = case
+    for kind in RoundingKind:
+        assert round_real(value, kind, g) == ref.round_real(ref_value, kind, g), kind
+
+
 def test_round_value_argand_componentwise():
     spec = ArgandRounding(FL, Fraction(1))
     z = CycloNum.from_rational(8, Fraction(5, 2)) + CycloNum.i_unit(8) * Fraction(7, 3)
@@ -96,6 +124,29 @@ def test_round_value_polar_modulus_and_angle():
     assert round_value(z, spec).angle_index == 1
     z = embed_polar(Fraction(2), Angle(Fraction(7, 4)), 8)
     assert round_value(z, spec).angle_index == 0
+
+
+@pytest.mark.parametrize("kind", [FL, CE, TR, EX, MU])
+def test_round_value_polar_past_float_range(kind):
+    # the modulus needs floors past float range and the angle gets no float guess
+    big = 10**400
+
+    def steps(n: int) -> int:
+        r = math.isqrt(n)
+        if kind in (FL, TR):
+            return r
+        if kind in (CE, EX):
+            return r if r * r == n else r + 1
+        return (math.isqrt(4 * n) + 1) // 2
+
+    spec = PolarRounding(kind, 4, Fraction(1))
+    plus, minus = big * big + big + 1, big * big - big + 1  # |z|^2 for cos = +-1/2
+    for num, index, n in ((1, 1, plus), (2, 3, minus), (4, 5, minus), (5, 7, plus)):
+        z = embed_polar(big, Angle(num, 3), 24) + 1
+        assert modulus_sq(z) == n
+        assert round_value(z, spec) == PolarPoint(Fraction(steps(n)), index), num
+    z = embed_polar(big, Angle(1, 4), 8)
+    assert round_value(z, spec) == PolarPoint(Fraction(big), 1)
 
 
 def test_round_value_polar_origin():
