@@ -199,8 +199,9 @@ class CycloNum:
 
     @staticmethod
     def from_rational(order: int, value: Rational) -> "CycloNum":
-        q = Fraction(value)
-        return _cyclo(order, (q.numerator,) + (0,) * (_field(order).deg - 1), q.denominator)
+        # an int or a Fraction is already in lowest terms with den > 0
+        return _cyclo(order, (value.numerator,) + (0,) * (_field(order).deg - 1),
+                      value.denominator)
 
     @staticmethod
     def zeta_pow(order: int, exponent: int) -> "CycloNum":

@@ -1,19 +1,24 @@
-"""System descriptions, orbit stepping, verdicts, the shared decision driver,
-and the orbit-shape loop."""
+"""System descriptions, orbit stepping and the integer step kernel, verdicts,
+the shared decision driver, and the orbit-shape loop."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Protocol, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Any, Callable, Optional, Protocol, Union
 
 from .errors import InternalInvariantError, UndecidableTieError
-from .numerics import Angle, CycloNum, embed_polar
+from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar
 from .rounding import (
+    ArgandPoint,
     ArgandRounding,
     GridPoint,
+    PolarPoint,
     PolarRounding,
+    RoundingKind,
     RoundingSpec,
     is_admissible,
     point_value,
@@ -106,27 +111,403 @@ class JnfSystem:
         order = order or self.field_order()
         return embed_polar(block.eigen_modulus, block.eigen_angle, order)
 
+    @cached_property
+    def kernel(self) -> "StepKernel":
+        """The system's integer step kernel, built on first use."""
+        return StepKernel(self)
+
+
+# A float bracket's half-width is _STEP_SLACK * (m + 1), with m the float
+# magnitude bound each StepKernel helper computes; see StepKernel.
+_STEP_SLACK = 2.0**-44
+
+# 2*cos(pi*t/6) for the t in [0, 12) where it is rational (Niven)
+_TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
+
+_ORIGIN = (0, 0)
+
+
+@lru_cache(maxsize=None)
+def _unit_circle(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float cos and sin of 2*pi*j/order for j in [0, order); built on first use."""
+    angles = [2.0 * math.pi * j / order for j in range(order)]
+    return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
+
+
+def _round_off_grid(kind: RoundingKind, f: int) -> int:
+    """A value strictly inside (f, f + 1) rounded by a kind other than
+    minimal error."""
+    if kind is RoundingKind.FLOOR:
+        return f
+    if kind is RoundingKind.CEIL:
+        return f + 1
+    if kind is RoundingKind.TRUNCATE:
+        return f + (f < 0)
+    return f + (f >= 0)  # EXPAND
+
+
+def _round_ratio(kind: RoundingKind, num: int, den: int) -> int:
+    """num/den rounded to an integer by kind, for den > 0; exact."""
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        return (2 * num + den) // (2 * den)
+    f, rem = divmod(num, den)
+    return _round_off_grid(kind, f) if rem else f
+
+
+def _settled_round(kind: RoundingKind, v: float, slack: float) -> Optional[int]:
+    """A real value known to lie in [v - slack, v + slack] rounded by kind,
+    or None when the bracket does not settle it.  Every kind but minimal
+    error needs the value strictly inside (f, f + 1)."""
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        v += 0.5
+    lo = v - slack
+    f = math.floor(lo)
+    if math.floor(v + slack) != f:
+        return None
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        return f
+    return None if lo == f else _round_off_grid(kind, f)
+
+
+def _modulus_steps(kind: RoundingKind, num: int, den: int) -> int:
+    """Grid steps of the rounded modulus sqrt(num/den), for integers
+    num >= 0 and den > 0; exact, as rounding._round_modulus_steps."""
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        return (math.isqrt(4 * num // den) + 1) // 2
+    s = math.isqrt(num // den)
+    if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE) or s * s * den == num:
+        return s
+    return s + 1
+
+
+def _irrational_modulus_steps(kind: RoundingKind, v: float, slack: float) -> Optional[int]:
+    """Grid steps of the rounded modulus sqrt(V) for an irrational V known
+    to lie in [v - slack, v + slack], or None when that does not settle it.
+    V is never a square, and 4V never an integer."""
+    scale = 4.0 if kind is RoundingKind.MINIMAL_ERROR_UP else 1.0
+    f = math.floor((v - slack) * scale)
+    if math.floor((v + slack) * scale) != f:
+        return None
+    s = math.isqrt(f)
+    if kind is RoundingKind.MINIMAL_ERROR_UP:
+        return (s + 1) // 2
+    return s if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE) else s + 1
+
+
+def _fits(magnitude: float) -> bool:
+    """Every float sum bounded by twice the magnitude stays finite."""
+    return 4.0 * magnitude < math.inf
+
+
+class StepKernel:
+    """One rounded step of a Jordan-form system on integer coordinates.
+
+    A coordinate is a pair in grid units: (a, b) for ArgandPoint(a*g, b*g)
+    and (k, i) for PolarPoint(k*g, i).  Coordinate j becomes the rounding of
+    w = lambda*x_j + x_(j+1) (no second term at the end of a block), with
+    lambda = (p/q)*zeta^m, zeta = e^(2*pi*i/N) and N the system's field
+    order.  Each update is decided in integers where w is rational in the
+    grid's terms, by a float bracket elsewhere, and by the exact cyclotomic
+    value through `round_value` when the bracket does not settle or a
+    float would leave its range (`exact` gives that value).
+
+    Argand, lambda on an axis (m a multiple of N/4; by Niven exactly the
+    rotations that keep the grid): both parts are integers over q.  Other
+    angles: each part r*(a*cos - b*sin) + c (or r*(a*sin + b*cos) + d) is
+    read in integers where Niven's theorem makes it rational
+    (`_rational_turn`), and elsewhere bracketed in floats, where it must lie
+    strictly inside (f, f + 1) and every kind reads off f;
+    lambda*x_j = 0 leaves w = x_(j+1) on the grid.
+
+    Polar: |w|^2/g^2 = (X^2 + Y^2 + X*Y*2cos(phi))/q^2 with X = p*k_j,
+    Y = q*k_(j+1) and phi the angle between the two terms.  It is rational
+    when 2cos(phi) is in {0, +-1, +-2} or a term is zero, and rounds in
+    integers then; otherwise it is irrational, and a settled float bracket
+    gives its floor (and 4V's, for minimal error).  The angle index of a
+    single term is an exact index shift, the nearest grid angle to m
+    field steps with ties counterclockwise; for two terms a float guess k
+    is certified by the scores nearest_angle_index climbs,
+    score(k) ~ X*cos(A1 - B) + Y*cos(A2 - B) with B = k*N/(2R), when
+    score(k) - score(k +- 1) both exceed their slack, so k is the strict
+    top of a unimodal sequence.
+
+    Float slack, with u = 2^-53 and each bracket's magnitude bound m (the
+    sum of the absolute values of its integer terms, over the common
+    denominator where there is one):
+    - an int converts with error u|x|, also past 2^53, and one past float
+      range raises OverflowError, which sends the update exact;
+    - a table cos or sin is within 22u of the true value: its argument
+      2*pi*j/N carries three roundings of a value below 2*pi (19u) and
+      libm adds at most 2u;
+    - r enters only as the integers p and q, multiplied into the integer
+      terms before conversion, so it adds only the conversion of q (u
+      relative) and the division by it (u relative);
+    - a product of a converted int and a table entry is then within 24u of
+      the exact term; n terms add n - 1 roundings of u*m; the squared form
+      of the polar modulus is two terms whose integer parts X^2 + Y^2 and
+      2XY are formed exactly before conversion.
+    An Argand part (three terms, a division, and + 1/2 for minimal error)
+    is within 29u*(m + 1), the polar modulus (two terms, a division, times
+    4 exactly) within 28u*(m + 1), and a score difference (four terms,
+    with X + Y for m) within 54u*(X + Y); forming v -+ slack adds
+    u*(|v| + slack).  The slack 2^-44*(m + 1) is 512u*(m + 1), and
+    computing m in floats loses at most 6u of it, so every bracket holds
+    the exact value with a factor of 8 to spare.
+    Products of ints with table entries never underflow.  `_fits` keeps
+    every partial sum finite.
+    """
+
+    def __init__(self, system: JnfSystem) -> None:
+        spec = system.rounding
+        self.system = system
+        self.spec = spec
+        self.polar = isinstance(spec, PolarRounding)
+        self.kind = spec.modulus_kind if self.polar else spec.kind
+        self.g = spec.granularity
+        self.order = system.field_order()
+        self.cos, self.sin = _unit_circle(self.order)
+        plan = []
+        for b, ((start, end), block) in enumerate(zip(system.block_slices(), system.blocks)):
+            update = self._polar_update(block) if self.polar else self._argand_update(block)
+            for j in range(start, end):
+                plan.append((j + 1 if j + 1 < end else None, update, b))
+        # per coordinate: (successor index or None, update, block index)
+        self.plan = tuple(plan)
+
+    # -- grid points <-> integer coordinates
+
+    def _units(self, value: Fraction) -> int:
+        g = self.g
+        return value.numerator * g.denominator // (value.denominator * g.numerator)
+
+    def encode(self, state: Sequence[GridPoint]) -> tuple[tuple[int, int], ...]:
+        if self.polar:
+            return tuple((self._units(pt.modulus), pt.angle_index) for pt in state)
+        return tuple((self._units(pt.re), self._units(pt.im)) for pt in state)
+
+    def _point(self, x: tuple[int, int]) -> GridPoint:
+        if self.polar:
+            return PolarPoint(x[0] * self.g, x[1])
+        return ArgandPoint(x[0] * self.g, x[1] * self.g)
+
+    def decode(self, state: Sequence[tuple[int, int]]) -> tuple[GridPoint, ...]:
+        return tuple(self._point(x) for x in state)
+
+    # -- the step
+
+    def step(self, state: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        out = []
+        for j, (nxt, update, _b) in enumerate(self.plan):
+            y = state[nxt] if nxt is not None else _ORIGIN
+            out.append(update(state[j], y) or self._exact_round(state, j))
+        return tuple(out)
+
+    def exact(
+        self,
+        state: Sequence[tuple[int, int]],
+        j: int,
+        order: Optional[int] = None,
+        eigen: Optional[Sequence[CycloNum]] = None,
+    ) -> CycloNum:
+        """The exact w = lambda*v_j + v_(j+1) for an integer state, in the
+        order-th field (the system's by default); eigen, when given, holds
+        each block's eigenvalue in that field."""
+        order = order or self.order
+        nxt, _update, b = self.plan[j]
+        if eigen is None:
+            lam = self.system.eigen_value(self.system.blocks[b], order)
+        else:
+            lam = eigen[b]
+        w = lam * point_value(self._point(state[j]), self.spec, order)
+        if nxt is not None:
+            w = w + point_value(self._point(state[nxt]), self.spec, order)
+        return w
+
+    def _exact_round(self, state: Sequence[tuple[int, int]], j: int) -> tuple[int, int]:
+        return self.encode((round_value(self.exact(state, j), self.spec),))[0]
+
+    # -- Argand updates
+
+    def _argand_update(self, block: JordanBlock):
+        kind = self.kind
+        p, q = block.eigen_modulus.numerator, block.eigen_modulus.denominator
+        quarter = self.order // 4
+        m = _field_steps(block.eigen_angle, self.order)
+        if m % quarter == 0:
+            turn = m // quarter
+
+            def axis(x, y):
+                a, b = x
+                if turn == 1:
+                    a, b = -b, a
+                elif turn == 2:
+                    a, b = -a, -b
+                elif turn == 3:
+                    a, b = b, -a
+                return (_round_ratio(kind, p * a + q * y[0], q),
+                        _round_ratio(kind, p * b + q * y[1], q))
+
+            return axis
+        cos, sin = self.cos[m], self.sin[m]
+        rational_turn = _rational_turn(block.eigen_angle, self.order)
+
+        def part(a, b, c):
+            # r*(a*cos - b*sin) + c rounded by kind, or None
+            t = rational_turn(a, b)
+            if t is not None:
+                den = q * t.denominator
+                return _round_ratio(kind, p * t.numerator + c * den, den)
+            try:
+                fa, fb, fc, fq = float(p * a), float(p * b), float(q * c), float(q)
+            except OverflowError:
+                return None
+            total = abs(fa) + abs(fb) + abs(fc)
+            if not _fits(total):
+                return None
+            slack = (total / fq + 1.0) * _STEP_SLACK
+            return _settled_round(kind, (fa * cos - fb * sin + fc) / fq, slack)
+
+        def rotate(x, y):
+            a, b = x
+            if p == 0 or (a == 0 and b == 0):
+                return y
+            re = part(a, b, y[0])
+            im = None if re is None else part(b, -a, y[1])  # r*(a*sin + b*cos) + d
+            return None if im is None else (re, im)
+
+        return rotate
+
+    # -- polar updates
+
+    def _polar_update(self, block: JordanBlock):
+        kind = self.kind
+        order = self.order
+        p, q = block.eigen_modulus.numerator, block.eigen_modulus.denominator
+        m = _field_steps(block.eigen_angle, order)
+        count = 2 * self.spec.angle_resolution
+        stride = order // count  # field steps per grid angle
+        shift = (2 * m + stride) // (2 * stride)  # nearest grid angle to m, ties up
+        qq = q * q
+        cos = self.cos
+        two_cos = tuple(_TWO_COS.get(12 * d // order) if 12 * d % order == 0 else None
+                        for d in range(order))
+
+        def polar(x, y):
+            k, i = x
+            l, h = y
+            big_x, big_y = p * k, q * l
+            if big_x == 0:
+                return y
+            if big_y == 0:
+                steps = _modulus_steps(kind, big_x * big_x, qq)
+                return (steps, (i + shift) % count) if steps else _ORIGIN
+            a1, a2 = m + i * stride, h * stride
+            d = (a1 - a2) % order
+            tc = two_cos[d]
+            squares = big_x * big_x + big_y * big_y
+            if tc is not None:
+                steps = _modulus_steps(kind, squares + big_x * big_y * tc, qq)
+            else:
+                try:
+                    fs, fx, fq = float(squares), float(2 * big_x * big_y), float(qq)
+                except OverflowError:
+                    return None
+                if not _fits(fs + fx):
+                    return None
+                slack = ((fs + fx) / fq + 1.0) * _STEP_SLACK
+                steps = _irrational_modulus_steps(kind, (fs + fx * cos[d]) / fq, slack)
+                if steps is None:
+                    return None
+            if steps == 0:
+                return _ORIGIN
+            index = self._top_angle(big_x, big_y, a1, a2, stride, count)
+            return None if index is None else (steps, index)
+
+        return polar
+
+    def _top_angle(self, big_x: int, big_y: int, a1: int, a2: int, stride: int,
+                   count: int) -> Optional[int]:
+        """The grid angle index nearest to X*zeta^a1 + Y*zeta^a2 for X, Y > 0
+        when floats certify it, else None."""
+        order = self.order
+        cos, sin = self.cos, self.sin
+        try:
+            fx, fy = float(big_x), float(big_y)
+        except OverflowError:
+            return None
+        if not _fits(fx + fy):
+            return None
+        re = fx * cos[a1 % order] + fy * cos[a2 % order]
+        im = fx * sin[a1 % order] + fy * sin[a2 % order]
+        k = round(math.atan2(im, re) * count / (2.0 * math.pi)) % count
+        b1, b2 = a1 - k * stride, a2 - k * stride
+        top = fx * cos[b1 % order], fy * cos[b2 % order]
+        slack = (fx + fy + 1.0) * _STEP_SLACK
+        for side in (stride, -stride):
+            drop = (top[0] - fx * cos[(b1 - side) % order]
+                    + top[1] - fy * cos[(b2 - side) % order])
+            if not drop > slack:
+                return None
+        return k
+
+
+def _rational_turn(angle: Angle, order: int) -> Callable[[int, int], Optional[Rational]]:
+    """For an angle off the axes, the map from integers (a, b) to the value
+    a*cos(angle) - b*sin(angle) where Niven's theorem shows it rational, and
+    to None elsewhere.  cos is rational only at denominator 3, where sin is
+    not, and sin only at denominator 6; at denominator 4 both are
+    +-sqrt(2)/2 and the value vanishes on one line."""
+    t = angle.denominator
+    if t == 3:
+        c = angle_cos(angle, order).as_rational()
+        return lambda a, b: a * c if b == 0 else None
+    if t == 6:
+        s = angle_sin(angle, order).as_rational()
+        return lambda a, b: -b * s if a == 0 else None
+    if t == 4:
+        quadrant = angle.numerator // 2  # 1/4, 3/4, 5/4, 7/4 pi
+        cos_sign = 1 if quadrant in (0, 3) else -1
+        sin_sign = 1 if quadrant in (0, 1) else -1
+        return lambda a, b: 0 if cos_sign * a == sin_sign * b else None
+    return lambda a, b: None
+
+
+def _field_steps(angle: Angle, order: int) -> int:
+    """The m with angle = 2*pi*m/order; the order must host the angle."""
+    return (angle.pi_multiple * order / 2).numerator
+
 
 def step_with_intermediates(
     system: JnfSystem,
     state: tuple[GridPoint, ...],
     order: Optional[int] = None,
     eigen_cache: Optional[list[CycloNum]] = None,
-) -> tuple[tuple[GridPoint, ...], tuple[CycloNum, ...]]:
-    """One rounded step; also returns the exact pre-rounding values."""
-    order = order or system.field_order()
-    if eigen_cache is None:
-        eigen_cache = [system.eigen_value(b, order) for b in system.blocks]
-    values = [point_value(p, system.rounding, order) for p in state]
-    unrounded: list[CycloNum] = [None] * len(values)  # type: ignore[list-item]
-    for (start, end), lam in zip(system.block_slices(), eigen_cache):
-        for j in range(start, end):
-            w = lam * values[j]
-            if j + 1 < end:
-                w = w + values[j + 1]
-            unrounded[j] = w
-    new_state = tuple(round_value(w, system.rounding) for w in unrounded)
-    return new_state, tuple(unrounded)
+) -> tuple[tuple[GridPoint, ...], Sequence[CycloNum]]:
+    """One rounded step; also returns the exact pre-rounding values, as a
+    sequence that computes each one only when it is read.  order and
+    eigen_cache, when given, are the field those values are expressed in
+    and each block's eigenvalue there."""
+    kernel = system.kernel
+    ints = kernel.encode(state)
+    return kernel.decode(kernel.step(ints)), _Unrounded(kernel, ints, order, eigen_cache)
+
+
+class _Unrounded(Sequence):
+    """The exact pre-rounding values of one step, computed on access."""
+
+    __slots__ = ("kernel", "state", "order", "eigen")
+
+    def __init__(self, kernel: StepKernel, state, order, eigen) -> None:
+        self.kernel = kernel
+        self.state = state
+        self.order = order
+        self.eigen = eigen
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, j: int) -> CycloNum:
+        return self.kernel.exact(self.state, j, self.order, self.eigen)
 
 
 def step(system: JnfSystem, state: tuple[GridPoint, ...]) -> tuple[GridPoint, ...]:
@@ -374,9 +755,7 @@ def orbit_step(
     a rational system has no unrounded values to show."""
     if isinstance(system, RationalSystem):
         return lambda state: (rational_step(system, state), None)
-    order = system.field_order()
-    eigen = [system.eigen_value(b, order) for b in system.blocks]
-    return lambda state: step_with_intermediates(system, state, order, eigen)
+    return lambda state: step_with_intermediates(system, state)
 
 
 def run_lock_step(
@@ -416,6 +795,20 @@ class _LeavesBall:
         return None
 
 
+def _outside_ball(
+    system: Union[JnfSystem, RationalSystem], radius: Fraction
+) -> Callable[[Any], bool]:
+    """The test for one state coordinate outside the ball: a rational value,
+    or a pair of the kernel's integer coordinates."""
+    if isinstance(system, RationalSystem):
+        return lambda v: abs(v) > radius
+    # integer squares exceed (radius/g)^2 exactly when they exceed its floor
+    bound = math.floor((radius / system.rounding.granularity) ** 2)
+    if isinstance(system.rounding, PolarRounding):
+        return lambda x: x[0] * x[0] > bound
+    return lambda x: x[0] * x[0] + x[1] * x[1] > bound
+
+
 def brute_force_decide(
     system: Union[JnfSystem, RationalSystem],
     ball_bound: Optional[Fraction] = None,
@@ -428,19 +821,22 @@ def brute_force_decide(
     target. Hitting step_bound without a repeat yields CycleDetected at the
     bound; the caller picks step_bound large enough for that to be sound.
     """
+    if isinstance(system, RationalSystem):
+        advance, start, target = orbit_step(system), system.initial, system.target
+    else:
+        # states meet only each other and the target, so the orbit runs on
+        # the kernel's integer coordinates
+        kernel = system.kernel
+        advance = lambda state: (kernel.step(state), None)
+        start, target = kernel.encode(system.initial), kernel.encode(system.target)
     observers = []
     if ball_bound is not None:
         radius = Fraction(ball_bound)
-        if isinstance(system, RationalSystem):
-            outside = lambda v: abs(v) > radius
-        else:
-            radius_sq = radius * radius
-            outside = lambda pt: pt.modulus_sq() > radius_sq
-        observers.append(_LeavesBall(radius, outside))
+        observers.append(_LeavesBall(radius, _outside_ball(system, radius)))
     return iterate(
-        orbit_step(system),
-        system.initial,
-        system.target,
+        advance,
+        start,
+        target,
         observers,
         cap=step_bound,
         cap_is_state_bound=True,

@@ -224,7 +224,8 @@ def test_brute_force_zero_bound_takes_no_step(monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("the oracle stepped past a zero bound")
 
-    monkeypatch.setattr(system_module, "step_with_intermediates", no_step)
+    # the oracle steps a Jordan-form system by its integer kernel
+    monkeypatch.setattr(system_module.StepKernel, "step", no_step)
     system = rotation_system((P(5), P(4)), (P(16, 1), P(4, 2)))
     assert brute_force_decide(system, step_bound=0) == NotReached(CycleDetected(0))
 
