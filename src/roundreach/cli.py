@@ -99,6 +99,13 @@ def _angle_str(angle: Angle) -> str:
     return f"{_rational_str(angle.pi_multiple)} pi"
 
 
+def _integer(value, what: str) -> int:
+    # bool is a subclass of int, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _require_fields(obj: dict, required: Sequence[str], what: str) -> None:
     missing = [k for k in required if k not in obj]
     if missing:
@@ -121,11 +128,10 @@ def _parse_rounding(obj) -> RoundingSpec:
         _require_fields(
             obj, ("shape", "kind", "angle_resolution", "granularity"), "polar rounding"
         )
-        resolution = obj["angle_resolution"]
-        if not isinstance(resolution, int):
-            raise ValueError("angle_resolution must be an integer")
         return PolarRounding(
-            RoundingKind(obj["kind"]), resolution, _parse_rational(obj["granularity"])
+            RoundingKind(obj["kind"]),
+            _integer(obj["angle_resolution"], "angle_resolution"),
+            _parse_rational(obj["granularity"]),
         )
     raise ValueError(f"unknown rounding shape {shape!r}")
 
@@ -150,10 +156,9 @@ def _parse_point(obj, spec: RoundingSpec):
         raise ValueError(f"expected a point object, got {obj!r}")
     if isinstance(spec, PolarRounding):
         _require_fields(obj, ("modulus", "angle_index"), "polar point")
-        index = obj["angle_index"]
-        if not isinstance(index, int):
-            raise ValueError("angle_index must be an integer")
-        return PolarPoint(_parse_rational(obj["modulus"]), index)
+        return PolarPoint(
+            _parse_rational(obj["modulus"]), _integer(obj["angle_index"], "angle_index")
+        )
     _require_fields(obj, ("re", "im"), "argand point")
     return ArgandPoint(_parse_rational(obj["re"]), _parse_rational(obj["im"]))
 
@@ -176,8 +181,9 @@ def parse_instance(text: str) -> Instance:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("instance file must hold a JSON object")
-    if obj.get("version") != VERSION:
-        raise ValueError(f"unsupported instance version {obj.get('version')!r}")
+    version = obj.get("version")
+    if isinstance(version, bool) or version != VERSION:
+        raise ValueError(f"unsupported instance version {version!r}")
     kind = obj.get("kind")
     if kind == "rational":
         _require_fields(
@@ -204,11 +210,9 @@ def parse_instance(text: str) -> Instance:
         blocks = []
         for entry in obj["blocks"]:
             _require_fields(entry, ("size", "modulus", "angle"), "jordan block")
-            if not isinstance(entry["size"], int):
-                raise ValueError("block size must be an integer")
             blocks.append(
                 JordanBlock(
-                    entry["size"],
+                    _integer(entry["size"], "block size"),
                     _parse_rational(entry["modulus"]),
                     _parse_angle(entry["angle"]),
                 )

@@ -7,10 +7,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .errors import GadgetBrokenError, InternalInvariantError
-from .rounding import ArgandRounding, RoundingKind
+from .rounding import RULES, ArgandRounding, RoundingKind
 from .system import Reached, iterate
 
 
@@ -358,19 +358,14 @@ class GadgetFamily(enum.Enum):
 
     @property
     def rounding_kind(self) -> RoundingKind:
-        return {
-            GadgetFamily.FLOOR: RoundingKind.FLOOR,
-            GadgetFamily.CEIL: RoundingKind.CEIL,
-            GadgetFamily.MINIMAL_ERROR: RoundingKind.MINIMAL_ERROR_UP,
-        }[self]
+        return _FAMILY_KINDS[self]
 
-    def round_ratio(self, num: int, den: int) -> int:
-        """num/den rounded by the family's kind, for den > 0; exact."""
-        if self is GadgetFamily.FLOOR:
-            return num // den
-        if self is GadgetFamily.CEIL:
-            return -(-num // den)
-        return (2 * num + den) // (2 * den)
+
+_FAMILY_KINDS = {
+    GadgetFamily.FLOOR: RoundingKind.FLOOR,
+    GadgetFamily.CEIL: RoundingKind.CEIL,
+    GadgetFamily.MINIMAL_ERROR: RoundingKind.MINIMAL_ERROR_UP,
+}
 
 
 CONST = -1  # placeholder column resolved to the constant-true slot
@@ -482,13 +477,14 @@ def integer_row(row: Collection[tuple[int, Fraction]], factor: Fraction = Fracti
     return terms, base * factor.denominator
 
 
-def round_row(row: IntegerRow, state: Sequence[int] | Mapping[int, int], family: GadgetFamily) -> int:
-    """The row applied to state, rounded by the family's kind; exact."""
+def round_row(row: IntegerRow, state: Sequence[int] | Mapping[int, int],
+              ratio: Callable[[int, int], int]) -> int:
+    """The row applied to state, rounded by a `KindRule.ratio` map; exact."""
     terms, den = row
     acc = 0
     for col, num in terms:
         acc += num * state[col]
-    return family.round_ratio(acc, den)
+    return ratio(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +749,9 @@ def program_initial_state(program: Program) -> tuple[int, ...]:
 
 def program_step(program: Program, state: Sequence[int], instr: Instruction) -> tuple[int, ...]:
     new = list(state)
+    ratio = RULES[program.family.rounding_kind].ratio
     for target, row in instr.items():
-        value = round_row(integer_row(row.items()), state, program.family)
+        value = round_row(integer_row(row.items()), state, ratio)
         if value not in (0, 1):
             raise InternalInvariantError(
                 f"non-boolean value {value} written to slot {target}"
@@ -840,10 +837,10 @@ def hardness_step(instance: HardnessInstance, state: Sequence[int]) -> tuple[int
     entry are evaluated: any other row sums to 0, which every family rounds
     to 0, so the step is exact on every integer state, reachable or not."""
     rows, readers = instance.integer_rows
-    family = instance.program.family
+    ratio = RULES[instance.program.family.rounding_kind].ratio
     out = [0] * len(rows)
     for r in {r for col, value in enumerate(state) if value for r in readers[col]}:
-        out[r] = round_row(rows[r], state, family)
+        out[r] = round_row(rows[r], state, ratio)
     return tuple(out)
 
 
@@ -888,16 +885,17 @@ def _validate_row(
         raise InternalInvariantError("unexpectedly wide gadget row")
     base_row = integer_row(row.items())
     scaled_row = integer_row(row.items(), factor)
+    ratio = RULES[family.rounding_kind].ratio
     for mask in range(1 << len(free)):
         assignment = {c: (mask >> i) & 1 for i, c in enumerate(free)}
         if const_slot is not None:
             assignment[const_slot] = 1
-        base = round_row(base_row, assignment, family)
+        base = round_row(base_row, assignment, ratio)
         if base not in (0, 1):
             raise GadgetBrokenError(
                 f"{description}: non-boolean base value {base} on {assignment}"
             )
-        scaled = round_row(scaled_row, assignment, family)
+        scaled = round_row(scaled_row, assignment, ratio)
         if scaled != base:
             raise GadgetBrokenError(
                 f"{description}: factor {factor} changes {assignment} "

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import mpmath
 
@@ -22,6 +22,7 @@ from .errors import UndecidableTieError
 from .numerics import (
     Angle, CycloNum, angle_cos, angle_sin, certified_floor, refine, settled_floor,
 )
+from .rounding import RULES, RoundingKind
 from .system import OrbitRecord, orbit_shape
 
 IntPair = tuple[int, int]
@@ -39,6 +40,9 @@ IntPair = tuple[int, int]
 # on their side of t and equal floors are the exact floor.  Past float range
 # a conversion raises OverflowError and both coordinates take the fallback.
 _FLOAT_SLACK = 2.0**-50
+
+# round half up is minimal-error rounding, the bracket derived above
+_half_up = RULES[RoundingKind.MINIMAL_ERROR_UP].bracket
 
 _INTERVAL_PREC_CAP = 2**12
 
@@ -105,12 +109,6 @@ def _theta_descriptor(theta: Theta) -> str:
     return str(theta) if isinstance(theta, Angle) else theta.descriptor
 
 
-def _half_floor_fast(value: float, slack: float) -> Optional[int]:
-    lo = math.floor(value + 0.5 - slack)
-    hi = math.floor(value + 0.5 + slack)
-    return lo if lo == hi else None
-
-
 class _Rotator:
     """Rotate, then round half up: a float prefilter on each coordinate with
     the subclass's cos_f and sin_f, and its certified _fallback for one
@@ -123,8 +121,8 @@ class _Rotator:
         a, b = p
         try:
             slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
-            re_v = _half_floor_fast(a * self.cos_f - b * self.sin_f, slack)
-            im_v = _half_floor_fast(a * self.sin_f + b * self.cos_f, slack)
+            re_v = _half_up(a * self.cos_f - b * self.sin_f, slack)
+            im_v = _half_up(a * self.sin_f + b * self.cos_f, slack)
         except OverflowError:
             re_v = im_v = None  # past float range there is no float answer
         if re_v is None:

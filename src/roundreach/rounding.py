@@ -1,4 +1,4 @@
-"""Rounding kinds, grid points, and the rounding maps for both grid shapes."""
+"""Rounding kinds and their rules, grid points, and the rounding maps for both grid shapes."""
 
 from __future__ import annotations
 
@@ -6,15 +6,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .errors import InternalInvariantError
 from .numerics import (
     Angle,
     CycloLike,
     CycloNum,
     Rational,
-    ceil_sqrt,
     certified_floor,
     embed_polar,
     floor_sqrt,
@@ -30,6 +28,84 @@ class RoundingKind(enum.Enum):
     TRUNCATE = "truncate"
     EXPAND = "expand"
     MINIMAL_ERROR_UP = "minimal_error_up"
+
+
+@dataclass(frozen=True)
+class KindRule:
+    """One rounding kind's exact maps, in grid units; RULES holds one per
+    kind.  Every map keeps a value that lies on the grid.
+
+    off_grid(f) rounds a value strictly inside (f, f + 1); it is None for
+    minimal error, the floor of the value plus 1/2.  ratio(num, den) rounds
+    num/den for den > 0.  bracket(v, slack) rounds a real value known to
+    lie in [v - slack, v + slack], or gives None when that does not settle
+    it.  modulus(num, den) gives the grid steps of the rounded modulus
+    sqrt(num/den) for num >= 0 and den > 0; irrational_modulus(v, slack)
+    the same for an irrational squared modulus in [v - slack, v + slack],
+    read off its settled floor (of 4 times it for minimal error), or None.
+    effect bounds the distance between a value and its rounding.
+    """
+
+    off_grid: Optional[Callable[[int], int]]
+    ratio: Callable[[int, int], int]
+    bracket: Callable[[float, float], Optional[int]]
+    modulus: Callable[[int, int], int]
+    irrational_modulus: Callable[[float, float], Optional[int]]
+    effect: Fraction
+
+
+def _directed(off_grid: Callable[[int], int]) -> KindRule:
+    """The rule of a kind that sends a value strictly inside (f, f + 1) to
+    off_grid(f), which is f or f + 1.  A bracket must hold the value strictly
+    inside such an interval.  A modulus is nonnegative, and an irrational
+    square root never lies on the grid."""
+
+    def ratio(num: int, den: int) -> int:
+        f, rem = divmod(num, den)
+        return off_grid(f) if rem else f
+
+    def bracket(v: float, slack: float) -> Optional[int]:
+        lo = v - slack
+        f = math.floor(lo)
+        if math.floor(v + slack) != f or lo == f:
+            return None
+        return off_grid(f)
+
+    def modulus(num: int, den: int) -> int:
+        s = math.isqrt(num // den)
+        return s if s * s * den == num else off_grid(s)
+
+    def irrational_modulus(v: float, slack: float) -> Optional[int]:
+        f = math.floor(v - slack)
+        return off_grid(math.isqrt(f)) if math.floor(v + slack) == f else None
+
+    return KindRule(off_grid, ratio, bracket, modulus, irrational_modulus, Fraction(1))
+
+
+def _half_up_bracket(v: float, slack: float) -> Optional[int]:
+    f = math.floor(v + 0.5 - slack)
+    return f if math.floor(v + 0.5 + slack) == f else None
+
+
+def _half_up_irrational_modulus(v: float, slack: float) -> Optional[int]:
+    f = math.floor((v - slack) * 4.0)
+    return (math.isqrt(f) + 1) // 2 if math.floor((v + slack) * 4.0) == f else None
+
+
+RULES: dict[RoundingKind, KindRule] = {
+    RoundingKind.FLOOR: _directed(lambda f: f),
+    RoundingKind.CEIL: _directed(lambda f: f + 1),
+    RoundingKind.TRUNCATE: _directed(lambda f: f + (f < 0)),
+    RoundingKind.EXPAND: _directed(lambda f: f + (f >= 0)),
+    RoundingKind.MINIMAL_ERROR_UP: KindRule(
+        None,
+        lambda num, den: (2 * num + den) // (2 * den),
+        _half_up_bracket,
+        lambda num, den: (math.isqrt(4 * num // den) + 1) // 2,
+        _half_up_irrational_modulus,
+        Fraction(1, 2),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -143,40 +219,29 @@ def round_real(value: CycloLike, kind: RoundingKind, granularity: Rational = 1) 
     """Round a real value to the g-grid with the given kind; exact.
 
     Every kind reads one certified floor f of value/g (of value/g + 1/2 for
-    minimal error).  Off the grid, value/g lies strictly between f and f + 1,
-    and f >= 0 exactly when the value is positive.
+    minimal error) and maps it by its rule.  Off the grid, value/g lies
+    strictly between f and f + 1.
     """
     g = _fraction(granularity)
     if g <= 0:
         raise ValueError("granularity must be positive")
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
+    off_grid = RULES[kind].off_grid
+    if off_grid is None:
         return certified_floor(value + g / 2, g) * g
     f = certified_floor(value, g)
-    if kind is RoundingKind.FLOOR:
-        return f * g
-    if kind is RoundingKind.CEIL:
-        up = True
-    elif kind is RoundingKind.TRUNCATE:
-        up = f < 0
-    elif kind is RoundingKind.EXPAND:
-        up = f >= 0
-    else:
-        raise ValueError(f"unknown rounding kind: {kind}")
-    if up and value == f * g:
-        up = False  # on the grid every kind keeps the value
-    return (f + up) * g
+    up = off_grid(f)
+    if up != f and value == f * g:
+        up = f  # on the grid every kind keeps the value
+    return up * g
 
 
-def _round_modulus_steps(value_sq: CycloLike, kind: RoundingKind, g: Fraction) -> int:
-    """Number of grid steps for the rounded modulus sqrt(value_sq); exact."""
-    scaled = value_sq / (g * g)
-    if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE):
-        return floor_sqrt(scaled)
-    if kind in (RoundingKind.CEIL, RoundingKind.EXPAND):
-        return ceil_sqrt(scaled)
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return half_up_sqrt(scaled)
-    raise ValueError(f"unknown rounding kind: {kind}")
+def _round_sqrt(value: CycloLike, off_grid: Optional[Callable[[int], int]]) -> int:
+    """sqrt(value) rounded by the rule with this off_grid map; exact."""
+    if off_grid is None:
+        return half_up_sqrt(value)
+    s = floor_sqrt(value)
+    up = off_grid(s)
+    return s if up == s or value == s * s else up
 
 
 def round_value(value: CycloLike, spec: RoundingSpec) -> GridPoint:
@@ -193,16 +258,17 @@ def round_value(value: CycloLike, spec: RoundingSpec) -> GridPoint:
             round_real(im, spec.kind, spec.granularity),
         )
     g = spec.granularity
+    off_grid = RULES[spec.modulus_kind].off_grid
     if not isinstance(value, CycloNum):
         v = _fraction(value)
-        steps = _round_modulus_steps(v * v, spec.modulus_kind, g)
+        steps = _round_sqrt(v * v / (g * g), off_grid)
         if steps == 0:
             return PolarPoint(Fraction(0), 0)
         index = 0 if v > 0 else spec.angle_resolution
         return PolarPoint(steps * g, index)
     if value.is_zero():
         return PolarPoint(Fraction(0), 0)
-    steps = _round_modulus_steps(modulus_sq(value), spec.modulus_kind, g)
+    steps = _round_sqrt(modulus_sq(value) / (g * g), off_grid)
     if steps == 0:
         return PolarPoint(Fraction(0), 0)
     index = nearest_angle_index(value, spec.angle_resolution)
@@ -216,9 +282,7 @@ def round_vector(values: Sequence[CycloLike], spec: RoundingSpec) -> tuple[GridP
 def effect_bound(spec: RoundingSpec) -> Fraction:
     """The rounding effect bound: per component for Argand, on the modulus for Polar."""
     kind = spec.kind if isinstance(spec, ArgandRounding) else spec.modulus_kind
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return spec.granularity / 2
-    return spec.granularity
+    return RULES[kind].effect * spec.granularity
 
 
 def modulus_effect_bound(spec: RoundingSpec, real_only: bool = False) -> Fraction:
@@ -236,20 +300,14 @@ def modulus_effect_bound(spec: RoundingSpec, real_only: bool = False) -> Fractio
 
 def kball_count(radius: Rational, spec: RoundingSpec) -> int:
     """Number of admissible points of modulus at most radius."""
-    k = Fraction(radius)
+    k = Fraction(radius) / spec.granularity  # the radius in grid steps, n/d
     if k < 0:
         return 0
-    g = spec.granularity
+    half = math.floor(k)
     if isinstance(spec, PolarRounding):
-        rings = math.floor(k / g)
-        return 1 + rings * 2 * spec.angle_resolution
-    half = math.floor(k / g)
-    ksq = k * k
-    total = 0
-    for a in range(-half, half + 1):
-        rem = ksq - a * a * g * g
-        if rem < 0:
-            raise InternalInvariantError("negative remainder in ball count")
-        reach = floor_sqrt(rem / (g * g))
-        total += 2 * reach + 1
-    return total
+        return 1 + half * 2 * spec.angle_resolution
+    n, d = k.numerator, k.denominator
+    nn, dd = n * n, d * d
+    # row a holds the b with (a*d)^2 + (b*d)^2 <= n^2; row -a mirrors row a
+    rows = sum(2 * math.isqrt((nn - a * a * dd) // dd) + 1 for a in range(1, half + 1))
+    return 2 * math.isqrt(nn // dd) + 1 + 2 * rows

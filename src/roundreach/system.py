@@ -18,7 +18,7 @@ from .rounding import (
     GridPoint,
     PolarPoint,
     PolarRounding,
-    RoundingKind,
+    RULES,
     RoundingSpec,
     is_admissible,
     point_value,
@@ -134,66 +134,6 @@ def _unit_circle(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
 
 
-def _round_off_grid(kind: RoundingKind, f: int) -> int:
-    """A value strictly inside (f, f + 1) rounded by a kind other than
-    minimal error."""
-    if kind is RoundingKind.FLOOR:
-        return f
-    if kind is RoundingKind.CEIL:
-        return f + 1
-    if kind is RoundingKind.TRUNCATE:
-        return f + (f < 0)
-    return f + (f >= 0)  # EXPAND
-
-
-def _round_ratio(kind: RoundingKind, num: int, den: int) -> int:
-    """num/den rounded to an integer by kind, for den > 0; exact."""
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return (2 * num + den) // (2 * den)
-    f, rem = divmod(num, den)
-    return _round_off_grid(kind, f) if rem else f
-
-
-def _settled_round(kind: RoundingKind, v: float, slack: float) -> Optional[int]:
-    """A real value known to lie in [v - slack, v + slack] rounded by kind,
-    or None when the bracket does not settle it.  Every kind but minimal
-    error needs the value strictly inside (f, f + 1)."""
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        v += 0.5
-    lo = v - slack
-    f = math.floor(lo)
-    if math.floor(v + slack) != f:
-        return None
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return f
-    return None if lo == f else _round_off_grid(kind, f)
-
-
-def _modulus_steps(kind: RoundingKind, num: int, den: int) -> int:
-    """Grid steps of the rounded modulus sqrt(num/den), for integers
-    num >= 0 and den > 0; exact, as rounding._round_modulus_steps."""
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return (math.isqrt(4 * num // den) + 1) // 2
-    s = math.isqrt(num // den)
-    if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE) or s * s * den == num:
-        return s
-    return s + 1
-
-
-def _irrational_modulus_steps(kind: RoundingKind, v: float, slack: float) -> Optional[int]:
-    """Grid steps of the rounded modulus sqrt(V) for an irrational V known
-    to lie in [v - slack, v + slack], or None when that does not settle it.
-    V is never a square, and 4V never an integer."""
-    scale = 4.0 if kind is RoundingKind.MINIMAL_ERROR_UP else 1.0
-    f = math.floor((v - slack) * scale)
-    if math.floor((v + slack) * scale) != f:
-        return None
-    s = math.isqrt(f)
-    if kind is RoundingKind.MINIMAL_ERROR_UP:
-        return (s + 1) // 2
-    return s if kind in (RoundingKind.FLOOR, RoundingKind.TRUNCATE) else s + 1
-
-
 def _fits(magnitude: float) -> bool:
     """Every float sum bounded by twice the magnitude stays finite."""
     return 4.0 * magnitude < math.inf
@@ -209,14 +149,14 @@ class StepKernel:
     order.  Each update is decided in integers where w is rational in the
     grid's terms, by a float bracket elsewhere, and by the exact cyclotomic
     value through `round_value` when the bracket does not settle or a
-    float would leave its range (`exact` gives that value).
+    float would leave its range (`exact` gives that value).  The kind's
+    entry in `rounding.RULES` rounds each integer ratio and float bracket.
 
     Argand, lambda on an axis (m a multiple of N/4; by Niven exactly the
     rotations that keep the grid): both parts are integers over q.  Other
     angles: each part r*(a*cos - b*sin) + c (or r*(a*sin + b*cos) + d) is
     read in integers where Niven's theorem makes it rational
-    (`_rational_turn`), and elsewhere bracketed in floats, where it must lie
-    strictly inside (f, f + 1) and every kind reads off f;
+    (`_rational_turn`), and elsewhere bracketed in floats;
     lambda*x_j = 0 leaves w = x_(j+1) on the grid.
 
     Polar: |w|^2/g^2 = (X^2 + Y^2 + X*Y*2cos(phi))/q^2 with X = p*k_j,
@@ -262,7 +202,7 @@ class StepKernel:
         self.system = system
         self.spec = spec
         self.polar = isinstance(spec, PolarRounding)
-        self.kind = spec.modulus_kind if self.polar else spec.kind
+        self.rule = RULES[spec.modulus_kind if self.polar else spec.kind]
         self.g = spec.granularity
         self.order = system.field_order()
         self.cos, self.sin = _unit_circle(self.order)
@@ -329,7 +269,7 @@ class StepKernel:
     # -- Argand updates
 
     def _argand_update(self, block: JordanBlock):
-        kind = self.kind
+        ratio, bracket = self.rule.ratio, self.rule.bracket
         p, q = block.eigen_modulus.numerator, block.eigen_modulus.denominator
         quarter = self.order // 4
         m = _field_steps(block.eigen_angle, self.order)
@@ -344,19 +284,18 @@ class StepKernel:
                     a, b = -a, -b
                 elif turn == 3:
                     a, b = b, -a
-                return (_round_ratio(kind, p * a + q * y[0], q),
-                        _round_ratio(kind, p * b + q * y[1], q))
+                return (ratio(p * a + q * y[0], q), ratio(p * b + q * y[1], q))
 
             return axis
         cos, sin = self.cos[m], self.sin[m]
         rational_turn = _rational_turn(block.eigen_angle, self.order)
 
         def part(a, b, c):
-            # r*(a*cos - b*sin) + c rounded by kind, or None
+            # r*(a*cos - b*sin) + c rounded, or None
             t = rational_turn(a, b)
             if t is not None:
                 den = q * t.denominator
-                return _round_ratio(kind, p * t.numerator + c * den, den)
+                return ratio(p * t.numerator + c * den, den)
             try:
                 fa, fb, fc, fq = float(p * a), float(p * b), float(q * c), float(q)
             except OverflowError:
@@ -365,7 +304,7 @@ class StepKernel:
             if not _fits(total):
                 return None
             slack = (total / fq + 1.0) * _STEP_SLACK
-            return _settled_round(kind, (fa * cos - fb * sin + fc) / fq, slack)
+            return bracket((fa * cos - fb * sin + fc) / fq, slack)
 
         def rotate(x, y):
             a, b = x
@@ -380,7 +319,7 @@ class StepKernel:
     # -- polar updates
 
     def _polar_update(self, block: JordanBlock):
-        kind = self.kind
+        modulus, irrational_modulus = self.rule.modulus, self.rule.irrational_modulus
         order = self.order
         p, q = block.eigen_modulus.numerator, block.eigen_modulus.denominator
         m = _field_steps(block.eigen_angle, order)
@@ -399,14 +338,14 @@ class StepKernel:
             if big_x == 0:
                 return y
             if big_y == 0:
-                steps = _modulus_steps(kind, big_x * big_x, qq)
+                steps = modulus(big_x * big_x, qq)
                 return (steps, (i + shift) % count) if steps else _ORIGIN
             a1, a2 = m + i * stride, h * stride
             d = (a1 - a2) % order
             tc = two_cos[d]
             squares = big_x * big_x + big_y * big_y
             if tc is not None:
-                steps = _modulus_steps(kind, squares + big_x * big_y * tc, qq)
+                steps = modulus(squares + big_x * big_y * tc, qq)
             else:
                 try:
                     fs, fx, fq = float(squares), float(2 * big_x * big_y), float(qq)
@@ -415,7 +354,7 @@ class StepKernel:
                 if not _fits(fs + fx):
                     return None
                 slack = ((fs + fx) / fq + 1.0) * _STEP_SLACK
-                steps = _irrational_modulus_steps(kind, (fs + fx * cos[d]) / fq, slack)
+                steps = irrational_modulus((fs + fx * cos[d]) / fq, slack)
                 if steps is None:
                     return None
             if steps == 0:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
+from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
 from roundreach.numerics import (
     Angle,
     CycloNum,
@@ -23,8 +24,6 @@ from roundreach.numerics import (
     sign_of_real,
 )
 from roundreach.rounding import (
-    ArgandPoint,
-    ArgandRounding,
     PolarPoint,
     PolarRounding,
     RoundingKind,
@@ -221,29 +220,9 @@ def test_criterion_3_perturbation_preserves_orbits():
 def test_criterion_4_hyperbolic_randomized():
     with criterion(4, "escape-radius decisions match brute force (200 runs)",
                    300.0):
-        rng = random.Random(20260825)
-        moduli = [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3)]
-        shapes = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
-        angles = [Angle(Fraction(0)), Angle(Fraction(1)), Angle(Fraction(1, 2))]
-        kinds = [FL, MU, TR]
-        for trial in range(200):
-            shape = rng.choice(shapes)
-            blocks = tuple(
-                JordanBlock(size, rng.choice(moduli), rng.choice(angles))
-                for size in shape)
-            dim = sum(shape)
-            initial = tuple(
-                ArgandPoint(Fraction(rng.randint(-10, 10)),
-                            Fraction(rng.randint(-10, 10)))
-                for _ in range(dim))
-            target = tuple(
-                ArgandPoint(Fraction(rng.randint(-10, 10)),
-                            Fraction(rng.randint(-10, 10)))
-                for _ in range(dim))
-            system = JnfSystem(blocks, initial, target,
-                               ArgandRounding(kinds[trial % 3]))
+        for system in hyperbolic_corpus():
             tables = block_tables(system)
-            for block, table in zip(blocks, tables):
+            for block, table in zip(system.blocks, tables):
                 margin = abs(block.eigen_modulus - 1)
                 cap = table.ell * (block.size + 1) * (
                     1 + (2 / margin) ** block.size)
@@ -280,22 +259,7 @@ def test_criterion_5_rotation_tower_growth():
 
 def test_criterion_6_polar_randomized():
     with criterion(6, "polar decisions match brute force (100 runs)", 600.0):
-        rng = random.Random(20260826)
-        angles = [Angle(Fraction(1, 2)), Angle(Fraction(1, 3)),
-                  Angle(Fraction(1, 4))]
-        for trial in range(100):
-            size = rng.randint(1, 2)
-            resolution = rng.choice([2, 3, 4])
-            spec = PolarRounding([FL, MU, TR][trial % 3], resolution)
-            blocks = (JordanBlock(size, Fraction(1), rng.choice(angles)),)
-
-            def point():
-                modulus = Fraction(rng.randint(0, 8))
-                index = rng.randint(0, 2 * resolution - 1) if modulus else 0
-                return PolarPoint(modulus, index)
-
-            system = JnfSystem(blocks, tuple(point() for _ in range(size)),
-                               tuple(point() for _ in range(size)), spec)
+        for system in polar_corpus():
             bounds = resource_bounds(system, 0)
             assert all(u >= 0 for u in bounds.modulus_bounds)
             mine = decide_polar(system)
@@ -312,23 +276,9 @@ def test_criterion_6_polar_randomized():
 def test_criterion_7_argand_randomized():
     label = "truncation/expansion match brute force; fixpoints imply axis angles"
     with criterion(7, label, 600.0):
-        rng = random.Random(20260827)
-        angles = [Angle(Fraction(1, 4)), Angle(Fraction(1, 3)),
-                  Angle(Fraction(1, 2))]
-        for trial in range(100):
-            size = rng.randint(1, 2)
-            kind = TR if trial % 2 == 0 else RoundingKind.EXPAND
-            angle = rng.choice(angles)
-            blocks = (JordanBlock(size, Fraction(1), angle),)
-            initial = tuple(
-                ArgandPoint(Fraction(rng.randint(-5, 5)),
-                            Fraction(rng.randint(-5, 5)))
-                for _ in range(size))
-            target = tuple(
-                ArgandPoint(Fraction(rng.randint(-5, 5)),
-                            Fraction(rng.randint(-5, 5)))
-                for _ in range(size))
-            system = JnfSystem(blocks, initial, target, ArgandRounding(kind))
+        for system in argand_corpus():
+            kind = system.rounding.kind
+            angle = system.blocks[0].eigen_angle
             decide = decide_truncation if kind is TR else decide_expansion
             mine = decide(system)
             ref = brute_force_decide(

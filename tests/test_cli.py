@@ -149,6 +149,29 @@ def test_missing_field_rejected(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+# each integer field of the instance format: an example holding it, and
+# the object it sits in
+INTEGER_FIELDS = {
+    "version": (truncation_example, lambda obj: obj),
+    "size": (truncation_example, lambda obj: obj["blocks"][0]),
+    "angle_resolution": (polar_example, lambda obj: obj["rounding"]),
+    "angle_index": (polar_example, lambda obj: obj["initial"][0]),
+}
+
+
+@pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+def test_boolean_integer_field_rejected(tmp_path, capsys, field):
+    # JSON true would otherwise pass as the integer 1
+    example, holder = INTEGER_FIELDS[field]
+    obj = json.loads(serialize_instance(example()))
+    holder(obj)[field] = True
+    path = write(tmp_path, "bool.json", json.dumps(obj))
+    assert main(["decide", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_simulate_prints_states(tmp_path, capsys):
     path = write(tmp_path, "inst.json", serialize_instance(polar_example()))
     assert main(["simulate", path, "--steps", "3"]) == 0

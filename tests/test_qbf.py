@@ -279,14 +279,6 @@ def test_decide_hardness_stops_at_the_first_repeat(monkeypatch):
     assert 0 < len(calls) < bound
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@given(num=st.integers(-200, 200), den=st.integers(1, 60))
-@settings(max_examples=300, deadline=None)
-def test_round_ratio_matches_round_real(family, num, den):
-    # exact halves (den even) separate minimal-error rounding from the rest
-    assert family.round_ratio(num, den) == round_real(Fraction(num, den), family.rounding_kind)
-
-
 @functools.lru_cache(maxsize=None)
 def _small_instance(text, family):
     return compile_qbf(parse_prefix_formula(text), family)

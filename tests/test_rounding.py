@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import fraction_cyclo as ref
 from roundreach.numerics import Angle, CycloNum, embed_polar, modulus_sq, totient
 from roundreach.rounding import (
+    RULES,
     ArgandPoint,
     ArgandRounding,
     PolarPoint,
@@ -105,6 +106,33 @@ def test_round_real_matches_the_recursive_reference(case):
     value, ref_value, g = case
     for kind in RoundingKind:
         assert round_real(value, kind, g) == ref.round_real(ref_value, kind, g), kind
+
+
+@pytest.mark.parametrize("kind", list(RoundingKind))
+@given(num=st.integers(-200, 200), den=st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_rule_ratio_matches_the_recursive_reference(kind, num, den):
+    # exact halves (den even) separate minimal-error rounding from the rest
+    assert RULES[kind].ratio(num, den) == ref.round_real(Fraction(num, den), kind)
+
+
+@pytest.mark.parametrize("kind", list(RoundingKind))
+@given(num=st.integers(-400, 400), den=st.sampled_from([1, 2, 4, 8, 3, 5, 7]),
+       slack=st.sampled_from([0.0, 2.0**-40, 2.0**-20, 0.125, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_rule_bracket_settles_only_to_the_rounding(kind, num, den, slack):
+    value = Fraction(num, den)
+    v = float(value)
+    # the bracket as the float operations form it must hold the value; only
+    # a point bracket on a value no float holds exactly misses it
+    if not Fraction(v - slack) <= value <= Fraction(v + slack):
+        assert slack == 0.0
+        return
+    settled = RULES[kind].bracket(v, slack)
+    assert settled is None or settled == ref.round_real(value, kind), settled
+    if slack == 0.0:
+        # a point bracket settles everything but a directed kind on the grid
+        assert (settled is None) == (kind is not MU and value.denominator == 1)
 
 
 def test_round_value_argand_componentwise():
@@ -223,3 +251,22 @@ def test_kball_count_small_radii():
     # polar at resolution 2: origin plus 4 rays of 2 each
     assert kball_count(Fraction(2), PolarRounding(FL, 2, Fraction(1))) == 9
     assert kball_count(Fraction(0), ArgandRounding(FL, Fraction(1))) == 1
+
+
+@given(radius=st.fractions(min_value=Fraction(-1), max_value=Fraction(7), max_denominator=6),
+       g=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]),
+       resolution=st.sampled_from([None, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_kball_count_matches_lattice_enumeration(radius, g, resolution):
+    reach = math.floor(abs(radius) / g) + 1
+    if resolution is None:
+        spec = ArgandRounding(FL, g)
+        points = [ArgandPoint(a * g, b * g)
+                  for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)]
+    else:
+        spec = PolarRounding(FL, resolution, g)
+        points = [PolarPoint(k * g, i if k else 0)
+                  for k in range(reach + 1) for i in range(2 * resolution)]
+    inside = {p for p in points if is_admissible(p, spec) and p.modulus_sq() <= radius * radius}
+    expect = len(inside) if radius >= 0 else 0
+    assert kball_count(radius, spec) == expect

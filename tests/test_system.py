@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
 from roundreach import system as system_module
+from roundreach.argand_decider import decide_expansion, decide_truncation
 from roundreach.errors import InternalInvariantError, UndecidableTieError
+from roundreach.hyperbolic import decide_hyperbolic_jnf
 from roundreach.numerics import Angle
+from roundreach.polar_decider import decide_polar
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -262,6 +266,24 @@ def test_iterate_brent_phase_is_exact(monkeypatch):
         orbit.append(step_fn(orbit[-1])[0])
     # the concluding state really was seen before
     assert orbit[-1] in orbit[:-1] and repeat < 1000
+
+
+def test_brent_from_the_first_step_keeps_every_decider_verdict(monkeypatch):
+    # the paper's PSPACE bound keeps only polynomially many states: with no
+    # state store Brent's check runs from the first step, finds repeats
+    # later, and must still reach the same verdicts within every cap
+    cases = [(decide_hyperbolic_jnf, s) for s in hyperbolic_corpus()]
+    cases += [(decide_polar, s) for s in polar_corpus()]
+    cases += [(decide_truncation if s.rounding.kind is TR else decide_expansion, s)
+              for s in argand_corpus()]
+    stored = [decide(s) for decide, s in cases]
+    monkeypatch.setattr(system_module, "STATE_STORE_LIMIT", 0)
+    for (decide, s), verdict in zip(cases, stored):
+        if isinstance(verdict, Reached):
+            assert decide(s) == verdict, s
+        else:
+            assert isinstance(verdict, NotReached), s
+            assert isinstance(decide(s), NotReached), s
 
 
 def test_orbit_shape_ends_unresolved_at_an_undecidable_tie():
