@@ -106,7 +106,16 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _array(value, what: str) -> list:
+    # a JSON string iterates as its characters
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def _require_fields(obj: dict, required: Sequence[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise ValueError(f"{what} is missing field(s) {missing}")
@@ -195,10 +204,11 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(spec, ArgandRounding):
             raise ValueError("a rational-matrix instance needs componentwise rounding")
         matrix = tuple(
-            tuple(_parse_rational(c) for c in row) for row in obj["matrix"]
+            tuple(_parse_rational(c) for c in _array(row, "a matrix row"))
+            for row in _array(obj["matrix"], "matrix")
         )
-        initial = tuple(_parse_rational(v) for v in obj["initial"])
-        target = tuple(_parse_rational(v) for v in obj["target"])
+        initial = tuple(_parse_rational(v) for v in _array(obj["initial"], "initial"))
+        target = tuple(_parse_rational(v) for v in _array(obj["target"], "target"))
         return RationalSystem(matrix, initial, target, spec)
     if kind == "jnf":
         _require_fields(
@@ -208,7 +218,7 @@ def parse_instance(text: str) -> Instance:
         )
         spec = _parse_rounding(obj["rounding"])
         blocks = []
-        for entry in obj["blocks"]:
+        for entry in _array(obj["blocks"], "blocks"):
             _require_fields(entry, ("size", "modulus", "angle"), "jordan block")
             blocks.append(
                 JordanBlock(
@@ -217,8 +227,8 @@ def parse_instance(text: str) -> Instance:
                     _parse_angle(entry["angle"]),
                 )
             )
-        initial = tuple(_parse_point(p, spec) for p in obj["initial"])
-        target = tuple(_parse_point(p, spec) for p in obj["target"])
+        initial = tuple(_parse_point(p, spec) for p in _array(obj["initial"], "initial"))
+        target = tuple(_parse_point(p, spec) for p in _array(obj["target"], "target"))
         return JnfSystem(tuple(blocks), initial, target, spec)
     raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -262,7 +272,7 @@ def serialize_instance(system: Instance) -> str:
 class Route:
     """The decider covering an instance and the fragment whose tables and
     step cap it runs on; fragment is None for a rational-matrix system,
-    which is decided in its eigenbasis."""
+    whose tables are built in its eigenbasis."""
 
     decide: Callable[[Instance], Verdict]
     fragment: Optional[Fragment]
@@ -388,7 +398,7 @@ def _table_lines(chosen: Route, system: Instance) -> list[str]:
     fragment = chosen.fragment
     if fragment is None:
         basis, tables, cap = eigenbasis(system)
-        lines = [f"eigenbasis rounding effect: {_rational_str(basis.conj.delta)}"]
+        lines = [f"eigenbasis rounding effect: {_rational_str(basis.delta)}"]
         blocks, proved = basis.blocks, True
     else:
         tables = fragment.tables(system)

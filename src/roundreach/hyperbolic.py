@@ -19,9 +19,9 @@ from .rounding import (
     ArgandRounding,
     GridPoint,
     RoundingSpec,
+    effect_bound,
     kball_count,
     modulus_effect_bound,
-    round_real,
 )
 from .system import (
     BlockAnalyzer,
@@ -32,6 +32,7 @@ from .system import (
     RationalSystem,
     Verdict,
     iterate,
+    orbit_step,
     run_lock_step,
 )
 
@@ -153,14 +154,14 @@ def _block_is_real(system: JnfSystem, block: JordanBlock, start: int, end: int) 
 def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTable:
     """Escape radii of one block: the one place they are built.
 
-    In an eigenbasis the effect bound is the conjugated rounding's; on the
-    grid it is the modulus effect bound, the real-only one for a real block
-    under componentwise rounding.
+    In an eigenbasis the effect bound is the basis's delta; on the grid it
+    is the modulus effect bound, the real-only one for a real block under
+    componentwise rounding.
     """
     block = system.blocks[index]
     start, end = system.block_slices()[index]
     if isinstance(system, Eigenbasis):
-        delta = system.conj.delta
+        delta = system.delta
     else:
         real_only = _block_is_real(system, block, start, end)
         delta = modulus_effect_bound(system.rounding, real_only=real_only)
@@ -248,7 +249,7 @@ def decide_hyperbolic_jnf(system: JnfSystem) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Rational matrices: exact linear algebra, Jordan form, conjugated rounding
+# Rational matrices: exact linear algebra, Jordan form, the Jordan basis
 
 
 def mat_vec(m: RationalMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -289,38 +290,9 @@ def max_abs_row_sum(m: RationalMatrix) -> Fraction:
     return max(sum((abs(v) for v in row), Fraction(0)) for row in m)
 
 
-@dataclass(frozen=True)
-class ConjugatedRounding:
-    """The rounding seen in the eigenbasis: z + P^-1 (round(P z) - P z).
-
-    delta bounds the per-component effect: the grid effect bound scaled by the
-    maximum absolute row sum of P^-1.
-    """
-
-    p: RationalMatrix
-    p_inverse: RationalMatrix
-    spec: ArgandRounding
-    delta: Fraction
-
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        pv = mat_vec(self.p, v)
-        err = [
-            round_real(x, self.spec.kind, self.spec.granularity) - x for x in pv
-        ]
-        corr = mat_vec(self.p_inverse, err)
-        return tuple(x + c for x, c in zip(v, corr))
-
-
-def conjugate_rounding(p: RationalMatrix, spec: ArgandRounding) -> ConjugatedRounding:
-    from .rounding import effect_bound
-
-    p_inv = mat_inv(p)
-    delta = effect_bound(spec) * max_abs_row_sum(p_inv)
-    return ConjugatedRounding(p, p_inv, spec, delta)
-
-
 def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
-    """Exact Jordan decomposition M = P J P^-1 over the rationals.
+    """Exact Jordan decomposition M = P J P^-1 over the rationals, checked
+    as M P = P J (sympy's P is invertible).
 
     Raises NonRationalSpectrumError when an eigenvalue is not rational.
     """
@@ -338,8 +310,7 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
         tuple(Fraction(int(j_sym[i, j2].p), int(j_sym[i, j2].q)) for j2 in range(n))
         for i in range(n)
     )
-    recon = mat_mul(mat_mul(p, j), mat_inv(p))
-    if recon != tuple(tuple(row) for row in matrix):
+    if mat_mul(matrix, p) != mat_mul(p, j):
         raise InternalInvariantError("Jordan reconstruction mismatch")
     return p, j
 
@@ -374,41 +345,38 @@ def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """A rational-matrix system in its Jordan basis z = P^-1 x, where it
-    steps as z' = J z + P^-1 (round(P J z) - P J z) exactly."""
+    """Where a rational-matrix system is watched: its Jordan basis
+    z = P^-1 x, with the blocks of J, start and target in z, and delta,
+    the rounding's effect bound there (the grid's scaled by the maximum
+    absolute row sum of P^-1)."""
 
-    conj: ConjugatedRounding
-    j: RationalMatrix
+    p_inverse: RationalMatrix
+    delta: Fraction
     blocks: tuple[JordanBlock, ...]
     initial: tuple[Fraction, ...]
     target: tuple[Fraction, ...]
+    rounding: ArgandRounding
 
     block_slices = JnfSystem.block_slices
 
-    @property
-    def rounding(self) -> ArgandRounding:
-        return self.conj.spec
-
-    def step(self, z: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], None]:
-        return self.conj.apply(mat_vec(self.j, z)), None
-
 
 def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], int]:
-    """The system in its Jordan basis, every block's escape radii there, and
-    a proved bound on the number of distinct states.
+    """The system's Jordan basis, every block's escape radii there, and a
+    proved bound on the number of distinct states.
 
     The bound counts grid points x = P z in the box the radii span.  A
     modulus-one eigenvalue raises ModulusOneSpectrumError, a non-rational
     one NonRationalSpectrumError.
     """
     p, j = jnf_rational(system.matrix)
-    conj = conjugate_rounding(p, system.rounding)
+    p_inverse = mat_inv(p)
     basis = Eigenbasis(
-        conj,
-        j,
+        p_inverse,
+        effect_bound(system.rounding) * max_abs_row_sum(p_inverse),
         tuple(parse_jordan_blocks(j)),
-        mat_vec(conj.p_inverse, system.initial),
-        mat_vec(conj.p_inverse, system.target),
+        mat_vec(p_inverse, system.initial),
+        mat_vec(p_inverse, system.target),
+        system.rounding,
     )
     tables = [escape_table(basis, i) for i in range(len(basis.blocks))]
     all_radii = [c for table in tables for c in table.radii]
@@ -421,13 +389,15 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
 
 
 class _EigenbasisEscape:
-    """Certifies NO once an eigenbasis coordinate meets its escape radius."""
+    """Certifies NO once a coordinate of z = P^-1 x meets its escape radius."""
 
-    def __init__(self, radii_flat: Sequence[Fraction]) -> None:
+    def __init__(self, p_inverse: RationalMatrix, radii_flat: Sequence[Fraction]) -> None:
+        self.p_inverse = p_inverse
         self.radii = radii_flat
 
     def observe_initial(self, state: Sequence[Fraction]) -> Optional[Certificate]:
-        for d, (v, c) in enumerate(zip(state, self.radii)):
+        z = mat_vec(self.p_inverse, state)
+        for d, (v, c) in enumerate(zip(z, self.radii)):
             if abs(v) >= c:
                 return EscapedRadius(d, c)
         return None
@@ -437,18 +407,22 @@ class _EigenbasisEscape:
 
 
 def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
-    """Decide a rational-matrix system by passing to the eigenbasis.
+    """Decide a rational-matrix system on its own orbit, watched in its
+    Jordan basis.
 
     The update matrix must have a rational spectrum with no modulus-one
-    eigenvalue. The conjugated system is simulated exactly; its escape radii
-    use the conjugated effect bound.
+    eigenvalue.  The orbit x(i+1) = [M x(i)] is stepped exactly; each
+    state's z = P^-1 x is checked against escape radii that use the
+    effect bound of the rounding seen in that basis.
     """
     basis, tables, cap = eigenbasis(system)
-    escape = _EigenbasisEscape([c for table in tables for c in table.radii])
+    escape = _EigenbasisEscape(
+        basis.p_inverse, [c for table in tables for c in table.radii]
+    )
     return iterate(
-        basis.step,
-        basis.initial,
-        basis.target,
+        orbit_step(system),
+        system.initial,
+        system.target,
         [escape],
         cap=cap,
         cap_is_state_bound=True,

@@ -59,33 +59,6 @@ def gamma_exceeds_right_angle(unrounded: CycloNum, rotated: CycloNum) -> bool:
     return sign_of_real(inner) < 0
 
 
-def just_rotating_check(
-    window: Sequence[Sequence[PolarPoint]],
-    k: int,
-    eigen_angle: Angle,
-    resolution: int,
-) -> bool:
-    """Whether the last two states witness that block dimension k has
-    settled into pure rotation: equal separation angles and equal modulus.
-
-    The bottom dimension rotates from the start by definition, so k there
-    returns True outright.  Dimensions below k must already be rotating for
-    the witness to be meaningful.
-    """
-    size = len(window[-1])
-    if k == size - 1:
-        return True
-    older, newer = window[-2], window[-1]
-    if older[k].modulus != newer[k].modulus:
-        return False
-    for state in (older, newer):
-        if state[k].is_zero() or state[k + 1].is_zero():
-            return False
-    phi_old = phi_angle(older[k], eigen_angle, older[k + 1], resolution)
-    phi_new = phi_angle(newer[k], eigen_angle, newer[k + 1], resolution)
-    return phi_old.pi_multiple == phi_new.pi_multiple
-
-
 def divergence_stop(
     upper_modulus: Fraction,
     lower_modulus: Fraction,

@@ -90,19 +90,21 @@ def parse_theta(text: str) -> Theta:
     if not body.endswith("pi"):
         raise ValueError(f"angle descriptor must end in 'pi': {text!r}")
     body = body[:-2].strip()
-    m = _RATIONAL_RE.match(body)
-    if m:
+    m = _RATIONAL_RE.match(body) or _POWER_RE.match(body)
+    if m is None:
+        raise ValueError(f"cannot parse angle descriptor {text!r}")
+    # every group after the first is a denominator or divisor
+    if any(part is not None and int(part) == 0 for part in m.groups()[1:]):
+        raise ValueError(f"zero denominator in angle descriptor {text!r}")
+    if m.re is _RATIONAL_RE:
         num = int(m.group(1))
         den = int(m.group(2) or 1)
         return Angle(Fraction(num, den) % 2)
-    m = _POWER_RE.match(body)
-    if m:
-        exponent = Fraction(int(m.group(1)), int(m.group(2)))
-        divisor = int(m.group(3) or 1)
-        if exponent.denominator == 1:
-            return Angle(Fraction(2 ** exponent.numerator, divisor) % 2)
-        return IrrationalTheta(exponent, divisor)
-    raise ValueError(f"cannot parse angle descriptor {text!r}")
+    exponent = Fraction(int(m.group(1)), int(m.group(2)))
+    divisor = int(m.group(3) or 1)
+    if exponent.denominator == 1:
+        return Angle(Fraction(2 ** exponent.numerator, divisor) % 2)
+    return IrrationalTheta(exponent, divisor)
 
 
 def _theta_descriptor(theta: Theta) -> str:

@@ -62,6 +62,8 @@ class JnfSystem:
     rounding: RoundingSpec
 
     def __post_init__(self) -> None:
+        if not self.blocks:
+            raise ValueError("a system needs at least one dimension")
         dim = sum(b.size for b in self.blocks)
         if len(self.initial) != dim or len(self.target) != dim:
             raise ValueError("initial/target length must match total dimension")
@@ -242,22 +244,12 @@ class StepKernel:
             out.append(update(state[j], y) or self._exact_round(state, j))
         return tuple(out)
 
-    def exact(
-        self,
-        state: Sequence[tuple[int, int]],
-        j: int,
-        order: Optional[int] = None,
-        eigen: Optional[Sequence[CycloNum]] = None,
-    ) -> CycloNum:
+    def exact(self, state: Sequence[tuple[int, int]], j: int) -> CycloNum:
         """The exact w = lambda*v_j + v_(j+1) for an integer state, in the
-        order-th field (the system's by default); eigen, when given, holds
-        each block's eigenvalue in that field."""
-        order = order or self.order
+        system's field."""
+        order = self.order
         nxt, _update, b = self.plan[j]
-        if eigen is None:
-            lam = self.system.eigen_value(self.system.blocks[b], order)
-        else:
-            lam = eigen[b]
+        lam = self.system.eigen_value(self.system.blocks[b], order)
         w = lam * point_value(self._point(state[j]), self.spec, order)
         if nxt is not None:
             w = w + point_value(self._point(state[nxt]), self.spec, order)
@@ -417,36 +409,30 @@ def _field_steps(angle: Angle, order: int) -> int:
 
 
 def step_with_intermediates(
-    system: JnfSystem,
-    state: tuple[GridPoint, ...],
-    order: Optional[int] = None,
-    eigen_cache: Optional[list[CycloNum]] = None,
+    system: JnfSystem, state: tuple[GridPoint, ...]
 ) -> tuple[tuple[GridPoint, ...], Sequence[CycloNum]]:
-    """One rounded step; also returns the exact pre-rounding values, as a
-    sequence that computes each one only when it is read.  order and
-    eigen_cache, when given, are the field those values are expressed in
-    and each block's eigenvalue there."""
+    """One rounded step; also returns the exact pre-rounding values, in the
+    system's field, as a sequence that computes each one only when it is
+    read."""
     kernel = system.kernel
     ints = kernel.encode(state)
-    return kernel.decode(kernel.step(ints)), _Unrounded(kernel, ints, order, eigen_cache)
+    return kernel.decode(kernel.step(ints)), _Unrounded(kernel, ints)
 
 
 class _Unrounded(Sequence):
     """The exact pre-rounding values of one step, computed on access."""
 
-    __slots__ = ("kernel", "state", "order", "eigen")
+    __slots__ = ("kernel", "state")
 
-    def __init__(self, kernel: StepKernel, state, order, eigen) -> None:
+    def __init__(self, kernel: StepKernel, state) -> None:
         self.kernel = kernel
         self.state = state
-        self.order = order
-        self.eigen = eigen
 
     def __len__(self) -> int:
         return len(self.state)
 
     def __getitem__(self, j: int) -> CycloNum:
-        return self.kernel.exact(self.state, j, self.order, self.eigen)
+        return self.kernel.exact(self.state, j)
 
 
 def step(system: JnfSystem, state: tuple[GridPoint, ...]) -> tuple[GridPoint, ...]:
@@ -473,6 +459,8 @@ class RationalSystem:
 
     def __post_init__(self) -> None:
         n = len(self.matrix)
+        if n == 0:
+            raise ValueError("a system needs at least one dimension")
         if any(len(row) != n for row in self.matrix):
             raise ValueError("matrix must be square")
         if len(self.initial) != n or len(self.target) != n:
@@ -593,17 +581,17 @@ def iterate(
     target: Any,
     observers: Sequence[BlockAnalyzer],
     *,
-    cap: Optional[int],
+    cap: int,
     cap_is_state_bound: bool,
 ) -> Verdict:
     """Run the orbit of start under step until a conclusion.
 
     step(state) returns (new state, unrounded values); observers follow
     BlockAnalyzer.  Conclusions, in order of checking per step: target hit,
-    an observer certificate, an exact state repeat.  A cap (None for none)
-    is checked before each step.  cap_is_state_bound True means the cap is
-    a proved bound on the number of distinct reachable states, so reaching
-    it without a repeat is a sound cycle conclusion; False makes it an
+    an observer certificate, an exact state repeat.  The cap is checked
+    before each step.  cap_is_state_bound True means the cap is a proved
+    bound on the number of distinct reachable states, so reaching it
+    without a repeat is a sound cycle conclusion; False makes it an
     internal error.
 
     Repeats are found exactly by a dict of every state seen while it holds
@@ -622,7 +610,7 @@ def iterate(
     state = start
     i = 0
     while True:
-        if cap is not None and i >= cap:
+        if i >= cap:
             if cap_is_state_bound:
                 return NotReached(CycleDetected(cap))
             raise InternalInvariantError(
@@ -701,8 +689,8 @@ def run_lock_step(
     system: JnfSystem,
     analyzers: Sequence[BlockAnalyzer],
     *,
-    step_cap: Optional[int] = None,
-    cap_is_state_bound: bool = False,
+    step_cap: int,
+    cap_is_state_bound: bool,
 ) -> Verdict:
     """Drive the shared orbit of a Jordan-form system, feeding every
     analyzer, until a conclusion (see iterate)."""

@@ -1,4 +1,5 @@
-"""The seeded decider corpora of acceptance criteria 4, 6 and 7.
+"""The seeded decider corpora of acceptance criteria 4, 6 and 7, and the
+rational-matrix corpus of the hyperbolic tests.
 
 Each generator yields the same systems, in the same order, every run.
 """
@@ -6,6 +7,7 @@ Each generator yields the same systems, in the same order, every run.
 import random
 from fractions import Fraction
 
+from roundreach.hyperbolic import mat_inv, mat_mul
 from roundreach.numerics import Angle
 from roundreach.rounding import (
     ArgandPoint,
@@ -14,7 +16,7 @@ from roundreach.rounding import (
     PolarRounding,
     RoundingKind,
 )
-from roundreach.system import JnfSystem, JordanBlock
+from roundreach.system import JnfSystem, JordanBlock, RationalSystem
 
 FL, MU, TR = (RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP,
               RoundingKind.TRUNCATE)
@@ -84,3 +86,42 @@ def argand_corpus():
                         Fraction(rng.randint(-5, 5)))
             for _ in range(size))
         yield JnfSystem(blocks, initial, target, ArgandRounding(kind))
+
+
+def rational_matrices():
+    """Without end: (P D P^-1, eigenvalues) for an integer P drawn until
+    it is invertible and a diagonal D over {1/2, 2, 3, -2}, in one to
+    three dimensions."""
+    rng = random.Random(37)
+    while True:
+        n = rng.randint(1, 3)
+        eigs = [rng.choice([Fraction(1, 2), Fraction(2), Fraction(3), Fraction(-2)])
+                for _ in range(n)]
+        while True:
+            p = tuple(
+                tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)
+            )
+            try:
+                p_inv = mat_inv(p)
+                break
+            except ValueError:
+                continue
+        d = tuple(
+            tuple(eigs[i] if i == j else Fraction(0) for j in range(n))
+            for i in range(n)
+        )
+        yield mat_mul(mat_mul(p, d), p_inv), eigs
+
+
+def rational_corpus():
+    """200 rational-matrix systems on the first 200 rational_matrices, with
+    start and target coordinates drawn like criterion 4's from a stream of
+    their own (so the matrices stay those rational_matrices yields) and
+    the rounding kind cycling floor, minimal error, truncation."""
+    rng = random.Random(38)
+    kinds = [FL, MU, TR]
+    for trial, (matrix, _eigs) in zip(range(200), rational_matrices()):
+        n = len(matrix)
+        initial = tuple(Fraction(rng.randint(-10, 10)) for _ in range(n))
+        target = tuple(Fraction(rng.randint(-10, 10)) for _ in range(n))
+        yield RationalSystem(matrix, initial, target, ArgandRounding(kinds[trial % 3]))

@@ -172,6 +172,45 @@ def test_boolean_integer_field_rejected(tmp_path, capsys, field):
     assert field in captured.err
 
 
+# a malformed value for each array field and for the objects it holds:
+# an example holding the field, and the fields put in its place
+NO_POINTS = {"initial": [], "target": []}
+MALFORMED_FIELDS = {
+    "matrix-string": (rational_example, {"matrix": "1234"}),
+    "matrix-string-rows": (rational_example, {"matrix": ["12", "34"]}),
+    "matrix-number-row": (rational_example, {"matrix": [5]}),
+    "matrix-empty": (rational_example, {"matrix": [], **NO_POINTS}),
+    "rational-initial": (rational_example, {"initial": "97"}),
+    "rational-target": (rational_example, {"target": "00"}),
+    "blocks-string": (truncation_example, {"blocks": "1"}),
+    "blocks-number-entry": (truncation_example, {"blocks": [5]}),
+    "blocks-empty": (truncation_example, {"blocks": [], **NO_POINTS}),
+    "jnf-initial": (truncation_example, {"initial": "3"}),
+    "jnf-target": (truncation_example, {"target": "0"}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FIELDS))
+def test_malformed_field_rejected(tmp_path, capsys, case):
+    # a string would otherwise be read as the list of its characters
+    example, fields = MALFORMED_FIELDS[case]
+    obj = json.loads(serialize_instance(example()))
+    obj.update(fields)
+    path = write(tmp_path, "bad.json", json.dumps(obj))
+    for command in ("decide", "bounds", "simulate"):
+        argv = [command, path] + (["--steps", "2"] if command == "simulate" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("theta", ["1/0 pi", "2^(1/0) pi", "2^(1/2)/0 pi"])
+def test_rotate_rejects_zero_denominator(capsys, theta):
+    assert main(["rotate", "--radius", "2", "--theta", theta]) == 1
+    assert capsys.readouterr().err.startswith("error: zero denominator")
+
+
 def test_simulate_prints_states(tmp_path, capsys):
     path = write(tmp_path, "inst.json", serialize_instance(polar_example()))
     assert main(["simulate", path, "--steps", "3"]) == 0

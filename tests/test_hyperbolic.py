@@ -1,15 +1,18 @@
 """Escape-radius analysis away from the unit circle, plus exact linear algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from corpora import rational_corpus, rational_matrices
+from roundreach import hyperbolic
 from roundreach.errors import ModulusOneSpectrumError, NonRationalSpectrumError
 from roundreach.hyperbolic import (
-    conjugate_rounding,
     decide_hyperbolic_general,
     decide_hyperbolic_jnf,
+    eigenbasis,
     jnf_rational,
     mat_inv,
     mat_mul,
@@ -24,9 +27,12 @@ from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
     RoundingKind,
+    effect_bound,
     modulus_effect_bound,
+    round_real,
 )
 from roundreach.system import (
+    CycleDetected,
     EscapedRadius,
     JnfSystem,
     JordanBlock,
@@ -37,6 +43,9 @@ from roundreach.system import (
 )
 
 FL, MU, TR = RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP, RoundingKind.TRUNCATE
+
+# oracle runs of rational_corpus that conclude within 200 steps, as measured
+CONCLUSIVE_FLOOR = 24
 
 
 def A(re, im=0):
@@ -128,26 +137,7 @@ def test_mat_inv_rejects_singular():
 
 
 def test_jnf_rational_reconstructs():
-    rng = random.Random(37)
-    for _ in range(20):
-        # build a matrix with known rational spectrum, then recover it
-        n = rng.randint(1, 3)
-        eigs = [rng.choice([Fraction(1, 2), Fraction(2), Fraction(3), Fraction(-2)])
-                for _ in range(n)]
-        while True:
-            p = tuple(
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)
-            )
-            try:
-                p_inv = mat_inv(p)
-                break
-            except ValueError:
-                continue
-        d = tuple(
-            tuple(eigs[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        m = mat_mul(mat_mul(p, d), p_inv)
+    for m, eigs in itertools.islice(rational_matrices(), 20):
         p2, j2 = jnf_rational(m)
         assert mat_mul(mat_mul(p2, j2), mat_inv(p2)) == m
         blocks = parse_jordan_blocks(j2)
@@ -174,19 +164,55 @@ def test_parse_jordan_blocks_shapes():
     ]
 
 
-def test_conjugate_rounding_lands_on_grid_through_p():
-    from roundreach.rounding import round_real
+def _conjugated_step(p, p_inverse, j, spec, z):
+    """Reference: the orbit stepped in the Jordan basis itself,
+    z' = J z + P^-1 (round(P J z) - P J z)."""
+    jz = mat_vec(j, z)
+    pjz = mat_vec(p, jz)
+    err = [round_real(x, spec.kind, spec.granularity) - x for x in pjz]
+    return tuple(a + b for a, b in zip(jz, mat_vec(p_inverse, err)))
 
-    p = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    spec = ArgandRounding(FL, Fraction(1))
-    conj = conjugate_rounding(p, spec)
-    assert conj.delta == max_abs_row_sum(mat_inv(p)) * 1
-    v = (Fraction(5, 2), Fraction(7, 3))
-    moved = conj.apply(v)
-    # the conjugated move is exactly grid rounding in the original basis
-    assert mat_vec(p, moved) == tuple(
-        round_real(x, spec.kind, spec.granularity) for x in mat_vec(p, v)
-    )
+
+def test_decider_orbit_is_the_conjugated_orbit_through_p(monkeypatch):
+    runs = []
+
+    def capture(step, start, target, observers, *, cap, cap_is_state_bound):
+        runs.append((step, start))
+        return NotReached(CycleDetected(cap))
+
+    monkeypatch.setattr(hyperbolic, "iterate", capture)
+    for system in rational_corpus():
+        p, j = jnf_rational(system.matrix)
+        p_inverse = mat_inv(p)
+        basis = eigenbasis(system)[0]
+        assert basis.delta == effect_bound(system.rounding) * max_abs_row_sum(p_inverse)
+        decide_hyperbolic_general(system)
+        (step, x), = runs
+        runs.clear()
+        assert x == system.initial
+        z = basis.initial
+        for _ in range(8):
+            x = step(x)[0]
+            z = _conjugated_step(p, p_inverse, j, system.rounding, z)
+            assert mat_vec(basis.p_inverse, x) == z, system
+
+
+def test_decide_general_agrees_with_brute_force():
+    bound = 200
+    conclusive = 0
+    for system in rational_corpus():
+        mine = decide_hyperbolic_general(system)
+        ref = brute_force_decide(system, step_bound=bound)
+        if ref == NotReached(CycleDetected(bound)):
+            # the oracle ran out of steps: no hit within them
+            assert not (isinstance(mine, Reached) and mine.step <= bound), (system, mine)
+            continue
+        conclusive += 1
+        assert isinstance(mine, Reached) == isinstance(ref, Reached), (system, mine, ref)
+        if isinstance(mine, Reached):
+            assert mine == ref
+    print(f"rational corpus: {conclusive} of 200 oracle runs conclusive")
+    assert conclusive >= CONCLUSIVE_FLOOR
 
 
 def test_decide_general_matches_diagonal_case():

@@ -16,7 +16,6 @@ from roundreach.polar_decider import (
     decide_polar,
     divergence_stop,
     gamma_exceeds_right_angle,
-    just_rotating_check,
     phi_angle,
     polar_step_cap,
     resource_bounds,
@@ -66,21 +65,6 @@ def test_gamma_exceeds_right_angle():
                         (Fraction(3, 4), True), (Fraction(1), True)):
         w = embed_polar(Fraction(5), Angle(num), 8)
         assert gamma_exceeds_right_angle(w, a) is expect, num
-
-
-def test_just_rotating_check_cases():
-    settled = [
-        [P(4, 0), P(4, 1)],
-        [P(4, 1), P(4, 2)],
-    ]
-    assert just_rotating_check(settled, 0, Angle(HALF), 2)
-    # the bottom dimension rotates by definition
-    assert just_rotating_check(settled, 1, Angle(HALF), 2)
-    growing = [
-        [P(4, 0), P(4, 1)],
-        [P(5, 1), P(4, 2)],
-    ]
-    assert not just_rotating_check(growing, 0, Angle(HALF), 2)
 
 
 def test_divergence_stop_frozen():

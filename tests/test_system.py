@@ -91,9 +91,7 @@ def test_simulate_length_and_step_consistency():
     assert len(states) == 7
     for a, b in zip(states, states[1:]):
         assert step(system, a) == b
-    order = system.field_order()
-    eigen = [system.eigen_value(b, order) for b in system.blocks]
-    new, unrounded = step_with_intermediates(system, states[0], order, eigen)
+    new, unrounded = step_with_intermediates(system, states[0])
     assert new == states[1]
     assert len(unrounded) == system.dimension
 
