@@ -341,13 +341,11 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
         return None
 
 
-def argand_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
+def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
     """Safety-net step bound: per-block budgets, target-distance slack for
     the scheduled divergences, and a joint state count for the cycle, read
-    off the blocks' tables (built here when none are given)."""
+    off the blocks' tables."""
     spec = system.rounding
-    if tables is None:
-        tables = TRUNCATION.tables(system)
     settle = 0
     states = 1
     for (start, end), table in zip(system.block_slices(), tables):

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import GadgetBrokenError, InternalInvariantError
 from .rounding import RULES, ArgandRounding, RoundingKind
@@ -283,7 +282,9 @@ def parse_prefix_formula(text: str) -> QbfFormula:
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
-    """Parse QDIMACS; free variables bind existentially at the front."""
+    """Parse QDIMACS; free variables bind existentially at the front.  Every
+    variable must lie in 1..n of the 'p cnf n m' line, and every clause,
+    the last one included, must end in 0."""
     header = None
     prefix: list[tuple[str, int]] = []
     clause_tokens: list[int] = []
@@ -308,12 +309,20 @@ def parse_qdimacs(text: str) -> QbfFormula:
         clause_tokens.extend(int(tok) for tok in line.split())
     if header is None:
         raise ValueError("missing 'p cnf' line")
+    n = header[0]
+    for _q, v in prefix:
+        if not 1 <= v <= n:
+            raise ValueError(f"quantified variable {v} is outside 1..{n}")
     clauses: list[list[int]] = [[]]
     for lit in clause_tokens:
+        if abs(lit) > n:
+            raise ValueError(f"literal {lit} names a variable past {n}")
         if lit == 0:
             clauses.append([])
         else:
             clauses[-1].append(lit)
+    if clauses[-1]:
+        raise ValueError("the last clause does not end in 0")
     clauses = [c for c in clauses if c]
     if len(clauses) != header[1]:
         raise ValueError(f"expected {header[1]} clauses, found {len(clauses)}")
@@ -368,9 +377,17 @@ _FAMILY_KINDS = {
 }
 
 
-CONST = -1  # placeholder column resolved to the constant-true slot
+# A row (terms, denominator): sorted (column, numerator) pairs, none zero, over
+# one positive denominator.  It reads sum(numerator * state[column]) / denominator.
+IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
-Row = dict[int, Fraction]
+# Each family's or and and gates, in that order, as (denominator, constant
+# numerator): the gate rounds (constant + u + v) / denominator.
+_GATES = {
+    GadgetFamily.FLOOR: ((2, 1), (3, 1)),
+    GadgetFamily.CEIL: ((2, 0), (2, -1)),
+    GadgetFamily.MINIMAL_ERROR: ((3, 1), (3, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -398,83 +415,50 @@ class Operand:
         return Operand(const=False)
 
 
-def _accumulate(row: Row, operand: Operand, scale: Fraction) -> None:
-    if operand.const is not None:
-        if operand.const:
-            row[CONST] = row.get(CONST, Fraction(0)) + scale
-        return
-    if operand.negated:
-        row[CONST] = row.get(CONST, Fraction(0)) + scale
-        row[operand.var] = row.get(operand.var, Fraction(0)) - scale
-    else:
-        row[operand.var] = row.get(operand.var, Fraction(0)) + scale
+def _row(one: int, den: int, const: int, *signed: tuple[int, Operand]) -> IntegerRow:
+    """(const + sum of sign * operand) / den, where column one holds 1: a
+    constant operand and the 1 in a negation (1 - x) add to that column."""
+    acc = {one: const}
+    for sign, operand in signed:
+        if operand.var is None:
+            acc[one] += sign * operand.const
+            continue
+        if operand.negated:
+            acc[one] += sign
+            sign = -sign
+        acc[operand.var] = acc.get(operand.var, 0) + sign
+    return tuple(sorted((col, num) for col, num in acc.items() if num)), den
 
 
-def _finish(row: Row) -> Row:
-    return {k: v for k, v in row.items() if v}
+def or_row(family: GadgetFamily, u: Operand, v: Operand, one: int) -> IntegerRow:
+    den, const = _GATES[family][0]
+    return _row(one, den, const, (1, u), (1, v))
 
 
-def or_row(family: GadgetFamily, u: Operand, v: Operand) -> Row:
-    row: Row = {}
-    if family is GadgetFamily.FLOOR:
-        scale = Fraction(1, 2)
-        row[CONST] = scale
-    elif family is GadgetFamily.CEIL:
-        scale = Fraction(1, 2)
-    else:
-        scale = Fraction(1, 3)
-        row[CONST] = scale
-    _accumulate(row, u, scale)
-    _accumulate(row, v, scale)
-    return _finish(row)
+def and_row(family: GadgetFamily, u: Operand, v: Operand, one: int) -> IntegerRow:
+    den, const = _GATES[family][1]
+    return _row(one, den, const, (1, u), (1, v))
 
 
-def and_row(family: GadgetFamily, u: Operand, v: Operand) -> Row:
-    row: Row = {}
-    if family is GadgetFamily.FLOOR:
-        scale = Fraction(1, 3)
-        row[CONST] = scale
-    elif family is GadgetFamily.CEIL:
-        scale = Fraction(1, 2)
-        row[CONST] = -scale
-    else:
-        scale = Fraction(1, 3)
-    _accumulate(row, u, scale)
-    _accumulate(row, v, scale)
-    return _finish(row)
+def not_row(u: Operand, one: int) -> IntegerRow:
+    return _row(one, 1, 1, (-1, u))
 
 
-def not_row(u: Operand) -> Row:
-    row: Row = {}
-    row[CONST] = Fraction(1)
-    _accumulate(row, u, Fraction(-1))
-    return _finish(row)
+def copy_row(u: Operand, one: int) -> IntegerRow:
+    return _row(one, 1, 0, (1, u))
 
 
-def copy_row(u: Operand) -> Row:
-    row: Row = {}
-    _accumulate(row, u, Fraction(1))
-    return _finish(row)
+def zero_row() -> IntegerRow:
+    return (), 1
 
 
-def zero_row() -> Row:
-    return {}
-
-
-IntegerRow = tuple[tuple[tuple[int, int], ...], int]
-
-
-def integer_row(row: Collection[tuple[int, Fraction]], factor: Fraction = Fraction(1)) -> IntegerRow:
-    """A sparse row times factor as integer numerators over one positive
-    common denominator: ((col, numerator), ...), denominator.  The terms need
-    not be in lowest terms: scaling a sum and its denominator alike changes
-    none of the family roundings."""
-    base = math.lcm(*(coeff.denominator for _col, coeff in row))
-    terms = tuple(
-        (col, coeff.numerator * (base // coeff.denominator) * factor.numerator)
-        for col, coeff in row
-    )
-    return terms, base * factor.denominator
+def scaled_row(row: IntegerRow, factor: Fraction) -> IntegerRow:
+    """The row times a positive factor, still over one positive denominator.
+    The terms need not be in lowest terms: scaling a sum and its denominator
+    alike changes none of the family roundings."""
+    terms, den = row
+    return (tuple((col, num * factor.numerator) for col, num in terms),
+            den * factor.denominator)
 
 
 def round_row(row: IntegerRow, state: Sequence[int] | Mapping[int, int],
@@ -562,7 +546,7 @@ class VarLayout:
         raise IndexError(idx)
 
 
-Instruction = dict[int, Row]
+Instruction = dict[int, IntegerRow]
 
 
 @dataclass(frozen=True)
@@ -586,15 +570,6 @@ class Program:
         return len(self.instructions)
 
 
-def _resolve_const(row: Row, layout: VarLayout) -> Row:
-    # the constant slot may also appear as an ordinary operand, so sum
-    out: Row = {}
-    for k, v in row.items():
-        key = layout.const if k == CONST else k
-        out[key] = out.get(key, Fraction(0)) + v
-    return out
-
-
 def _leaf_operand(node: BoolExpr, layout: VarLayout) -> Operand:
     if isinstance(node, Var):
         return Operand.of(layout.x(node.index))
@@ -607,13 +582,13 @@ def lower_gadgets(
     expr: BoolExpr,
     family: GadgetFamily,
     layout: VarLayout,
-) -> list[tuple[int, Row]]:
+) -> list[tuple[int, IntegerRow]]:
     """Single-assignment rows evaluating expr, in dependency order.
 
     Every operator node gets one row; non-root nodes write scratch slots in
     the evaluation pool, the root writes the evaluated-matrix slot.
     """
-    rows: list[tuple[int, Row]] = []
+    rows: list[tuple[int, IntegerRow]] = []
     next_aux = [0]
 
     def lower(node: BoolExpr, target: Optional[int]) -> Operand:
@@ -624,15 +599,15 @@ def lower_gadgets(
             next_aux[0] += 1
         if isinstance(node, Not):
             u = lower(node.sub, None)
-            rows.append((target, not_row(u)))
+            rows.append((target, not_row(u, layout.const)))
         elif isinstance(node, And):
             u = lower(node.left, None)
             v = lower(node.right, None)
-            rows.append((target, and_row(family, u, v)))
+            rows.append((target, and_row(family, u, v, layout.const)))
         else:
             u = lower(node.left, None)
             v = lower(node.right, None)
-            rows.append((target, or_row(family, u, v)))
+            rows.append((target, or_row(family, u, v, layout.const)))
         return Operand.of(target)
 
     if isinstance(expr, (Var, Const)):
@@ -658,28 +633,26 @@ def lower_qbf_to_program(formula: QbfFormula, family: GadgetFamily) -> Program:
 
     # evaluate the matrix into psi, one operator per instruction
     for target, row in lower_gadgets(formula.matrix, family, layout):
-        instructions.append({target: _resolve_const(row, layout)})
+        instructions.append({target: row})
 
     psi_op = Operand.of(layout.psi) if l else _leaf_operand(formula.matrix, layout)
 
     xn = layout.x(n)
     f = family
-
-    def res(row: Row) -> Row:
-        return _resolve_const(row, layout)
+    one = layout.const
 
     # store psi into the leaf bank for the current x_n, then advance x_n
     step_a: Instruction = {
-        layout.t(0): res(or_row(f, Operand.of(xn), psi_op)),
-        layout.t(1): res(or_row(f, Operand.neg(xn), Operand.of(layout.s0(n)))),
-        layout.t(2): res(or_row(f, Operand.neg(xn), psi_op)),
-        layout.t(3): res(or_row(f, Operand.of(xn), Operand.of(layout.s1(n)))),
+        layout.t(0): or_row(f, Operand.of(xn), psi_op, one),
+        layout.t(1): or_row(f, Operand.neg(xn), Operand.of(layout.s0(n)), one),
+        layout.t(2): or_row(f, Operand.neg(xn), psi_op, one),
+        layout.t(3): or_row(f, Operand.of(xn), Operand.of(layout.s1(n)), one),
     }
     step_b: Instruction = {
-        layout.s0(n): res(and_row(f, Operand.of(layout.t(0)), Operand.of(layout.t(1)))),
-        layout.s1(n): res(and_row(f, Operand.of(layout.t(2)), Operand.of(layout.t(3)))),
-        xn: res(not_row(Operand.of(xn))),
-        layout.c(n): res(copy_row(Operand.of(xn))),
+        layout.s0(n): and_row(f, Operand.of(layout.t(0)), Operand.of(layout.t(1)), one),
+        layout.s1(n): and_row(f, Operand.of(layout.t(2)), Operand.of(layout.t(3)), one),
+        xn: not_row(Operand.of(xn), one),
+        layout.c(n): copy_row(Operand.of(xn), one),
     }
     instructions.append(step_a)
     instructions.append(step_b)
@@ -695,42 +668,42 @@ def lower_qbf_to_program(formula: QbfFormula, family: GadgetFamily) -> Program:
         a = layout.a
         instructions.append(
             {
-                a(0): res(and_row(f, Operand.of(carry), Operand.neg(xi))),
-                a(1): res(and_row(f, Operand.of(carry), Operand.of(xi))),
-                a(2): res(combine(f, Operand.of(s0up), Operand.of(s1up))),
-                a(3): res(or_row(f, Operand.neg(carry), Operand.neg(xi))),
-                a(4): res(or_row(f, Operand.of(carry), Operand.of(xi))),
-                ci: res(and_row(f, Operand.of(carry), Operand.of(xi))),
+                a(0): and_row(f, Operand.of(carry), Operand.neg(xi), one),
+                a(1): and_row(f, Operand.of(carry), Operand.of(xi), one),
+                a(2): combine(f, Operand.of(s0up), Operand.of(s1up), one),
+                a(3): or_row(f, Operand.neg(carry), Operand.neg(xi), one),
+                a(4): or_row(f, Operand.of(carry), Operand.of(xi), one),
+                ci: and_row(f, Operand.of(carry), Operand.of(xi), one),
             }
         )
         instructions.append(
             {
-                a(5): res(or_row(f, Operand.neg(a(0)), Operand.of(a(2)))),
-                a(6): res(or_row(f, Operand.of(a(0)), Operand.of(s0i))),
-                a(7): res(or_row(f, Operand.neg(a(1)), Operand.of(a(2)))),
-                a(0): res(or_row(f, Operand.of(a(1)), Operand.of(s1i))),
+                a(5): or_row(f, Operand.neg(a(0)), Operand.of(a(2)), one),
+                a(6): or_row(f, Operand.of(a(0)), Operand.of(s0i), one),
+                a(7): or_row(f, Operand.neg(a(1)), Operand.of(a(2)), one),
+                a(0): or_row(f, Operand.of(a(1)), Operand.of(s1i), one),
                 carry: zero_row(),
             }
         )
         instructions.append(
             {
-                xi: res(and_row(f, Operand.of(a(3)), Operand.of(a(4)))),
-                s0i: res(and_row(f, Operand.of(a(5)), Operand.of(a(6)))),
-                s1i: res(and_row(f, Operand.of(a(7)), Operand.of(a(0)))),
+                xi: and_row(f, Operand.of(a(3)), Operand.of(a(4)), one),
+                s0i: and_row(f, Operand.of(a(5)), Operand.of(a(6)), one),
+                s1i: and_row(f, Operand.of(a(7)), Operand.of(a(0)), one),
             }
         )
 
     # combine the two branches of x_1 and broadcast success everywhere
     instructions.append(
         {
-            layout.b1: res(
-                and_row(f, Operand.of(layout.s0(1)), Operand.of(layout.s1(1)))
+            layout.b1: and_row(
+                f, Operand.of(layout.s0(1)), Operand.of(layout.s1(1)), one
             )
         }
     )
     sweep: Instruction = {}
     for v in range(layout.total):
-        sweep[v] = res(or_row(f, Operand.of(layout.b1), Operand.of(v)))
+        sweep[v] = or_row(f, Operand.of(layout.b1), Operand.of(v), one)
     instructions.append(sweep)
 
     expected = 3 * n + 1 + l
@@ -751,7 +724,7 @@ def program_step(program: Program, state: Sequence[int], instr: Instruction) -> 
     new = list(state)
     ratio = RULES[program.family.rounding_kind].ratio
     for target, row in instr.items():
-        value = round_row(integer_row(row.items()), state, ratio)
+        value = round_row(row, state, ratio)
         if value not in (0, 1):
             raise InternalInvariantError(
                 f"non-boolean value {value} written to slot {target}"
@@ -771,59 +744,61 @@ def run_program_sweep(program: Program, state: Sequence[int]) -> tuple[int, ...]
 # Explosion into one matrix
 
 
-SparseRow = tuple[tuple[int, Fraction], ...]
-
-
 @dataclass(frozen=True)
 class HardnessInstance:
     """A sparse rounded linear system carrying one sweep instruction per step.
 
     The state is m stacked copies of the program variables; the single
     nonzero copy advances one position per step, through instruction j on
-    hop j. The target is all-ones in copy zero.
+    hop j. The target is all-ones in copy zero.  Each matrix row is the
+    gadget row in unscaled_rows times factor.
     """
 
     program: Program
-    rows: tuple[SparseRow, ...]
+    unscaled_rows: tuple[IntegerRow, ...]
     initial: tuple[int, ...]
     target: tuple[int, ...]
     factor: Fraction = Fraction(1)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.unscaled_rows)
 
     @property
     def rounding(self) -> ArgandRounding:
-        return ArgandRounding(self.program.family.rounding_kind, Fraction(1))
+        return ArgandRounding(self.program.family.rounding_kind)
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[IntegerRow, ...], tuple[tuple[int, ...], ...]]:
-        """The rows with the factor folded in, as `integer_row` gives them,
-        and for each column the rows that read it; built once per instance."""
-        rows = tuple(integer_row(row, self.factor) for row in self.rows)
+        """The rows with the factor folded in by `scaled_row`, and for each
+        column the rows that read it; built once per instance."""
+        rows = tuple(scaled_row(row, self.factor) for row in self.unscaled_rows)
         readers: list[list[int]] = [[] for _ in rows]
         for r, (terms, _den) in enumerate(rows):
             for col, _num in terms:
                 readers[col].append(r)
         return rows, tuple(map(tuple, readers))
 
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The unscaled rows as sorted (column, Fraction) entries: the view
+        the JSON output reads."""
+        return tuple(tuple((col, Fraction(num, den)) for col, num in terms)
+                     for terms, den in self.unscaled_rows)
+
 
 def explode_program_to_matrix(program: Program) -> HardnessInstance:
     t = program.var_count
     m = program.step_count
-    rows: list[SparseRow] = []
+    rows: list[IntegerRow] = []
     for copy in range(m):
-        instr = program.instructions[(copy - 1) % m]
-        src = ((copy - 1) % m) * t
+        hop = (copy - 1) % m
+        instr = program.instructions[hop]
+        src = hop * t
         for v in range(t):
-            if v in instr:
-                row = tuple(
-                    (src + col, coeff) for col, coeff in sorted(instr[v].items())
-                )
-            else:
-                row = ((src + v, Fraction(1)),)
-            rows.append(row)
+            # a variable the instruction does not write copies through
+            terms, den = instr.get(v, (((v, 1),), 1))
+            rows.append((tuple((src + col, num) for col, num in terms), den))
     initial = [0] * (m * t)
     initial[program.layout.const] = 1
     target = [0] * (m * t)
@@ -874,32 +849,31 @@ def decide_hardness(instance: HardnessInstance, step_bound: int) -> tuple[bool, 
 
 
 def _validate_row(
-    row: Row,
+    row: IntegerRow,
     const_slot: Optional[int],
     family: GadgetFamily,
     factor: Fraction,
     description: str,
 ) -> None:
-    free = [c for c in sorted(row) if c != const_slot]
+    free = [col for col, _num in row[0] if col != const_slot]
     if len(free) > 4:
         raise InternalInvariantError("unexpectedly wide gadget row")
-    base_row = integer_row(row.items())
-    scaled_row = integer_row(row.items(), factor)
+    scaled = scaled_row(row, factor)
     ratio = RULES[family.rounding_kind].ratio
     for mask in range(1 << len(free)):
         assignment = {c: (mask >> i) & 1 for i, c in enumerate(free)}
         if const_slot is not None:
             assignment[const_slot] = 1
-        base = round_row(base_row, assignment, ratio)
+        base = round_row(row, assignment, ratio)
         if base not in (0, 1):
             raise GadgetBrokenError(
                 f"{description}: non-boolean base value {base} on {assignment}"
             )
-        scaled = round_row(scaled_row, assignment, ratio)
-        if scaled != base:
+        value = round_row(scaled, assignment, ratio)
+        if value != base:
             raise GadgetBrokenError(
                 f"{description}: factor {factor} changes {assignment} "
-                f"from {base} to {scaled}"
+                f"from {base} to {value}"
             )
 
 
@@ -912,9 +886,7 @@ def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
     combined = instance.factor * factor
     program = instance.program
     layout = program.layout
-    _validate_row(
-        {0: Fraction(1)}, None, program.family, combined, "identity copy row"
-    )
+    _validate_row((((0, 1),), 1), None, program.family, combined, "identity copy row")
     for step_index, instr in enumerate(program.instructions):
         for target, row in instr.items():
             _validate_row(
@@ -924,13 +896,7 @@ def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
                 combined,
                 f"instruction {step_index}, slot {layout.name(target)}",
             )
-    return HardnessInstance(
-        program,
-        instance.rows,
-        instance.initial,
-        instance.target,
-        factor=combined,
-    )
+    return replace(instance, factor=combined)
 
 
 def compile_qbf(formula: QbfFormula, family: GadgetFamily) -> HardnessInstance:

@@ -49,7 +49,6 @@ from roundreach.argand_decider import (
     niven_classify,
 )
 from roundreach.qbf_compiler import (
-    CONST,
     And,
     Const,
     GadgetFamily,
@@ -103,11 +102,15 @@ def criterion(number, label, budget_seconds):
 
 # -- criterion 1: gadget rows reproduce the boolean tables exactly ----------
 
+ONE = 9  # the column that holds 1 in criterion 1's rows
+
+
 def _eval_row(row, family, values):
+    terms, denominator = row
     total = Fraction(0)
-    for column, coefficient in row.items():
-        total += coefficient * (Fraction(1) if column == CONST
-                                else Fraction(values[column]))
+    for column, numerator in terms:
+        total += Fraction(numerator, denominator) * (
+            1 if column == ONE else values[column])
     return int(round_real(total, family.rounding_kind))
 
 
@@ -117,17 +120,18 @@ def test_criterion_1_gadget_truth_tables():
             for a, b in itertools.product((0, 1), repeat=2):
                 values = {7: a, 8: b}
                 x, y = Operand.of(7), Operand.of(8)
-                assert _eval_row(and_row(family, x, y), family,
+                assert _eval_row(and_row(family, x, y, ONE), family,
                                  values) == (a and b)
-                assert _eval_row(or_row(family, x, y), family,
+                assert _eval_row(or_row(family, x, y, ONE), family,
                                  values) == (a or b)
-                assert _eval_row(and_row(family, Operand.neg(7), y), family,
-                                 values) == ((1 - a) and b)
+                assert _eval_row(and_row(family, Operand.neg(7), y, ONE),
+                                 family, values) == ((1 - a) and b)
             for a in (0, 1):
                 values = {7: a}
-                assert _eval_row(not_row(Operand.of(7)), family,
+                assert _eval_row(not_row(Operand.of(7), ONE), family,
                                  values) == 1 - a
-                assert _eval_row(copy_row(Operand.of(7)), family, values) == a
+                assert _eval_row(copy_row(Operand.of(7), ONE), family,
+                                 values) == a
 
 
 # -- criteria 2 and 3 share one compiled corpus -----------------------------

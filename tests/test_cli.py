@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry point."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -283,6 +284,66 @@ def test_compile_qbf_qdimacs(tmp_path, capsys):
     assert main(["compile-qbf", formula, "--qdimacs"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "hardness"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 1\na -1 0\n1 0\n", "quantified variable -1 is outside 1..1"),
+    ("p cnf 1 1\n1 5 0\n", "literal 5 names a variable past 1"),
+    ("p cnf 2 2\n1 2 0\n-1 -2\n", "the last clause does not end in 0"),
+], ids=["quantified-outside-range", "literal-past-n", "unterminated-clause"])
+def test_compile_qbf_qdimacs_rejects_malformed_input(tmp_path, capsys, text, message):
+    formula = write(tmp_path, "f.qdimacs", text)
+    assert main(["compile-qbf", formula, "--qdimacs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+# SHA-256 of the compile-qbf output for each formula, family and perturbation,
+# pinning the emitted bytes
+COMPILE_QBF_DIGESTS = {
+    "readme": ("forall x1 exists x2 : (x1 | !x2) & x2\n", [], {
+        ("floor", False): "d2003bc692fc4cf7cb5abb8c4c672f536ced004784095e47ed96bc023fdb9722",
+        ("floor", True): "b82e569f87c98fe6e1e2ad276b04e9e6be33651e09bdc1277091af0f300cbe67",
+        ("ceil", False): "c960687fff44678c9483d6d98052bc16b88292c4bede51ce6e7ef23d5c8d08ba",
+        ("minerr", False): "138d6ff511332f0d9b2d419438383bf98032fe919bf30f5e0625c380acff9949",
+        ("minerr", True): "1b3cf46b134345ff06b3eb2858737ddf4474f39095e694f5cfa8010fbe34a770",
+    }),
+    "qdimacs": ("p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n-1 -2 0\n", ["--qdimacs"], {
+        ("floor", False): "62a7ac15c2f7af31f09fd2ce7eb50c2f08ae7746fc938f54f35a29afd4f95a4b",
+        ("floor", True): "259ca2575fab432018bfc0f46758f6185ea9206002c1308075d93be43d692800",
+        ("ceil", False): "ae03f22ecad6dfb810ee9336f74abc61191d2ecb227f71e2adf67c2f619e7c1b",
+        ("minerr", False): "db065bdce3a043d61016d738aadfe120554414b7bccf742b16e1068d306b4cba",
+        ("minerr", True): "33b645aa3ec2b7760657fc9b6d58a13ec765ddd3ba2d53e5ff5acef88b206adb",
+    }),
+    # two of criterion 2's two-variable matrices: a constant root and a
+    # constant operand, both of which put the constant slot in a row twice
+    "constant-root": ("forall x1 exists x2 : true\n", [], {
+        ("floor", False): "5fadba29765b70f8736ec7f42714363711ad5f8b3c207b2b87194096f5cc78db",
+        ("floor", True): "91f9adf983bfe7cb14dee776cfc18a3dc4f42111ba65b8bb6993dea001895b2f",
+        ("ceil", False): "d0ae0fd61c75f7c9388981977aabd3e9d897e8f8d5572ae23f543dfdb24888dd",
+        ("minerr", False): "e6846f7961062078fe5b79908303d0f82ba04a7e680eea0e4f7ad227979cdc12",
+        ("minerr", True): "c6194fb58e195a87a395031810c5d5baed55617e431334a1adb4b3a6dd9d3db2",
+    }),
+    "constant-operand": ("forall x1 exists x2 : x1 | true\n", [], {
+        ("floor", False): "2db2c8dfa016f0155a2f80f808f0519751132ef69370060d310922b7166aab84",
+        ("floor", True): "8a828d8d03024507915718e6dfd40971a3aea9429604a39cb647f4927b87821d",
+        ("ceil", False): "b429ba32ed51d90c639bd9fd028d6bf535387938a0f5d0be5ac4e1dca8db62ae",
+        ("minerr", False): "cd97dff2ad8ee1ff2a351ea1ec1f02c87c8d17c7a0c0a5394cb649ed6a8eb638",
+        ("minerr", True): "eadc37600a1a90336bcbed8e5c274154a2dc122d31208ad9f17fde6400b51d6d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_QBF_DIGESTS))
+def test_compile_qbf_bytes_are_pinned(tmp_path, capsys, name):
+    text, extra, digests = COMPILE_QBF_DIGESTS[name]
+    formula = write(tmp_path, "f.txt", text)
+    for (family, perturbed), digest in digests.items():
+        flags = ["--perturb"] if perturbed else []
+        assert main(["compile-qbf", formula, "--family", family, *extra, *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, perturbed)
 
 
 def test_rotate_stdout_csv(capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dense_hardness
 from roundreach import qbf_compiler
+from roundreach.errors import GadgetBrokenError
 from roundreach.qbf_compiler import (
-    CONST,
     And,
     Const,
     GadgetFamily,
@@ -33,7 +33,6 @@ from roundreach.qbf_compiler import (
     explode_program_to_matrix,
     hardness_simulate,
     hardness_step,
-    integer_row,
     lower_qbf_to_program,
     not_row,
     op_count,
@@ -43,20 +42,23 @@ from roundreach.qbf_compiler import (
     perturb,
     program_initial_state,
     run_program_sweep,
+    scaled_row,
     zero_row,
 )
 from roundreach.rounding import round_real
 from test_acceptance import hardness_corpus
 
 FAMILIES = list(GadgetFamily)
+ONE = 2  # the column that holds 1 in the gadget rows built here
 
 
 def eval_row(row, family, values):
-    """Apply one gadget row to 0/1 inputs: affine form, then the family's
-    rounding."""
+    """Apply one gadget row to 0/1 inputs: affine form summed in `Fraction`s,
+    then the family's rounding."""
+    terms, den = row
     acc = Fraction(0)
-    for col, coef in row.items():
-        acc += coef * (1 if col == CONST else Fraction(values[col]))
+    for col, num in terms:
+        acc += Fraction(num, den) * (1 if col == ONE else values[col])
     return int(round_real(acc, family.rounding_kind, Fraction(1)))
 
 
@@ -64,14 +66,14 @@ def eval_row(row, family, values):
 def test_and_or_truth_tables(family):
     for a, b in itertools.product((0, 1), repeat=2):
         values = {0: a, 1: b}
-        assert eval_row(and_row(family, Operand.of(0), Operand.of(1)), family, values) == (a & b)
-        assert eval_row(or_row(family, Operand.of(0), Operand.of(1)), family, values) == (a | b)
+        assert eval_row(and_row(family, Operand.of(0), Operand.of(1), ONE), family, values) == (a & b)
+        assert eval_row(or_row(family, Operand.of(0), Operand.of(1), ONE), family, values) == (a | b)
         # negated operands fold into the same row shape
         assert eval_row(
-            and_row(family, Operand.neg(0), Operand.of(1)), family, values
+            and_row(family, Operand.neg(0), Operand.of(1), ONE), family, values
         ) == ((1 - a) & b)
         assert eval_row(
-            or_row(family, Operand.neg(0), Operand.neg(1)), family, values
+            or_row(family, Operand.neg(0), Operand.neg(1), ONE), family, values
         ) == ((1 - a) | (1 - b))
 
 
@@ -79,18 +81,18 @@ def test_and_or_truth_tables(family):
 def test_and_or_with_constant_operands(family):
     for a in (0, 1):
         values = {0: a}
-        assert eval_row(and_row(family, Operand.of(0), Operand.true()), family, values) == a
-        assert eval_row(and_row(family, Operand.of(0), Operand.false()), family, values) == 0
-        assert eval_row(or_row(family, Operand.of(0), Operand.false()), family, values) == a
-        assert eval_row(or_row(family, Operand.of(0), Operand.true()), family, values) == 1
+        assert eval_row(and_row(family, Operand.of(0), Operand.true(), ONE), family, values) == a
+        assert eval_row(and_row(family, Operand.of(0), Operand.false(), ONE), family, values) == 0
+        assert eval_row(or_row(family, Operand.of(0), Operand.false(), ONE), family, values) == a
+        assert eval_row(or_row(family, Operand.of(0), Operand.true(), ONE), family, values) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_not_copy_zero_rows(family):
     for a in (0, 1):
         values = {0: a}
-        assert eval_row(not_row(Operand.of(0)), family, values) == 1 - a
-        assert eval_row(copy_row(Operand.of(0)), family, values) == a
+        assert eval_row(not_row(Operand.of(0), ONE), family, values) == 1 - a
+        assert eval_row(copy_row(Operand.of(0), ONE), family, values) == a
         assert eval_row(zero_row(), family, values) == 0
 
 
@@ -256,7 +258,7 @@ def test_perturb_scales_rows_and_keeps_orbit():
 def test_perturb_rejects_breaking_factor():
     f = parse_prefix_formula("exists x1 : x1")
     base = compile_qbf(f, GadgetFamily.MINIMAL_ERROR)
-    with pytest.raises(Exception):
+    with pytest.raises(GadgetBrokenError):
         perturb(base, Fraction(3))
 
 
@@ -333,13 +335,13 @@ def test_corpus_orbits_match_dense_reference(perturbed, monkeypatch):
 
 def test_integer_rows_are_built_once_per_instance(monkeypatch):
     built = []
-    real_integer_row = qbf_compiler.integer_row
+    real_scaled_row = qbf_compiler.scaled_row
 
-    def counting_integer_row(row, factor=Fraction(1)):
+    def counting_scaled_row(row, factor):
         built.append(factor)
-        return real_integer_row(row, factor)
+        return real_scaled_row(row, factor)
 
-    monkeypatch.setattr(qbf_compiler, "integer_row", counting_integer_row)
+    monkeypatch.setattr(qbf_compiler, "scaled_row", counting_scaled_row)
     base = compile_qbf(parse_prefix_formula("forall x1 exists x2 : x1 | x2"),
                        GadgetFamily.MINIMAL_ERROR)
     hardness_simulate(base, 3 * base.program.step_count)
@@ -352,12 +354,12 @@ def test_integer_rows_are_built_once_per_instance(monkeypatch):
     hardness_simulate(base, 3 * base.program.step_count)
     assert built == [Fraction(11, 9)] * base.dimension
     rows, _readers = scaled.integer_rows
-    assert rows == tuple(real_integer_row(row, Fraction(11, 9)) for row in base.rows)
-    assert base.integer_rows[0] == tuple(real_integer_row(row) for row in base.rows)
+    assert rows == tuple(real_scaled_row(row, Fraction(11, 9)) for row in base.unscaled_rows)
+    assert base.integer_rows[0] == base.unscaled_rows
 
 
 def test_integer_row_folds_the_factor_over_one_denominator():
-    row = ((3, Fraction(1, 3)), (5, Fraction(-1, 2)), (7, Fraction(2)))
-    assert integer_row(row) == (((3, 2), (5, -3), (7, 12)), 6)
-    assert integer_row(row, Fraction(11, 10)) == (((3, 22), (5, -33), (7, 132)), 60)
-    assert integer_row(()) == ((), 1)
+    row = (((3, 2), (5, -3), (7, 12)), 6)
+    assert scaled_row(row, Fraction(1)) == row
+    assert scaled_row(row, Fraction(11, 10)) == (((3, 22), (5, -33), (7, 132)), 60)
+    assert scaled_row(zero_row(), Fraction(3)) == ((), 1)
