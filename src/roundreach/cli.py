@@ -60,7 +60,6 @@ from .system import (
     StabilizedMismatch,
     Undecided,
     Verdict,
-    rational_simulate,
     simulate,
 )
 
@@ -382,12 +381,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     system = parse_instance(_read(args.instance))
     if args.steps < 0:
         raise ValueError("--steps must be nonnegative")
-    if isinstance(system, RationalSystem):
-        states = rational_simulate(system, args.steps)
-        rows = [[_rational_str(v) for v in s] for s in states]
-    else:
-        states = simulate(system, args.steps)
-        rows = [[_point_json(p) for p in s] for s in states]
+    cell = _rational_str if isinstance(system, RationalSystem) else _point_json
+    rows = [[cell(v) for v in s] for s in simulate(system, args.steps)]
     _emit({"states": rows})
     return 0
 

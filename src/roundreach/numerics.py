@@ -82,7 +82,7 @@ class _FieldTables:
     The cyclotomic polynomial is monic, so every entry is an integer.
     """
 
-    __slots__ = ("deg", "powers", "reduce_rows", "conj_rows", "cos", "roots")
+    __slots__ = ("deg", "powers", "reduce_rows", "conj_rows")
 
     def __init__(self, order: int) -> None:
         deg = totient(order)
@@ -105,14 +105,18 @@ class _FieldTables:
         self.powers = tuple(powers)
         self.reduce_rows = tuple(sparse(powers[k % order]) for k in range(deg, 2 * deg - 1))
         self.conj_rows = tuple(sparse(powers[-j % order]) for j in range(deg))
-        w = 2.0 * math.pi / order
-        self.cos = tuple(math.cos(2.0 * math.pi * j / order) for j in range(deg))
-        self.roots = tuple(cmath.exp(1j * w * j) for j in range(deg))
 
 
 @lru_cache(maxsize=None)
 def _field(order: int) -> _FieldTables:
     return _FieldTables(order)
+
+
+@lru_cache(maxsize=None)
+def unit_circle(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float cos and sin of 2*pi*j/order for j in [0, order); built on first use."""
+    angles = [2.0 * math.pi * j / order for j in range(order)]
+    return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,6 @@ class Angle:
 
     def __neg__(self) -> "Angle":
         return Angle(-self.pi_multiple)
-
-    def scaled(self, k: int) -> "Angle":
-        return Angle(self.pi_multiple * k)
 
     def distance_to(self, other: "Angle") -> "Angle":
         """Angular distance in [0, pi]."""
@@ -341,9 +342,10 @@ class CycloNum:
         return (w + w.conjugate()) / 2
 
     def approx_complex(self) -> complex:
-        roots = _field(self.order).roots
+        """The float value over `unit_circle`; uncertified, a start guess only."""
+        cos, sin = unit_circle(self.order)
         den = self.den
-        return sum(c / den * roots[j] for j, c in enumerate(self.num) if c)
+        return sum(c / den * complex(cos[j], sin[j]) for j, c in enumerate(self.num) if c)
 
     def __repr__(self) -> str:
         terms = [
@@ -400,42 +402,6 @@ def angle_sin(angle: Angle, order: int) -> CycloNum:
     return embed_polar(1, angle, order).imag_part()
 
 
-def _float_real_estimate(z: CycloNum) -> Union[tuple[float, float], None]:
-    """Double-precision estimate of the real value of z with a rigorous slack.
-
-    The estimate is fl(sum_j fl(num_j) * cos_j) / fl(den), with M the sum of
-    |num_j| and u = 2^-53.  Converting each numerator costs u*|num_j|; each
-    table cosine is within 20u of cos(2*pi*j/order) (its argument carries
-    three roundings of a value below 2*pi, and libm adds an ulp); each
-    product and each of the `terms` additions adds at most u times the
-    running magnitude.  So the numerator sum is within (terms + 21)*u*M of
-    the exact one.  Converting den and dividing add 3u*M/den, and underflow
-    at most 2^-1074.  The slack (M/den + 1)*(terms + 2)*2^-46 is
-    128*(terms + 2)*u*(M/den + 1), which covers all of it for every
-    `terms`, with room left for the rounding of M and of the slack itself.
-    None when a float overflows.
-    """
-    table = _field(z.order).cos
-    total = 0.0
-    magnitude = 0.0
-    terms = 0
-    try:
-        for c, cos in zip(z.num, table):
-            if c:
-                f = float(c)
-                total += f * cos
-                magnitude += abs(f)
-                terms += 1
-        den = float(z.den)
-    except OverflowError:
-        return None
-    total /= den
-    slack = (magnitude / den + 1.0) * (terms + 2) * 2.0**-46
-    if not (math.isfinite(total) and math.isfinite(slack)):
-        return None
-    return total, slack
-
-
 @lru_cache(maxsize=None)
 def _interval_cos(order: int, j: int, prec: int):
     saved = mpmath.iv.prec
@@ -490,17 +456,11 @@ def refine(enclose, cap: int, decide):
 
 
 def _decide_real(z: CycloNum, decide):
-    """`refine` on the real value of a non-rational z, after the float bracket.
+    """`refine` on the real value of a non-rational z, up to `_PREC_CAP`.
 
     An irrational value sits strictly inside some unit interval and is never
     zero, so the decisions asked here settle at some finite precision.
     """
-    est = _float_real_estimate(z)
-    if est is not None:
-        approx, slack = est
-        verdict = decide(math.floor(approx - slack), math.floor(approx + slack))
-        if verdict is not None:
-            return verdict
     verdict = refine(lambda: _interval_real_value(z), _PREC_CAP, decide)
     if verdict is None:
         raise PrecisionExhaustedError("refinement exceeded the precision cap")

@@ -455,7 +455,10 @@ def zero_row() -> IntegerRow:
 def scaled_row(row: IntegerRow, factor: Fraction) -> IntegerRow:
     """The row times a positive factor, still over one positive denominator.
     The terms need not be in lowest terms: scaling a sum and its denominator
-    alike changes none of the family roundings."""
+    alike changes none of the family roundings.  Factor 1 returns the row
+    itself."""
+    if factor == 1:
+        return row
     terms, den = row
     return (tuple((col, num * factor.numerator) for col, num in terms),
             den * factor.denominator)
@@ -879,7 +882,9 @@ def _validate_row(
 
 def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
     """Scale every matrix entry, validating that each row still rounds to the
-    same boolean on every boolean input (constant slot held at one)."""
+    same boolean on every boolean input (constant slot held at one).  The
+    check depends only on a row's shape: its denominator, the numerator of
+    the constant column and the sorted free numerators."""
     factor = Fraction(factor)
     if factor <= 0:
         raise ValueError("the perturbation factor must be positive")
@@ -887,8 +892,16 @@ def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
     program = instance.program
     layout = program.layout
     _validate_row((((0, 1),), 1), None, program.family, combined, "identity copy row")
+    # the first row of a shape stands for the rest and is the first to fail
+    shapes = set()
     for step_index, instr in enumerate(program.instructions):
         for target, row in instr.items():
+            terms, den = row
+            shape = (den, dict(terms).get(layout.const, 0),
+                     tuple(sorted(num for col, num in terms if col != layout.const)))
+            if shape in shapes:
+                continue
+            shapes.add(shape)
             _validate_row(
                 row,
                 layout.const,

@@ -7,11 +7,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Callable, Optional, Protocol, Union
 
 from .errors import InternalInvariantError, UndecidableTieError
-from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar
+from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar, unit_circle
 from .rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -129,13 +129,6 @@ _TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 _ORIGIN = (0, 0)
 
 
-@lru_cache(maxsize=None)
-def _unit_circle(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Float cos and sin of 2*pi*j/order for j in [0, order); built on first use."""
-    angles = [2.0 * math.pi * j / order for j in range(order)]
-    return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
-
-
 def _fits(magnitude: float) -> bool:
     """Every float sum bounded by twice the magnitude stays finite."""
     return 4.0 * magnitude < math.inf
@@ -207,7 +200,7 @@ class StepKernel:
         self.rule = RULES[spec.modulus_kind if self.polar else spec.kind]
         self.g = spec.granularity
         self.order = system.field_order()
-        self.cos, self.sin = _unit_circle(self.order)
+        self.cos, self.sin = unit_circle(self.order)
         plan = []
         for b, ((start, end), block) in enumerate(zip(system.block_slices(), system.blocks)):
             update = self._polar_update(block) if self.polar else self._argand_update(block)

@@ -59,8 +59,8 @@ def _zeta_power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _unit_root_table(order: int) -> tuple[complex, ...]:
-    w = 2.0 * math.pi / order
-    return tuple(cmath.exp(1j * w * j) for j in range(totient(order)))
+    angles = [2.0 * math.pi * j / order for j in range(totient(order))]
+    return tuple(complex(math.cos(t), math.sin(t)) for t in angles)
 
 
 class CycloNum:

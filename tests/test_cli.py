@@ -392,6 +392,14 @@ def test_readme_instance_blocks_decide_as_stated():
     assert [str(dispatch(parse_instance(block))) for block in blocks] == stated
 
 
+def test_readme_library_example_prints_as_stated(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    stated = re.findall(r"# (Reached\(step=\d+\))", code)
+    assert stated
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == stated
+
+
 def test_stdin_instance(tmp_path, capsys, monkeypatch):
     import io
 

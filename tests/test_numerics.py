@@ -6,14 +6,13 @@ import random
 from unittest import mock
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_cyclo as ref
 from roundreach import numerics
-from roundreach.errors import NotRealError, OrderMismatchError
+from roundreach.errors import NotRealError, OrderMismatchError, PrecisionExhaustedError
 from roundreach.numerics import (
     Angle,
     CycloNum,
@@ -362,25 +361,6 @@ def test_nearest_angle_exact_midpoints_go_counterclockwise(resolution, k, modulu
         assert nearest_angle_index(z, resolution) == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(cyclo_pair(), st.integers(0, 60))
-def test_float_estimate_slack_bounds_its_error(pair, shift):
-    (a, _), (b, _) = pair
-    real = (a * b).real_part() * Fraction(3**shift, 2**shift)
-    est = numerics._float_real_estimate(real)
-    assert est is not None
-    approx, slack = est
-    saved = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = 400
-        box = numerics._interval_real_value(real)
-    finally:
-        mpmath.iv.prec = saved
-    with mpmath.workprec(400):
-        assert mpmath.mpf(approx) - mpmath.mpf(slack) <= mpmath.mpf(box.a)
-        assert mpmath.mpf(box.b) <= mpmath.mpf(approx) + mpmath.mpf(slack)
-
-
 # ---------------------------------------------------------------------------
 # Certified paths of the integer kernel, each forced
 
@@ -391,22 +371,22 @@ def sqrt2() -> CycloNum:
 def test_numerators_beyond_float_range_use_intervals():
     big = 10**400
     w = sqrt2() * big
-    assert numerics._float_real_estimate(w) is None
     assert certified_floor(w) == math.isqrt(2 * big * big)
     assert sign_of_real(w - math.isqrt(2 * big * big)) == 1
     assert floor_sqrt(w * w) == math.isqrt(2 * big * big)
     # a denominator beyond float range, with a value near 1.41
     v = w / (big + 1)
-    assert numerics._float_real_estimate(v) is None
     assert certified_floor(v) == 1
     assert certified_floor(v, Fraction(1, 100)) == 141
     assert sign_of_real(v - Fraction(141, 100)) == 1
 
 
-@pytest.mark.parametrize("k", [30, 31, 60, 61])
-def test_values_within_float_slack_of_an_integer(k):
-    # (1 + sqrt2)^k + (1 - sqrt2)^k is an integer L and |1 - sqrt2|^k is tiny,
-    # so (1 + sqrt2)^k sits just below L for even k and just above for odd k.
+def silver_power(k: int) -> tuple[CycloNum, int]:
+    """(1 + sqrt2)^k and the integer L = (1 + sqrt2)^k + (1 - sqrt2)^k.
+
+    |1 - sqrt2|^k is tiny, so (1 + sqrt2)^k sits just below L for even k
+    and just above for odd k.
+    """
     up = 1 + sqrt2()
     down = 1 - sqrt2()
     power_up, power_down = CycloNum.from_rational(8, 1), CycloNum.from_rational(8, 1)
@@ -414,12 +394,40 @@ def test_values_within_float_slack_of_an_integer(k):
         power_up, power_down = power_up * up, power_down * down
     lucas = (power_up + power_down).as_rational()
     assert lucas.denominator == 1
-    approx, slack = numerics._float_real_estimate(power_up)
-    assert math.floor(approx - slack) != math.floor(approx + slack)
-    expected = int(lucas) - 1 if k % 2 == 0 else int(lucas)
+    return power_up, int(lucas)
+
+
+@pytest.mark.parametrize("k", [30, 31, 60, 61])
+def test_values_within_float_slack_of_an_integer(k):
+    power_up, lucas = silver_power(k)
+    expected = lucas - 1 if k % 2 == 0 else lucas
     assert certified_floor(power_up) == expected
     assert sign_of_real(power_up - lucas) == (-1 if k % 2 == 0 else 1)
     assert certified_floor(power_up / 3, Fraction(1, 3)) == expected
+
+
+def test_precision_cap_fails_loudly(monkeypatch):
+    # (1 + sqrt2)^60 is within 10^-22 of an integer near 2^75, which one
+    # 64-bit enclosure cannot separate from it
+    power_up, lucas = silver_power(60)
+    monkeypatch.setattr(numerics, "_PREC_CAP", 64)
+    with pytest.raises(PrecisionExhaustedError):
+        certified_floor(power_up)
+    with pytest.raises(PrecisionExhaustedError):
+        sign_of_real(power_up - lucas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(25, 120), st.sampled_from((1, -1)), st.integers(1, 12))
+def test_near_integer_values_match_fraction_reference(k, sign, d):
+    # from k = 25 on, a 64-bit enclosure of (1 + sqrt2)^k straddles an
+    # integer, so these values need the ladder's higher rungs
+    power_up, lucas = silver_power(k)
+    x, L = power_up * sign, lucas * sign
+    rx = ref.CycloNum(8, x.coeffs)
+    g = Fraction(1, d)
+    assert certified_floor(x, g) == ref.certified_floor(rx, g)
+    assert sign_of_real(x - L) == ref.sign_of_real(rx - L)
 
 
 def test_equal_values_from_different_denominators_are_canonical():
