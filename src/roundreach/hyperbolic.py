@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Union
 
-import sympy
-
 from .errors import (
     InternalInvariantError,
     ModulusOneSpectrumError,
@@ -290,29 +288,348 @@ def max_abs_row_sum(m: RationalMatrix) -> Fraction:
     return max(sum((abs(v) for v in row), Fraction(0)) for row in m)
 
 
+# Exact Jordan form.  M is scaled to the integer matrix A = D M, D the least
+# common denominator of its entries.  The characteristic polynomial of A is
+# monic with integer coefficients, so its rational roots are integers r,
+# and M's eigenvalues are the r / D.  The Jordan basis is built on the
+# integer matrices A - r I = D (M - r/D I), which have the kernels of
+# M - r/D I, in one fixed convention (below, at jnf_rational), so that P
+# and J are a function of M alone.
+
+IntMatrix = list[list[int]]
+
+
+def _int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _charpoly(a: IntMatrix) -> list[int]:
+    """det(x I - A), coefficients highest degree first, by Faddeev-LeVerrier:
+    B_k = A B_(k-1) + c_(k-1) I and c_k = -tr(A B_k) / k, each division exact."""
+    n = len(a)
+    coeffs = [1]
+    ab = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            ab[i][i] += coeffs[-1]
+        ab = _int_mat_mul(a, ab)
+        coeffs.append(-sum(ab[i][i] for i in range(n)) // k)
+    return coeffs
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f over the gcd of its coefficients ([0] stays [0])."""
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _remainder(f: list[int], g: list[int]) -> list[int]:
+    """The remainder of f by g times a positive rational, primitive; [0]
+    when g divides f.  Each step scales by |lead(g)| and cancels the
+    leading term, so every coefficient stays an integer."""
+    lead = abs(g[0])
+    sign = 1 if g[0] > 0 else -1
+    rest = list(f)
+    while len(rest) >= len(g):
+        c = rest[0] * sign
+        rest = [lead * x - c * y for x, y in zip(rest[1:], g[1:])] + [
+            lead * x for x in rest[len(g):]
+        ]
+    while rest and rest[0] == 0:
+        rest = rest[1:]
+    return _primitive(rest) if rest else [0]
+
+
+def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g, for g with leading coefficient 1
+    or -1 (so both stay integer)."""
+    rest = list(f)
+    quotient = []
+    while len(rest) >= len(g):
+        c = rest[0] * g[0]
+        quotient.append(c)
+        rest = [x - c * y for x, y in zip(rest[1:], g[1:])] + rest[len(g):]
+    return quotient, rest
+
+
+def _derivative(f: list[int]) -> list[int]:
+    k = len(f) - 1
+    return [c * (k - i) for i, c in enumerate(f[:-1])]
+
+
+def _square_free(p: list[int]) -> list[int]:
+    """p / gcd(p, p') for a monic integer p: the monic polynomial with p's
+    roots, each once.  The gcd is monic with integer coefficients (Gauss's
+    lemma), so its primitive form, which Euclid's algorithm on primitive
+    remainders ends at, has leading coefficient 1 or -1."""
+    f, g = p, _primitive(_derivative(p))
+    while (rest := _remainder(f, g)) != [0]:
+        f, g = g, rest
+    q = _divide(p, g)[0]
+    return q if q[0] > 0 else [-c for c in q]
+
+
+def _value(f: Sequence[int], x: int) -> int:
+    value = 0
+    for c in f:
+        value = value * x + c
+    return value
+
+
+def _sign_changes(sturm: Sequence[Sequence[int]], x: int) -> int:
+    changes = 0
+    last = 0
+    for poly in sturm:
+        value = _value(poly, x)
+        if value:
+            if last and (last > 0) != (value > 0):
+                changes += 1
+            last = value
+    return changes
+
+
+def _integer_roots(f: list[int]) -> list[int]:
+    """The integer roots of a square-free monic integer polynomial, ascending.
+
+    Sturm's theorem counts the roots in (lo, hi] as V(lo) - V(hi); bisection
+    over integers splits every interval holding a root down to (r - 1, r],
+    and r is then tested exactly.  Every root has modulus below 2^(e + 1),
+    with 2^e above each |c_k|^(1/k) (Fujiwara's bound).
+    """
+    sturm = [f, _derivative(f)]
+    while len(sturm[-1]) > 1:
+        sturm.append([-c for c in _remainder(sturm[-2], sturm[-1])])
+    e = max((abs(c).bit_length() + k - 1) // k for k, c in enumerate(f[1:], 1))
+    bound = 2 ** (e + 1)
+    roots = []
+    pending = [(-bound, bound, _sign_changes(sturm, -bound), _sign_changes(sturm, bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _value(f, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(sturm, mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(roots)
+
+
+def _deflated(p: list[int], r: int) -> tuple[list[int], int]:
+    """p with every factor x - r divided out, and how many there were."""
+    count = 0
+    while len(p) > 1:
+        quotient, rest = _divide(p, [1, -r])
+        if rest[0]:
+            break
+        p = quotient
+        count += 1
+    return p, count
+
+
+def _poly_str(coeffs: Sequence[Fraction]) -> str:
+    """x^2 - 3/2*x + 1: highest degree first, zero terms left out."""
+    top = len(coeffs) - 1
+    text = ""
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        power = {0: "", 1: "x"}.get(top - i, f"x^{top - i}")
+        term = str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
+        sign = "-" if c < 0 else "+"
+        text = f"{text} {sign} {term}" if text else ("-" if c < 0 else "") + term
+    return text
+
+
+def _rational_spectrum(a: IntMatrix, d: int) -> list[tuple[int, int]]:
+    """(r, algebraic multiplicity) for each eigenvalue r / d of M = A / d,
+    ascending.  When the multiplicities sum to less than the dimension,
+    NonRationalSpectrumError names the factor of M's characteristic
+    polynomial that is left."""
+    p = _charpoly(a)
+    spectrum = []
+    for r in _integer_roots(_square_free(p)):
+        p, count = _deflated(p, r)
+        spectrum.append((r, count))
+    if len(p) > 1:
+        rest = [Fraction(c, d**i) for i, c in enumerate(p)]
+        raise NonRationalSpectrumError(
+            f"the characteristic polynomial has the factor {_poly_str(rest)} "
+            "with no rational root"
+        )
+    return spectrum
+
+
+def _echelon(rows: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """A reduced row echelon form of an integer matrix with each row left
+    at an integer multiple (rows are cross-multiplied, then divided by
+    their content), and its pivot columns; row k over its pivot entry is
+    row k of the RREF."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        k = len(pivots)
+        found = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[k], rows[found] = rows[found], rows[k]
+        top = rows[k]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != k and f:
+                new = [top[c] * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def _nullspace(m: IntMatrix) -> list[list[Fraction]]:
+    """The nullspace basis read off the RREF: one vector per free column,
+    1 there, minus the RREF's entries in that column at the pivots, 0 else."""
+    rows, pivots = _echelon(m)
+    basis = []
+    for free in range(len(m[0])):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * len(m[0])
+        vec[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            vec[c] = Fraction(-row[free], row[c])
+        basis.append(vec)
+    return basis
+
+
+def _integer_rows(vectors: Sequence[Sequence[Fraction]]) -> IntMatrix:
+    """Each vector times the least common denominator of its entries."""
+    out = []
+    for vec in vectors:
+        lcm = math.lcm(*(x.denominator for x in vec))
+        out.append([x.numerator * (lcm // x.denominator) for x in vec])
+    return out
+
+
+def _rank(m: IntMatrix) -> int:
+    return len(_echelon(m)[1])
+
+
+def _pick_vec(small: list[list[Fraction]], big: list[list[Fraction]]) -> list[Fraction]:
+    """The first vector of big outside the span of small."""
+    if not small:
+        return big[0]
+    rows = _integer_rows(small)
+    base = _rank(rows)
+    for v in big:
+        if _rank(rows + _integer_rows([v])) > base:
+            return v
+    raise InternalInvariantError("no Jordan chain head outside the span so far")
+
+
+def _block_structure(spectrum, eig_power, n: int) -> list[tuple[int, int]]:
+    """(r, size) for every Jordan block, eigenvalues ascending and, for
+    each, sizes largest first, read off the nullities of the powers of
+    A - r I (there are 2 d_k - d_(k-1) - d_(k+1) blocks of size k, d_k
+    the nullity of the k-th power)."""
+    structure = []
+    for r, multiplicity in spectrum:
+        chain = [0]
+        nullity = n - _rank(eig_power(r, 1))
+        power = 2
+        while nullity != chain[-1]:
+            chain.append(nullity)
+            if nullity == multiplicity:
+                break
+            nullity = n - _rank(eig_power(r, power))
+            power += 1
+            if nullity < chain[-1] or nullity > multiplicity:
+                raise InternalInvariantError("inconsistent nullity chain")
+        counts = [
+            2 * chain[k] - chain[k - 1] - chain[k + 1] for k in range(1, len(chain) - 1)
+        ] + [chain[-1] - chain[-2]]
+        structure += [
+            (r, size) for size in range(len(counts), 0, -1) for _ in range(counts[size - 1])
+        ]
+    if sum(size for _, size in structure) != n:
+        raise InternalInvariantError("Jordan blocks do not fill the dimension")
+    return structure
+
+
 def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
     """Exact Jordan decomposition M = P J P^-1 over the rationals, checked
-    as M P = P J (sympy's P is invertible).
+    exactly as M P = P J with P of full rank.
 
-    Raises NonRationalSpectrumError when an eigenvalue is not rational.
+    The eigenvalues come in ascending order, the blocks of one eigenvalue
+    largest first.  With as many distinct eigenvalues as dimensions, P's
+    columns are the first nullspace vectors of M - lambda I.  Otherwise
+    each block of size s takes as v the first nullspace vector of
+    (M - lambda I)^s outside the span of the nullspace of
+    (M - lambda I)^(s-1) and the chains already built, and adds its chain
+    (M - lambda I)^i v, last power first.  Nullspace vectors are read off
+    the reduced row echelon form, one per free column.
+
+    Raises NonRationalSpectrumError, naming the factor of the characteristic
+    polynomial that is left, when the rational eigenvalues' multiplicities
+    sum to less than the dimension.
     """
     n = len(matrix)
-    sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(matrix[i][j].numerator, matrix[i][j].denominator))
-    for eigenvalue in sm.eigenvals():
-        if not isinstance(sympy.nsimplify(eigenvalue), sympy.Rational):
-            raise NonRationalSpectrumError(f"eigenvalue {eigenvalue} is not rational")
-    p_sym, j_sym = sm.jordan_form()
-    p = tuple(
-        tuple(Fraction(int(p_sym[i, j].p), int(p_sym[i, j].q)) for j in range(n))
-        for i in range(n)
-    )
-    j = tuple(
-        tuple(Fraction(int(j_sym[i, j2].p), int(j_sym[i, j2].q)) for j2 in range(n))
-        for i in range(n)
-    )
-    if mat_mul(matrix, p) != mat_mul(p, j):
+    d = math.lcm(*(v.denominator for row in matrix for v in row))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in matrix]
+    spectrum = _rational_spectrum(a, d)
+    powers: dict[int, list[IntMatrix]] = {}
+
+    def eig_power(r: int, k: int) -> IntMatrix:
+        """(A - r I)^k = d^k (M - r/d I)^k, each power built once."""
+        cache = powers.setdefault(r, [[[int(i == j) for j in range(n)] for i in range(n)]])
+        while len(cache) <= k:
+            if len(cache) == 1:
+                cache.append([[v - r * (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)])
+            else:
+                cache.append(_int_mat_mul(cache[-1], cache[1]))
+        return cache[k]
+
+    if len(spectrum) == n:
+        structure = [(r, 1) for r, _ in spectrum]
+        basis = [_nullspace(eig_power(r, 1))[0] for r, _ in spectrum]
+    else:
+        structure = _block_structure(spectrum, eig_power, n)
+        basis = []
+        for r, _ in spectrum:
+            eig_basis: list[list[Fraction]] = []
+            for block_r, size in structure:
+                if block_r != r:
+                    continue
+                vec = _pick_vec(
+                    _nullspace(eig_power(r, size - 1)) + eig_basis,
+                    _nullspace(eig_power(r, size)),
+                )
+                chain = [vec]
+                for _ in range(1, size):
+                    chain.append([
+                        sum((c * x for c, x in zip(row, chain[-1])), Fraction(0)) / d
+                        for row in eig_power(r, 1)
+                    ])
+                eig_basis += chain
+                basis += reversed(chain)
+    p = tuple(tuple(col[i] for col in basis) for i in range(n))
+    scaled_j = [[0] * n for _ in range(n)]  # d J
+    start = 0
+    for r, size in structure:
+        for i in range(start, start + size):
+            scaled_j[i][i] = r
+            if i + 1 < start + size:
+                scaled_j[i][i + 1] = d
+        start += size
+    # A (L P) = (L P) (d J) in integers, L the least common denominator of P
+    lcm = math.lcm(*(x.denominator for row in p for x in row))
+    scaled_p = [[x.numerator * (lcm // x.denominator) for x in row] for row in p]
+    if _int_mat_mul(a, scaled_p) != _int_mat_mul(scaled_p, scaled_j) or _rank(scaled_p) < n:
         raise InternalInvariantError("Jordan reconstruction mismatch")
-    return p, j
+    return p, tuple(tuple(Fraction(v, d) for v in row) for row in scaled_j)
 
 
 def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:

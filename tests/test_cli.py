@@ -3,8 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -546,3 +549,56 @@ def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
             if argv[0] == "bounds":
                 assert out.splitlines()[-1].startswith("step cap: ")
     assert (tmp_path / "out.json").exists() and (tmp_path / "grid.csv").exists()
+
+
+def rational_instance(rows) -> str:
+    n = len(rows)
+    return serialize_instance(RationalSystem(
+        tuple(tuple(Fraction(v) for v in row) for row in rows),
+        (Fraction(3),) * n,
+        (Fraction(0),) * n,
+        ArgandRounding(RoundingKind.FLOOR),
+    ))
+
+
+MODULUS_ONE_REASON = (
+    "the matrix has a modulus-one eigenvalue; for a general rational "
+    "matrix no fragment of this tool applies"
+)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([[0, 1], [2, 0]], "the characteristic polynomial has the factor x^2 - 2 with no rational root"),
+    ([[2, 1], [1, 1]], "the characteristic polynomial has the factor x^2 - 3*x + 1 with no rational root"),
+    ([[1, -1], [1, 1]], "the characteristic polynomial has the factor x^2 - 2*x + 2 with no rational root"),
+    ([[0, -1], [1, 0]], "the characteristic polynomial has the factor x^2 + 1 with no rational root"),
+    ([[2, 1, 0], [0, 0, 1], [0, 2, 0]],
+     "the characteristic polynomial has the factor x^2 - 2 with no rational root"),
+    ([[1]], MODULUS_ONE_REASON),
+    ([[-1]], MODULUS_ONE_REASON),
+    ([[2, 0], [0, 1]], MODULUS_ONE_REASON),
+])
+def test_rational_spectrum_undecided_reasons(rows, reason, tmp_path, capsys):
+    path = write(tmp_path, "inst.json", rational_instance(rows))
+    assert main(["decide", path]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"outcome": "undecided-by-this-tool", "reason": reason}
+
+
+def test_decide_runs_without_sympy(tmp_path):
+    # the README rational instance, decided in a fresh interpreter
+    instance = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0]
+    assert '"kind": "rational"' in instance
+    path = write(tmp_path, "inst.json", instance)
+    script = (
+        "import sys\n"
+        "from roundreach import cli\n"
+        f"code = cli.main(['decide', {path!r}])\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outcome"] == "reached"

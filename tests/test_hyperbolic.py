@@ -2,10 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sympy_jordan
 from corpora import rational_corpus, rational_matrices
 from roundreach import hyperbolic
 from roundreach.errors import ModulusOneSpectrumError, NonRationalSpectrumError
@@ -145,10 +149,105 @@ def test_jnf_rational_reconstructs():
             sorted(abs(e) for e in eigs)
 
 
+def matrix(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+IRRATIONAL = [
+    ([[0, 1], [2, 0]], "x^2 - 2"),                       # ±sqrt 2
+    ([[2, 1], [1, 1]], "x^2 - 3*x + 1"),                 # the cat map
+    ([[1, -1], [1, 1]], "x^2 - 2*x + 2"),                # sqrt 2 times a rotation
+    ([[0, -1], [1, 0]], "x^2 + 1"),                      # the quarter turn
+    ([[2, 1, 0], [0, 0, 1], [0, 2, 0]], "x^2 - 2"),      # 2, then ±sqrt 2
+]
+
+
 def test_jnf_rational_rejects_irrational_spectrum():
-    m = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0)))  # eigenvalues ±sqrt 2
-    with pytest.raises(NonRationalSpectrumError):
+    for rows, factor in IRRATIONAL:
+        m = matrix(rows)
+        message = f"the characteristic polynomial has the factor {factor} with no rational root"
+        with pytest.raises(NonRationalSpectrumError, match=re.escape(message)):
+            jnf_rational(m)
+        with pytest.raises(NonRationalSpectrumError):
+            sympy_jordan.jnf_rational(m)
+
+
+def test_jnf_rational_names_a_rational_leftover_factor():
+    # eigenvalues 3/2 and (1 ± sqrt 3)/2: the factor is given in M's variable
+    m = matrix([["3/2", 0, 0], [1, "1/2", "1/2"], [0, "3/2", "1/2"]])
+    with pytest.raises(NonRationalSpectrumError, match=re.escape("x^2 - x - 1/2 ")):
         jnf_rational(m)
+
+
+def test_jnf_rational_matches_sympy_on_the_corpus():
+    # rational_corpus() runs on exactly these 200 matrices
+    matrices = [m for m, _ in itertools.islice(rational_matrices(), 200)]
+    assert [system.matrix for system in rational_corpus()] == matrices
+    for m in matrices:
+        assert jnf_rational(m) == sympy_jordan.jnf_rational(m), m
+
+
+def conjugated(p_rows, j_rows):
+    p = matrix(p_rows)
+    return mat_mul(mat_mul(p, matrix(j_rows)), mat_inv(p))
+
+
+@pytest.mark.parametrize("m", [
+    conjugated([[1, 2], [3, 4]], [[0, 0], [0, 2]]),                 # singular: 0 and 2
+    conjugated([[1, 1], [0, 1]], [["1000/999", 0], [0, 3]]),        # a large denominator
+    matrix([["1000/999"]]),
+    conjugated([[1, 1], [1, 2]], [[10**30, 0], [0, -10**30 + 7]]),  # entries near 10^30
+    conjugated([[2, 1], [1, 1]], [[10**30 + 1, 1], [0, 10**30 + 1]]),
+    conjugated([[1, 1, 0], [0, 1, 1], [1, 0, 2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    conjugated([[1, 1, 0], [0, 1, 1], [1, 0, 2]], [[2, 1, 0], [0, 2, 1], [0, 0, 2]]),
+    conjugated([[1, 1, 0], [0, 1, 1], [1, 0, 2]], [[2, 1, 0], [0, 2, 0], [0, 0, 2]]),
+    conjugated([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 2, 0], [0, 0, 1, 1]],
+               [[-3, 1, 0, 0], [0, -3, 1, 0], [0, 0, -3, 0], [0, 0, 0, "1/2"]]),
+    matrix([[0]]),
+    matrix([[5]]),
+    matrix([["-7/3"]]),
+])
+def test_jnf_rational_exact_corners(m):
+    p, j = jnf_rational(m)
+    assert (p, j) == sympy_jordan.jnf_rational(m)
+    assert mat_mul(mat_mul(p, j), mat_inv(p)) == m
+
+
+EIGENVALUES = [Fraction(v) for v in ("-1/3", "1/3", "-1/2", "1/2", "-1", "1", "-2", "2",
+                                     "-3", "3", "5/2")]
+
+
+@st.composite
+def conjugated_jordan(draw):
+    """P J P^-1 in dimensions 1 to 5: blocks of size up to 3 with their
+    eigenvalues drawn from a palette of at most three, so eigenvalues
+    repeat and blocks of one eigenvalue sit side by side, and P with
+    entries of denominator up to 3."""
+    n = draw(st.integers(1, 5))
+    palette = draw(st.lists(st.sampled_from(EIGENVALUES), min_size=1, max_size=3))
+    j = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, min(3, n - start)))
+        eigenvalue = draw(st.sampled_from(palette))
+        for i in range(start, start + size):
+            j[i][i] = eigenvalue
+            if i + 1 < start + size:
+                j[i][i + 1] = Fraction(1)
+        start += size
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    p = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    try:
+        p_inverse = mat_inv(p)
+    except ValueError:
+        assume(False)
+    return mat_mul(mat_mul(p, tuple(map(tuple, j))), p_inverse)
+
+
+@settings(max_examples=120, deadline=None)
+@given(conjugated_jordan())
+def test_jnf_rational_matches_sympy(m):
+    assert jnf_rational(m) == sympy_jordan.jnf_rational(m)
 
 
 def test_parse_jordan_blocks_shapes():
