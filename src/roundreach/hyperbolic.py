@@ -564,10 +564,8 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
     exactly as M P = P J with P of full rank.
 
     The eigenvalues come in ascending order, the blocks of one eigenvalue
-    largest first.  With as many distinct eigenvalues as dimensions, P's
-    columns are the first nullspace vectors of M - lambda I.  Otherwise
-    each block of size s takes as v the first nullspace vector of
-    (M - lambda I)^s outside the span of the nullspace of
+    largest first.  Each block of size s takes as v the first nullspace
+    vector of (M - lambda I)^s outside the span of the nullspace of
     (M - lambda I)^(s-1) and the chains already built, and adds its chain
     (M - lambda I)^i v, last power first.  Nullspace vectors are read off
     the reduced row echelon form, one per free column.
@@ -592,44 +590,35 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
                 cache.append(_int_mat_mul(cache[-1], cache[1]))
         return cache[k]
 
-    if len(spectrum) == n:
-        structure = [(r, 1) for r, _ in spectrum]
-        basis = [_nullspace(eig_power(r, 1))[0] for r, _ in spectrum]
-    else:
-        structure = _block_structure(spectrum, eig_power, n)
-        basis = []
-        for r, _ in spectrum:
-            eig_basis: list[list[Fraction]] = []
-            for block_r, size in structure:
-                if block_r != r:
-                    continue
-                vec = _pick_vec(
-                    _nullspace(eig_power(r, size - 1)) + eig_basis,
-                    _nullspace(eig_power(r, size)),
-                )
-                chain = [vec]
-                for _ in range(1, size):
-                    chain.append([
-                        sum((c * x for c, x in zip(row, chain[-1])), Fraction(0)) / d
-                        for row in eig_power(r, 1)
-                    ])
-                eig_basis += chain
-                basis += reversed(chain)
+    structure = _block_structure(spectrum, eig_power, n)
+    basis = []
+    for r, _ in spectrum:
+        eig_basis: list[list[Fraction]] = []
+        for block_r, size in structure:
+            if block_r != r:
+                continue
+            vec = _pick_vec(
+                _nullspace(eig_power(r, size - 1)) + eig_basis,
+                _nullspace(eig_power(r, size)),
+            )
+            chain = [vec]
+            for _ in range(1, size):
+                chain.append([x / d for x in mat_vec(eig_power(r, 1), chain[-1])])
+            eig_basis += chain
+            basis += reversed(chain)
     p = tuple(tuple(col[i] for col in basis) for i in range(n))
-    scaled_j = [[0] * n for _ in range(n)]  # d J
+    rows = [[Fraction(0)] * n for _ in range(n)]
     start = 0
     for r, size in structure:
         for i in range(start, start + size):
-            scaled_j[i][i] = r
+            rows[i][i] = Fraction(r, d)
             if i + 1 < start + size:
-                scaled_j[i][i + 1] = d
+                rows[i][i + 1] = Fraction(1)
         start += size
-    # A (L P) = (L P) (d J) in integers, L the least common denominator of P
-    lcm = math.lcm(*(x.denominator for row in p for x in row))
-    scaled_p = [[x.numerator * (lcm // x.denominator) for x in row] for row in p]
-    if _int_mat_mul(a, scaled_p) != _int_mat_mul(scaled_p, scaled_j) or _rank(scaled_p) < n:
+    j = tuple(map(tuple, rows))
+    if mat_mul(matrix, p) != mat_mul(p, j) or _rank(_integer_rows(p)) < n:
         raise InternalInvariantError("Jordan reconstruction mismatch")
-    return p, tuple(tuple(Fraction(v, d) for v in row) for row in scaled_j)
+    return p, j
 
 
 def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
