@@ -12,7 +12,7 @@ from .errors import (
     ModulusOneSpectrumError,
     NonRationalSpectrumError,
 )
-from .numerics import ceil_sqrt
+from .numerics import Angle, ceil_sqrt
 from .rounding import (
     ArgandRounding,
     GridPoint,
@@ -623,8 +623,6 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
 
 def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
     """Split a Jordan matrix into blocks; validates the shape exactly."""
-    from .numerics import Angle
-
     n = len(j)
     for r in range(n):
         for c in range(n):

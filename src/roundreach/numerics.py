@@ -25,91 +25,85 @@ _PREC_CAP = 1 << 16
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n > 0, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def totient(n: int) -> int:
     if n <= 0:
         raise ValueError("totient is defined for positive integers")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    primes = _primes(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Prime by prime from phi_1 = x - 1 by phi_mp(x) = phi_m(x^p) / phi_m(x),
+    p prime to m, up to phi_rad with rad the product of n's distinct primes;
+    then phi_n(x) = phi_rad(x^(n/rad)), which is sparse.
+    """
     if n <= 0:
         raise ValueError("cyclotomic polynomials are indexed by positive integers")
-    # x^n - 1 divided by the cyclotomic polynomials of all proper divisors.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_coeffs(d)))
-    return tuple(poly)
+    poly = [-1, 1]
+    for p in _primes(n):
+        poly = _poly_div_exact(_spread(poly, p), poly)
+    return tuple(_spread(poly, n // math.prod(_primes(n))))
+
+
+def _spread(poly: Sequence[int], k: int) -> list[int]:
+    """poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
+    """num / den for a monic den that divides num."""
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1]
-        if coef % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        coef //= den[-1]
-        out[i] = coef
-        for j, d in enumerate(den):
-            num[i + j] -= coef * d
+        coef = out[i] = num[i + len(den) - 1]
+        if coef:
+            for j, d in enumerate(den):
+                num[i + j] -= coef * d
     if any(num):
         raise ArithmeticError("non-exact polynomial division")
     return out
 
 
-class _FieldTables:
-    """Integer tables for arithmetic in the order-th cyclotomic field.
-
-    Built once per order, on first use, by `_field`.  With deg = totient(order):
-    `powers[k]` is zeta^k over the power basis 1..zeta^(deg-1) for k in
-    [0, order); `reduce_rows[k - deg]` lists the nonzero (j, c) of zeta^k for k
-    in [deg, 2*deg - 1), the powers a product of two reduced vectors reaches;
-    `conj_rows[j]` lists the nonzero (k, c) of zeta^(-j) for j in [0, deg).
-    The cyclotomic polynomial is monic, so every entry is an integer.
-    """
-
-    __slots__ = ("deg", "powers", "reduce_rows", "conj_rows")
-
-    def __init__(self, order: int) -> None:
-        deg = totient(order)
-        phi = cyclotomic_coeffs(order)
-        # zeta^deg = -(phi[0] + phi[1] zeta + ... + phi[deg-1] zeta^(deg-1))
-        powers: list[tuple[int, ...]] = []
-        current = [1] + [0] * (deg - 1)
-        for _ in range(order):
-            powers.append(tuple(current))
-            overflow = current[-1]
-            current = [0] + current[:-1]
-            if overflow:
-                for j in range(deg):
-                    current[j] -= overflow * phi[j]
-
-        def sparse(vec: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-            return tuple((j, c) for j, c in enumerate(vec) if c)
-
-        self.deg = deg
-        self.powers = tuple(powers)
-        self.reduce_rows = tuple(sparse(powers[k % order]) for k in range(deg, 2 * deg - 1))
-        self.conj_rows = tuple(sparse(powers[-j % order]) for j in range(deg))
-
-
 @lru_cache(maxsize=None)
-def _field(order: int) -> _FieldTables:
-    return _FieldTables(order)
+def _power_row(order: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, c) of zeta^k over the power basis 1..zeta^(deg-1).
+
+    The remainder of x^k by the monic phi_order = phi_rad(x^s), s = order/rad,
+    has only exponents congruent to k mod s, so x^(k div s) is divided by
+    phi_rad and the remainder spread back.  Every entry is an integer.
+    """
+    s = order // math.prod(_primes(order))
+    q, r = divmod(k, s)
+    base = cyclotomic_coeffs(order)[::s]
+    deg = len(base) - 1
+    tail = [(j, c) for j, c in enumerate(base[:-1]) if c]
+    rem = [0] * q + [1]
+    for e in range(q, deg - 1, -1):
+        c = rem[e]
+        if c:  # c x^e = -c x^(e-deg) (phi_rad - x^deg) modulo phi_rad
+            for j, v in tail:
+                rem[e - deg + j] -= c * v
+    return tuple((j * s + r, c) for j, c in enumerate(rem[:deg]) if c)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +176,7 @@ class CycloNum:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Sequence[Rational]) -> None:
-        deg = _field(order).deg
+        deg = len(cyclotomic_coeffs(order)) - 1
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}")
         fracs = [Fraction(c) for c in coeffs]
@@ -201,12 +195,15 @@ class CycloNum:
     @staticmethod
     def from_rational(order: int, value: Rational) -> "CycloNum":
         # an int or a Fraction is already in lowest terms with den > 0
-        return _cyclo(order, (value.numerator,) + (0,) * (_field(order).deg - 1),
-                      value.denominator)
+        deg = len(cyclotomic_coeffs(order)) - 1
+        return _cyclo(order, (value.numerator,) + (0,) * (deg - 1), value.denominator)
 
     @staticmethod
     def zeta_pow(order: int, exponent: int) -> "CycloNum":
-        return _cyclo(order, _field(order).powers[exponent % order], 1)
+        num = [0] * (len(cyclotomic_coeffs(order)) - 1)
+        for j, c in _power_row(order, exponent % order):
+            num[j] = c
+        return _cyclo(order, tuple(num), 1)
 
     @staticmethod
     def i_unit(order: int) -> "CycloNum":
@@ -272,8 +269,7 @@ class CycloNum:
             return NotImplemented
         if other.order != self.order:
             raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
-        tables = _field(self.order)
-        deg = tables.deg
+        order, deg = self.order, len(self.num)
         # integer convolution, then zeta^k for k >= deg folded back in
         prod = [0] * (2 * deg - 1)
         right = [(j, b) for j, b in enumerate(other.num) if b]
@@ -282,11 +278,11 @@ class CycloNum:
                 for j, b in right:
                     prod[i + j] += a * b
         out = prod[:deg]
-        for c, row in zip(prod[deg:], tables.reduce_rows):
+        for k, c in enumerate(prod[deg:], deg):
             if c:
-                for j, v in row:
+                for j, v in _power_row(order, k):
                     out[j] += c * v
-        return _reduced(self.order, out, self.den * other.den)
+        return _reduced(order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -311,11 +307,12 @@ class CycloNum:
         return hash((self.order, self.num, self.den))
 
     def conjugate(self) -> "CycloNum":
-        tables = _field(self.order)
-        out = [0] * tables.deg
-        for c, row in zip(self.num, tables.conj_rows):
+        order = self.order
+        out = [0] * len(self.num)
+        for j, c in enumerate(self.num):
             if c:
-                for k, v in row:
+                # conj(zeta^j) = zeta^(-j)
+                for k, v in _power_row(order, -j % order):
                     out[k] += c * v
         # conjugation is an integer involution, so it keeps gcd(den, *num) == 1
         return _cyclo(self.order, tuple(out), self.den)

@@ -41,13 +41,6 @@ class JordanBlock:
             raise ValueError("eigenvalue modulus must be nonnegative")
 
 
-def _lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class JnfSystem:
     """A Jordan-form system: block-diagonal dynamics with per-step rounding.
@@ -87,7 +80,7 @@ class JnfSystem:
             parts.append(2 * self.rounding.angle_resolution)
         for b in self.blocks:
             parts.append(2 * b.eigen_angle.denominator)
-        return _lcm(*parts)
+        return math.lcm(*parts)
 
     def block_slices(self) -> list[tuple[int, int]]:
         out = []

@@ -5,11 +5,14 @@ common denominator.  This module keeps the earlier representation, one
 `Fraction` per power-basis coefficient, with the certified sign, floor,
 square-root and angle functions written against it, so differential tests
 can check the integer kernel against an independent exact implementation.
-Only the tests import it.  One change from the original: `certified_floor`
-reads interval endpoints at the interval's own precision, not at mpmath's
-default 53 bits, which rounded them and could return a wrong floor above
-2^53.  `round_real` keeps the original recursive rounding (a sign pass, then
-a floor or ceiling) on top of this kernel's floor and sign.
+Its cyclotomic polynomials come from the original divisor recursion, which
+divides x^n - 1 by phi_d for every proper divisor d, not from the kernel's
+prime-by-prime construction.  Only the tests import it.  One change from
+the original: `certified_floor` reads interval endpoints at the interval's
+own precision, not at mpmath's default 53 bits, which rounded them and could
+return a wrong floor above 2^53.  `round_real` keeps the original recursive
+rounding (a sign pass, then a floor or ceiling) on top of this kernel's
+floor and sign.
 """
 
 from __future__ import annotations
@@ -28,13 +31,42 @@ from roundreach.errors import (
     PrecisionExhaustedError,
     UnsupportedAngleError,
 )
-from roundreach.numerics import cyclotomic_coeffs, totient
+from roundreach.numerics import totient
 from roundreach.rounding import RoundingKind
 
 Rational = Union[int, Fraction]
 
 _PREC_START = 64
 _PREC_CAP = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
+    if n <= 0:
+        raise ValueError("cyclotomic polynomials are indexed by positive integers")
+    # x^n - 1 divided by the cyclotomic polynomials of all proper divisors.
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, list(cyclotomic_coeffs(d)))
+    return tuple(poly)
+
+
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        coef = num[i + len(den) - 1]
+        if coef % den[-1] != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        coef //= den[-1]
+        out[i] = coef
+        for j, d in enumerate(den):
+            num[i + j] -= coef * d
+    if any(num):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -395,6 +395,19 @@ def test_readme_instance_blocks_decide_as_stated():
     assert [str(dispatch(parse_instance(block))) for block in blocks] == stated
 
 
+@pytest.mark.parametrize("resolution", [10**4, 10**5])
+def test_readme_polar_instance_on_a_fine_angle_grid(resolution, tmp_path, capsys):
+    # the field order is 2R: phi_(2R) must come out sparse and zeta^k on demand
+    instance = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[1])
+    assert instance["rounding"]["shape"] == "polar"
+    instance["rounding"]["angle_resolution"] = resolution
+    path = write(tmp_path, "inst.json", json.dumps(instance))
+    assert main(["decide", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"outcome": "not-reached",
+                   "certificate": {"type": "diverged_past_target", "dimension": 0}}
+
+
 def test_readme_library_example_prints_as_stated(capsys):
     (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     stated = re.findall(r"# (Reached\(step=\d+\))", code)

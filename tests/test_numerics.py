@@ -50,6 +50,16 @@ def test_totient_and_cyclotomic_polynomials():
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_divisor_recursion():
+    # the reference divides x^n - 1 by phi_d for every proper divisor d
+    for n in [*range(1, 501), 840, 1260, 1680, 2000, 2310]:
+        assert cyclotomic_coeffs(n) == ref.cyclotomic_coeffs(n), n
+    # phi_(2*10^6) = phi_10(x^200000), five terms
+    phi = cyclotomic_coeffs(2 * 10**6)
+    assert {j: c for j, c in enumerate(phi) if c} == {
+        0: 1, 200000: -1, 400000: 1, 600000: -1, 800000: 1}
+
+
 def test_primitive_root_powers_close():
     z = CycloNum.zeta_pow(8, 1)
     assert z * z == CycloNum.zeta_pow(8, 2)
@@ -246,7 +256,13 @@ def test_nearest_angle_index_quadrants():
 # ---------------------------------------------------------------------------
 # Differential checks against the Fraction-tuple reference kernel
 
-DIFF_ORDERS = (4, 8, 12, 20, 24)
+# 36: phi_36 = phi_6(x^6), the spread; 60 and 84: three distinct primes;
+# 420: phi_420 has 33 nonzero terms and a coefficient of 2
+DIFF_ORDERS = (4, 8, 12, 20, 24, 36, 60, 84, 420)
+# The angle searches run at each of the 15 resolutions R with 2R | 420, and
+# every Fraction-reference score there is a degree-96 product: 1-2 s an
+# example.  They take the other orders; the field laws are checked at 420.
+ANGLE_ORDERS = DIFF_ORDERS[:-1]
 coefficients = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=Fraction(-40), max_value=Fraction(40), max_denominator=30),
@@ -260,9 +276,9 @@ positive_rationals = st.fractions(
 
 
 @st.composite
-def cyclo_pair(draw):
+def cyclo_pair(draw, orders=DIFF_ORDERS):
     """Two elements of one field, each as (integer kernel, Fraction reference)."""
-    order = draw(st.sampled_from(DIFF_ORDERS))
+    order = draw(st.sampled_from(orders))
     deg = totient(order)
     out = []
     for _ in range(2):
@@ -302,8 +318,14 @@ def test_field_operations_match_fraction_reference(pair, q):
     assert a.approx_complex() == ra.approx_complex()
 
 
+def test_zeta_powers_match_fraction_reference():
+    for order in DIFF_ORDERS:
+        for k in range(-order, order):
+            assert_same(CycloNum.zeta_pow(order, k), ref.CycloNum.zeta_pow(order, k))
+
+
 @settings(max_examples=150, deadline=None)
-@given(cyclo_pair(), positive_rationals)
+@given(cyclo_pair(ANGLE_ORDERS), positive_rationals)
 def test_certified_functions_match_fraction_reference(pair, g):
     (a, ra), (b, rb) = pair
     real, ref_real = (a * b).real_part(), (ra * rb).real_part()
@@ -335,7 +357,7 @@ guess_modes = st.sampled_from(("zero", "random", "antipode"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(cyclo_pair(), guess_modes, st.floats(-math.pi, math.pi))
+@given(cyclo_pair(ANGLE_ORDERS), guess_modes, st.floats(-math.pi, math.pi))
 def test_nearest_angle_climb_matches_tournament_from_any_guess(pair, mode, phase):
     (a, ra), _ = pair
     assume(not a.is_zero())
@@ -452,23 +474,16 @@ def test_equal_values_from_different_denominators_are_canonical():
     assert z * 0 == zero and hash(z * 0) == hash(zero)
 
 
-def test_kernel_stores_integers_and_builds_tables_once(monkeypatch):
-    calls = []
-
-    def counting_totient(n):
-        calls.append(n)
-        return totient(n)
-
-    monkeypatch.setattr(numerics, "totient", counting_totient)
-    numerics._field.cache_clear()
-    try:
-        z = CycloNum(24, tuple(Fraction(j - 3, j + 1) for j in range(8)))
-        for _ in range(3):
-            w = z * z.conjugate() + CycloNum.zeta_pow(24, 5) - 1
-            certified_floor(w.real_part())
-            nearest_angle_index(z, 6)
-        assert calls == [24]
-        assert not hasattr(z, "__dict__")
-        assert all(type(c) is int for c in w.num) and type(w.den) is int
-    finally:
-        numerics._field.cache_clear()
+def test_kernel_stores_integers_and_builds_tables_once():
+    numerics.cyclotomic_coeffs.cache_clear()
+    numerics._power_row.cache_clear()
+    z = CycloNum(24, tuple(Fraction(j - 3, j + 1) for j in range(8)))
+    for _ in range(3):
+        w = z * z.conjugate() + CycloNum.zeta_pow(24, 5) - 1
+        certified_floor(w.real_part())
+        nearest_angle_index(z, 6)
+    # phi_24 is built once; every later read, rows included, hits the cache
+    info = numerics.cyclotomic_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+    assert not hasattr(z, "__dict__")
+    assert all(type(c) is int for c in w.num) and type(w.den) is int
