@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import Fragment, RadiusTable, decide_by_blocks
+from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
 from .numerics import Angle, CycloNum, ceil_sqrt, floor_sqrt
 from .rounding import (
     ArgandPoint,
@@ -64,45 +64,17 @@ def niven_classify(angle: Angle) -> AngleClass:
     )
 
 
-@dataclass(frozen=True)
-class TruncationResourceBounds:
-    """Modulus and step budgets for one unit-modulus block under
-    modulus-non-increasing rounding.
-
-    modulus_bounds[k] bounds coordinate k's modulus while it is being
-    watched and settle_bounds[k] the step by which it has resolved; index 0
-    is the top of the block.  initial_size is the summed 1-norm of the
-    block's starting coordinates, a rational upper bound on the summed
-    moduli.
-    """
-
-    size: int
-    granularity: Fraction
-    initial_size: Fraction
-    modulus_bounds: tuple[Fraction, ...]
-    settle_bounds: tuple[int, ...]
-
-    @property
-    def growth_base(self) -> Fraction:
-        clamped = max(self.initial_size, Fraction(1))
-        raw = 2 * self.size * (2 / self.granularity) ** self.size * clamped
-        return max(raw, Fraction(2))
-
-    def doubly_exponential_ceiling(self, j: int) -> Fraction:
-        """Closed-form ceiling for modulus_bounds[size - 1 - j]."""
-        clamped = max(self.initial_size, Fraction(1))
-        return (self.growth_base * clamped) ** ((self.size + 1) ** j)
-
-
 def _one_norm(points: Sequence[ArgandPoint]) -> Fraction:
     return sum((abs(p.re) + abs(p.im) for p in points), Fraction(0))
 
 
 def truncation_bounds(
     system: JnfSystem, block_index: Optional[int] = None
-) -> TruncationResourceBounds:
-    """Evaluate the step-budget recurrence for one unit-modulus block and
-    check the closed-form ceiling on the modulus table."""
+) -> UnitTable:
+    """The budget tables of one unit-modulus block under
+    modulus-non-increasing rounding: coordinate k resolves within
+    ceil((2*u[k]/g)^size) steps, and the ceiling's exponent is size + 1.
+    initial_size is the summed 1-norm of the block's starting coordinates."""
     spec = system.rounding
     if not isinstance(spec, ArgandRounding):
         raise ValueError("these budgets are defined for componentwise rounding")
@@ -110,20 +82,13 @@ def truncation_bounds(
     initial_size = _one_norm(system.initial[start:end])
     size = block.size
     g = Fraction(spec.granularity)
-    u = [Fraction(0)] * size
-    t = [0] * size
-    u[size - 1] = initial_size
-    t[size - 1] = math.ceil((2 * u[size - 1] / g) ** size)
-    for k in range(size - 2, -1, -1):
-        u[k] = initial_size + size * t[k + 1] * u[k + 1]
-        t[k] = math.ceil((2 * u[k] / g) ** size) + t[k + 1]
-    bounds = TruncationResourceBounds(size, g, initial_size, tuple(u), tuple(t))
-    for j in range(size):
-        if bounds.modulus_bounds[size - 1 - j] > bounds.doubly_exponential_ceiling(j):
-            raise InternalInvariantError(
-                f"modulus table exceeds its closed-form ceiling at height {j}"
-            )
-    return bounds
+    clamped = max(initial_size, Fraction(1))
+    growth_base = max(2 * size * (2 / g) ** size * clamped, Fraction(2))
+
+    def settle(u: Fraction) -> int:
+        return math.ceil((2 * u / g) ** size)
+
+    return unit_table(size, initial_size, settle(initial_size), settle, growth_base, size + 1)
 
 
 def _divergence_due(

@@ -426,15 +426,9 @@ def _table_lines(chosen: Route, system: Instance) -> list[str]:
     return lines
 
 
-def _bounds_lines(system: Instance) -> Union[list[str], Undecided]:
-    """The tables and step cap the decider for this instance uses, or why
-    no decider covers it."""
-    return _routed(system, _table_lines)
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     system = parse_instance(_read(args.instance))
-    lines = _bounds_lines(system)
+    lines = _routed(system, _table_lines)
     if isinstance(lines, Undecided):
         _emit(verdict_json(lines, system))
         return 2

@@ -172,6 +172,56 @@ def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTa
     )
 
 
+@dataclass(frozen=True)
+class UnitTable:
+    """Modulus and step budgets for one block whose eigenvalue has modulus
+    one; index 0 is the top of the block.
+
+    The block settles bottom-up: modulus_bounds[k] bounds coordinate k's
+    modulus while it is watched and settle_bounds[k] the step by which it
+    has resolved.  initial_size is a rational upper bound on the summed
+    moduli of the block's starting coordinates.
+    """
+
+    initial_size: Fraction
+    growth_base: Fraction
+    exponent: int
+    modulus_bounds: tuple[Fraction, ...]
+    settle_bounds: tuple[int, ...]
+
+    def doubly_exponential_ceiling(self, j: int) -> Fraction:
+        """Closed-form ceiling for modulus_bounds[size - 1 - j]."""
+        clamped = max(self.initial_size, Fraction(1))
+        return (self.growth_base * clamped) ** (self.exponent**j)
+
+
+def unit_table(
+    size: int,
+    initial_size: Fraction,
+    last: int,
+    settle: Callable[[Fraction], int],
+    growth_base: Fraction,
+    exponent: int,
+) -> UnitTable:
+    """Evaluate the budget recurrence of a unit-modulus block: the bottom
+    coordinate settles by step `last`, and coordinate k, watched once the
+    one below has settled, stays within initial_size + size*t[k+1]*u[k+1]
+    and resolves within settle(u[k]) more steps.  Checks the modulus table
+    against doubly_exponential_ceiling."""
+    u = [initial_size] * size
+    t = [last] * size
+    for k in range(size - 2, -1, -1):
+        u[k] = initial_size + size * t[k + 1] * u[k + 1]
+        t[k] = settle(u[k]) + t[k + 1]
+    table = UnitTable(initial_size, growth_base, exponent, tuple(u), tuple(t))
+    for j in range(size):
+        if u[size - 1 - j] > table.doubly_exponential_ceiling(j):
+            raise InternalInvariantError(
+                f"modulus table exceeds its closed-form ceiling at height {j}"
+            )
+    return table
+
+
 def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
     cap = 1
     for table in tables:
@@ -183,7 +233,7 @@ def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int
 @dataclass(frozen=True)
 class Fragment:
     """What a Jordan-form decider runs on: unit_tables(system, index) builds
-    the tables of a block whose eigenvalue has modulus one, unit_analyzer
+    the UnitTable of a block whose eigenvalue has modulus one, unit_analyzer
     (offset, block, rounding, target slice, field order) watches such a
     block, and step_cap(system, tables) reads the cap off every block's
     table.  With no unit_tables the fragment covers no modulus-one block."""
@@ -268,20 +318,15 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def mat_inv(m: RationalMatrix) -> RationalMatrix:
+    """The inverse read off the RREF of [M | I]; ValueError when M is singular."""
     n = len(m)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    rows, pivots = _echelon(
+        _integer_rows([[*row, *(int(i == j) for j in range(n))]
+                       for i, row in enumerate(m)])
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x, row[k]) for x in row[n:]) for k, row in enumerate(rows))
 
 
 def max_abs_row_sum(m: RationalMatrix) -> Fraction:

@@ -11,13 +11,12 @@ dimension rotates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import Fragment, RadiusTable, decide_by_blocks
+from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
 from .numerics import Angle, CycloNum, embed_polar, modulus_sq, sign_of_real
 from .rounding import (
     PolarPoint,
@@ -84,42 +83,13 @@ class PhiMode(enum.Enum):
     PHI_SMALL = "small"
 
 
-@dataclass(frozen=True)
-class PolarResourceBounds:
-    """Modulus and settling-time tables for one unit-modulus block.
-
-    modulus_bounds[j] bounds the modulus of dimension j and
-    settle_bounds[j] the step by which dimension j has either settled into
-    rotation or produced a divergence certificate; index 0 is the top.
-    initial_size and target_size are the summed moduli the tables start
-    from.
-    """
-
-    size: int
-    resolution: int
-    initial_size: Fraction
-    target_size: Fraction
-    granularity: Fraction
-    modulus_bounds: tuple[Fraction, ...]
-    settle_bounds: tuple[int, ...]
-
-    @property
-    def growth_base(self) -> Fraction:
-        i_s = max(self.initial_size, Fraction(1))
-        y_s = max(self.target_size, Fraction(1))
-        return 3 * self.size * y_s * (2 * self.resolution) ** 2 * i_s
-
-    def doubly_exponential_ceiling(self, j: int) -> Fraction:
-        """Closed-form ceiling for modulus_bounds[size - 1 - j]."""
-        i_s = max(self.initial_size, Fraction(1))
-        return (self.growth_base * i_s) ** (2**j)
-
-
 def resource_bounds(
     system: JnfSystem, block_index: Optional[int] = None
-) -> PolarResourceBounds:
-    """Evaluate the settling-time and modulus tables for one unit-modulus
-    block of a polar instance, checking the closed-form ceiling."""
+) -> UnitTable:
+    """The settling-time and modulus tables of one unit-modulus block of a
+    polar instance: a dimension settles into rotation or produces a
+    divergence certificate within ceil((Y + u)*(2R)^2) steps of the one
+    below, Y the target's summed moduli; the ceiling's exponent is 2."""
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("resource tables are defined for polar rounding")
@@ -127,30 +97,14 @@ def resource_bounds(
     initial_size = sum((p.modulus for p in system.initial[start:end]), Fraction(0))
     target_size = sum((p.modulus for p in system.target[start:end]), Fraction(0))
     size = block.size
-    resolution = spec.angle_resolution
-    u = [Fraction(0)] * size
-    t = [0] * size
-    u[size - 1] = initial_size
-    t[size - 1] = 1
-    angle_count_sq = (2 * resolution) ** 2
-    for k in range(size - 2, -1, -1):
-        u[k] = initial_size + size * t[k + 1] * u[k + 1]
-        t[k] = ceil((target_size + u[k]) * angle_count_sq) + t[k + 1]
-    bounds = PolarResourceBounds(
-        size,
-        resolution,
-        initial_size,
-        target_size,
-        Fraction(spec.granularity),
-        tuple(u),
-        tuple(t),
-    )
-    for j in range(size):
-        if bounds.modulus_bounds[size - 1 - j] > bounds.doubly_exponential_ceiling(j):
-            raise InternalInvariantError(
-                f"modulus table exceeds its closed-form ceiling at height {j}"
-            )
-    return bounds
+    angle_count_sq = (2 * spec.angle_resolution) ** 2
+    growth_base = (3 * size * max(target_size, Fraction(1)) * angle_count_sq
+                   * max(initial_size, Fraction(1)))
+
+    def settle(u: Fraction) -> int:
+        return ceil((target_size + u) * angle_count_sq)
+
+    return unit_table(size, initial_size, 1, settle, growth_base, 2)
 
 
 class _DimensionMachine:

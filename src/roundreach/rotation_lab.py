@@ -21,27 +21,16 @@ import mpmath
 from .errors import UndecidableTieError
 from .numerics import (
     Angle, CycloNum, angle_cos, angle_sin, certified_floor, refine, settled_floor,
+    unit_circle,
 )
 from .rounding import RULES, RoundingKind
-from .system import OrbitRecord, orbit_shape
+from .system import STEP_SLACK, OrbitRecord, orbit_shape
 
 IntPair = tuple[int, int]
 
-# The prefilter rounds t = a*cos - b*sin + 1/2 (or a*sin + b*cos + 1/2) as
-# floor(fl(fl(V + 0.5) -+ S)) with V = fl(fl(A*C) -+ fl(B*S')), where A and
-# B are a and b converted to floats, C and S' the float cosine and sine, and
-# S = fl(m) * _FLOAT_SLACK the slack for m = |a| + |b| + 1.  With u = 2^-53:
-# converting an int costs u|a| (nothing below 2^53); C and S' are within 2u
-# of the true values (a 128-bit value rounded once, or for an interval angle
-# the midpoint of two rounded endpoints); so |A*C - a*cos| <= 3u|a| + O(u^2).
-# The two products, the sum, the + 0.5 and the -+ S each add one rounding,
-# at most u|a|, u|b|, u(|a| + |b|), u*m and u*m.  The total is below
-# 7u*m + O(u^2 m), and S >= 8u*m*(1 - u), so both ends of the bracket lie
-# on their side of t and equal floors are the exact floor.  Past float range
-# a conversion raises OverflowError and both coordinates take the fallback.
-_FLOAT_SLACK = 2.0**-50
-
-# round half up is minimal-error rounding, the bracket derived above
+# The prefilter is StepKernel's off-axis Argand bracket with p = q = 1, no
+# second term and half-up (minimal-error) rounding; the slack derivation
+# there allows cos_f and sin_f 22u of error.
 _half_up = RULES[RoundingKind.MINIMAL_ERROR_UP].bracket
 
 _INTERVAL_PREC_CAP = 2**12
@@ -122,7 +111,7 @@ class _Rotator:
     def step(self, p: IntPair) -> IntPair:
         a, b = p
         try:
-            slack = (abs(a) + abs(b) + 1) * _FLOAT_SLACK
+            slack = (abs(a) + abs(b) + 1) * STEP_SLACK
             re_v = _half_up(a * self.cos_f - b * self.sin_f, slack)
             im_v = _half_up(a * self.sin_f + b * self.cos_f, slack)
         except OverflowError:
@@ -145,14 +134,9 @@ class _RationalRotator(_Rotator):
         self.cos_exact = angle_cos(angle, order)
         self.sin_exact = angle_sin(angle, order)
         self.half = CycloNum.from_rational(order, Fraction(1, 2))
-        saved = mpmath.mp.prec
-        try:
-            mpmath.mp.prec = 128
-            theta = mpmath.pi * angle.pi_multiple.numerator / angle.pi_multiple.denominator
-            self.cos_f = float(mpmath.cos(theta))
-            self.sin_f = float(mpmath.sin(theta))
-        finally:
-            mpmath.mp.prec = saved
+        cos, sin = unit_circle(order)
+        m = angle.numerator * order // (2 * angle.denominator)  # field steps
+        self.cos_f, self.sin_f = cos[m], sin[m]
 
     def _fallback(self, a: int, b: int, im: bool) -> int:
         if im:

@@ -91,15 +91,19 @@ class JnfSystem:
         return out
 
     def unit_block(self, index: Optional[int] = None) -> tuple[JordanBlock, int, int]:
-        """Block index with its coordinate range; with no index, the only
-        block whose eigenvalue has modulus one."""
+        """A block whose eigenvalue has modulus one, with its coordinate
+        range: the indexed one, or with no index the only one."""
         if index is None:
             units = [i for i, b in enumerate(self.blocks) if b.eigen_modulus == 1]
             if len(units) != 1:
                 raise ValueError(
                     "pass block_index when the system has several unit blocks"
+                    if units else "the system has no block of eigenvalue modulus one"
                 )
             index = units[0]
+        modulus = self.blocks[index].eigen_modulus
+        if modulus != 1:
+            raise ValueError(f"block {index} has eigenvalue modulus {modulus}, not one")
         return (self.blocks[index], *self.block_slices()[index])
 
     def eigen_value(self, block: JordanBlock, order: Optional[int] = None) -> CycloNum:
@@ -112,9 +116,10 @@ class JnfSystem:
         return StepKernel(self)
 
 
-# A float bracket's half-width is _STEP_SLACK * (m + 1), with m the float
-# magnitude bound each StepKernel helper computes; see StepKernel.
-_STEP_SLACK = 2.0**-44
+# A float bracket's half-width is STEP_SLACK * (m + 1), with m the float
+# magnitude bound each StepKernel helper (and rotation_lab's prefilter)
+# computes; see StepKernel.
+STEP_SLACK = 2.0**-44
 
 # 2*cos(pi*t/6) for the t in [0, 12) where it is rational (Niven)
 _TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
@@ -281,7 +286,7 @@ class StepKernel:
             total = abs(fa) + abs(fb) + abs(fc)
             if not _fits(total):
                 return None
-            slack = (total / fq + 1.0) * _STEP_SLACK
+            slack = (total / fq + 1.0) * STEP_SLACK
             return bracket((fa * cos - fb * sin + fc) / fq, slack)
 
         def rotate(x, y):
@@ -331,7 +336,7 @@ class StepKernel:
                     return None
                 if not _fits(fs + fx):
                     return None
-                slack = ((fs + fx) / fq + 1.0) * _STEP_SLACK
+                slack = ((fs + fx) / fq + 1.0) * STEP_SLACK
                 steps = irrational_modulus((fs + fx * cos[d]) / fq, slack)
                 if steps is None:
                     return None
@@ -359,7 +364,7 @@ class StepKernel:
         k = round(math.atan2(im, re) * count / (2.0 * math.pi)) % count
         b1, b2 = a1 - k * stride, a2 - k * stride
         top = fx * cos[b1 % order], fy * cos[b2 % order]
-        slack = (fx + fy + 1.0) * _STEP_SLACK
+        slack = (fx + fy + 1.0) * STEP_SLACK
         for side in (stride, -stride):
             drop = (top[0] - fx * cos[(b1 - side) % order]
                     + top[1] - fy * cos[(b2 - side) % order])

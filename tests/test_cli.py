@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
 from roundreach import hyperbolic, system as system_module
 from roundreach.cli import dispatch, main, parse_instance, serialize_instance
 from roundreach.numerics import Angle
@@ -485,6 +486,20 @@ def test_bounds_is_undecided_where_decide_is(example, tmp_path, capsys):
     assert capsys.readouterr().out == decided
 
 
+UNIT_45 = JordanBlock(1, Fraction(1), Angle(Fraction(1, 4)))
+
+
+def two_blocks(top: JordanBlock, kind: RoundingKind) -> JnfSystem:
+    """The top block over a contracting real one, from (3, 4) towards (9, 0)."""
+    half = JordanBlock(1, Fraction(1, 2), Angle(Fraction(0)))
+    return JnfSystem(
+        (top, half),
+        (ArgandPoint(Fraction(3), Fraction(0)), ArgandPoint(Fraction(4), Fraction(0))),
+        (ArgandPoint(Fraction(9), Fraction(0)), ArgandPoint(Fraction(0), Fraction(0))),
+        ArgandRounding(kind),
+    )
+
+
 def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypatch):
     caps = []
     iterate = system_module.iterate
@@ -495,18 +510,10 @@ def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(system_module, "iterate", recording)
     monkeypatch.setattr(hyperbolic, "iterate", recording)
-    unit_45 = JordanBlock(1, Fraction(1), Angle(Fraction(1, 4)))
-    half = JordanBlock(1, Fraction(1, 2), Angle(Fraction(0)))
-    points = (ArgandPoint(Fraction(3), Fraction(0)), ArgandPoint(Fraction(4), Fraction(0)))
-    far = (ArgandPoint(Fraction(9), Fraction(0)), ArgandPoint(Fraction(0), Fraction(0)))
-    floor_hyperbolic = JnfSystem(
-        (JordanBlock(1, Fraction(2), Angle(Fraction(0))), half),
-        points,
-        far,
-        ArgandRounding(RoundingKind.FLOOR),
-    )
-    truncate = JnfSystem((unit_45, half), points, far, ArgandRounding(RoundingKind.TRUNCATE))
-    expand = JnfSystem((unit_45, half), points, far, ArgandRounding(RoundingKind.EXPAND))
+    floor_hyperbolic = two_blocks(JordanBlock(1, Fraction(2), Angle(Fraction(0))),
+                                  RoundingKind.FLOOR)
+    truncate = two_blocks(UNIT_45, RoundingKind.TRUNCATE)
+    expand = two_blocks(UNIT_45, RoundingKind.EXPAND)
     routes = (floor_hyperbolic, polar_example(), truncate, expand, rational_example())
     for system in routes:
         path = write(tmp_path, "inst.json", serialize_instance(system))
@@ -518,6 +525,46 @@ def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypa
         label = "proved state bound" if cap_is_state_bound else "safety net"
         assert capsys.readouterr().out.splitlines()[-1] == f"step cap: {cap} ({label})"
     assert not caps
+
+
+BOUNDS_README_POLAR = """\
+block 0: size 2, eigenvalue modulus 1, angle 1/2 pi
+  modulus ceiling per dimension: 27, 9
+  settle bound per dimension:    753, 1
+  growth base: 17280
+step cap: 5388 (safety net)
+"""
+
+BOUNDS_UNIT_45 = """\
+block 0: size 1, eigenvalue modulus 1, angle 1/4 pi
+  modulus ceiling per dimension: 3
+  settle bound per dimension:    6
+  growth base: 12
+block 1: size 1, eigenvalue modulus 1/2, angle 0 pi
+  escape radius per dimension: 6
+step cap: 561 (safety net)
+"""
+
+# SHA-256 of the `bounds` output of every system of criteria 4, 6 and 7 in turn
+BOUNDS_CORPUS_DIGEST = "4dc898579aff22caa31b45fbbc30d6cc2e4b4501ad637adb811e743ef3f44a9c"
+
+
+def test_bounds_bytes_are_pinned(tmp_path, capsys):
+    readme_polar = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[1]
+    runs = [(readme_polar, BOUNDS_README_POLAR)] + [
+        (serialize_instance(two_blocks(UNIT_45, kind)), BOUNDS_UNIT_45)
+        for kind in (RoundingKind.TRUNCATE, RoundingKind.EXPAND)
+    ]
+    for text, expected in runs:
+        assert main(["bounds", write(tmp_path, "inst.json", text)]) == 0
+        assert capsys.readouterr().out == expected
+    digest = hashlib.sha256()
+    path = tmp_path / "corpus.json"
+    for system in itertools.chain(hyperbolic_corpus(), polar_corpus(), argand_corpus()):
+        path.write_text(serialize_instance(system))
+        assert main(["bounds", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BOUNDS_CORPUS_DIGEST
 
 
 def _readme_command_lines(readme: str) -> list[list[str]]:

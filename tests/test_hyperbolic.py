@@ -140,6 +140,40 @@ def test_mat_inv_rejects_singular():
         mat_inv(m)
 
 
+def _det(m) -> Fraction:
+    """Laplace expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
+@st.composite
+def square_matrix(draw):
+    """A 1-4-dimensional rational matrix; about half of them have a last
+    row that is a rational combination of the others, so are singular."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        coeffs = [draw(entry) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[k] for c, row in zip(coeffs, rows)), Fraction(0))
+                    for k in range(n)]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrix())
+def test_mat_inv_inverts_or_rejects_singular(m):
+    n = len(m)
+    if _det([list(row) for row in m]) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(m)
+        return
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    assert mat_mul(m, mat_inv(m)) == ident
+
+
 def test_jnf_rational_reconstructs():
     for m, eigs in itertools.islice(rational_matrices(), 20):
         p2, j2 = jnf_rational(m)

