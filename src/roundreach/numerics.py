@@ -106,6 +106,12 @@ def _power_row(order: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple((j * s + r, c) for j, c in enumerate(rem[:deg]) if c)
 
 
+def unit_point(j: int, order: int) -> tuple[float, float]:
+    """Entry j of `unit_circle(order)`, without building the table."""
+    angle = 2.0 * math.pi * j / order
+    return math.cos(angle), math.sin(angle)
+
+
 @lru_cache(maxsize=None)
 def unit_circle(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Float cos and sin of 2*pi*j/order for j in [0, order); built on first use."""

@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import GadgetBrokenError, InternalInvariantError
@@ -817,7 +818,7 @@ def hardness_step(instance: HardnessInstance, state: Sequence[int]) -> tuple[int
     rows, readers = instance.integer_rows
     ratio = RULES[instance.program.family.rounding_kind].ratio
     out = [0] * len(rows)
-    for r in {r for col, value in enumerate(state) if value for r in readers[col]}:
+    for r in {r for col in compress(range(len(state)), state) for r in readers[col]}:
         out[r] = round_row(rows[r], state, ratio)
     return tuple(out)
 

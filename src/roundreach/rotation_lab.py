@@ -3,35 +3,33 @@
 Every lattice point in a disk is iterated under "rotate by theta, then
 round each coordinate to the nearest integer with half ties up", recording
 when each orbit becomes periodic and which cells get occupied at which
-generation.  Rational multiples of pi run on a certified fast path whose
-hard cases fall back to exact cyclotomic arithmetic; other angles are
-evaluated by interval arithmetic with doubling precision and a hard cap.
+generation.  A rational multiple of pi steps on `StepKernel`, as a system of
+one size-1 unit block: a float bracket, then Niven's rational values in
+integers, then the kernel's exact cyclotomic fallback.  Other angles use
+the same float bracket and then interval arithmetic with doubling precision
+and a hard cap.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import mpmath
 
 from .errors import UndecidableTieError
-from .numerics import (
-    Angle, CycloNum, angle_cos, angle_sin, certified_floor, refine, settled_floor,
-    unit_circle,
-)
-from .rounding import RULES, RoundingKind
-from .system import STEP_SLACK, OrbitRecord, orbit_shape
+# certified_floor stays bound here for perfbench/layertrace.py's exact-fallback
+# counter; a rational angle falls back through StepKernel, so none arrive
+from .numerics import Angle, certified_floor, refine, settled_floor  # noqa: F401
+from .rounding import RULES, ArgandPoint, ArgandRounding, RoundingKind
+from .system import JnfSystem, JordanBlock, OrbitRecord, orbit_shape, rounded_rotation
 
 IntPair = tuple[int, int]
 
-# The prefilter is StepKernel's off-axis Argand bracket with p = q = 1, no
-# second term and half-up (minimal-error) rounding; the slack derivation
-# there allows cos_f and sin_f 22u of error.
-_half_up = RULES[RoundingKind.MINIMAL_ERROR_UP].bracket
+_HALF_UP = ArgandRounding(RoundingKind.MINIMAL_ERROR_UP)
+_ORIGIN = ArgandPoint(0, 0)
 
 _INTERVAL_PREC_CAP = 2**12
 
@@ -100,54 +98,8 @@ def _theta_descriptor(theta: Theta) -> str:
     return str(theta) if isinstance(theta, Angle) else theta.descriptor
 
 
-class _Rotator:
-    """Rotate, then round half up: a float prefilter on each coordinate with
-    the subclass's cos_f and sin_f, and its certified _fallback for one
-    near a rounding tie."""
-
-    def _fallback(self, a: int, b: int, im: bool) -> int:
-        raise NotImplementedError
-
-    def step(self, p: IntPair) -> IntPair:
-        a, b = p
-        try:
-            slack = (abs(a) + abs(b) + 1) * STEP_SLACK
-            re_v = _half_up(a * self.cos_f - b * self.sin_f, slack)
-            im_v = _half_up(a * self.sin_f + b * self.cos_f, slack)
-        except OverflowError:
-            re_v = im_v = None  # past float range there is no float answer
-        if re_v is None:
-            re_v = self._fallback(a, b, im=False)
-        if im_v is None:
-            im_v = self._fallback(a, b, im=True)
-        return (re_v, im_v)
-
-
-class _RationalRotator(_Rotator):
-    """Rotation by a rational multiple of pi: float prefilter, exact
-    cyclotomic arithmetic whenever a coordinate is near a tie."""
-
-    def __init__(self, angle: Angle) -> None:
-        self.angle = angle
-        order = math.lcm(4, 2 * angle.pi_multiple.denominator)
-        self.order = order
-        self.cos_exact = angle_cos(angle, order)
-        self.sin_exact = angle_sin(angle, order)
-        self.half = CycloNum.from_rational(order, Fraction(1, 2))
-        cos, sin = unit_circle(order)
-        m = angle.numerator * order // (2 * angle.denominator)  # field steps
-        self.cos_f, self.sin_f = cos[m], sin[m]
-
-    def _fallback(self, a: int, b: int, im: bool) -> int:
-        if im:
-            value = Fraction(a) * self.sin_exact + Fraction(b) * self.cos_exact
-        else:
-            value = Fraction(a) * self.cos_exact - Fraction(b) * self.sin_exact
-        return certified_floor(value + self.half)
-
-
-class _IntervalRotator(_Rotator):
-    """Rotation by an interval-only angle: float prefilter, then doubling
+class _IntervalRotator:
+    """Rotation by an interval-only angle: `rounded_rotation`, then doubling
     interval precision; an unresolved tie at the cap is an error."""
 
     def __init__(self, theta: IrrationalTheta) -> None:
@@ -158,41 +110,43 @@ class _IntervalRotator(_Rotator):
             box = theta.interval()
             c = mpmath.iv.cos(box)
             s = mpmath.iv.sin(box)
-            self.cos_f = float((mpmath.mpf(c.a) + mpmath.mpf(c.b)) / 2)
-            self.sin_f = float((mpmath.mpf(s.a) + mpmath.mpf(s.b)) / 2)
+            cos_f = float((mpmath.mpf(c.a) + mpmath.mpf(c.b)) / 2)
+            sin_f = float((mpmath.mpf(s.a) + mpmath.mpf(s.b)) / 2)
         finally:
             mpmath.iv.prec = saved
+        self.step = rounded_rotation(RULES[_HALF_UP.kind].bracket, cos_f, sin_f, self._refine)
 
-    def _fallback(self, a: int, b: int, im: bool) -> int:
+    def _refine(self, a: int, b: int) -> int:
         def enclose():
-            angle_box = self.theta.interval()
-            c = mpmath.iv.cos(angle_box)
-            s = mpmath.iv.sin(angle_box)
-            if im:
-                return a * s + b * c + mpmath.iv.mpf("0.5")
-            return a * c - b * s + mpmath.iv.mpf("0.5")
+            box = self.theta.interval()
+            return a * mpmath.iv.cos(box) - b * mpmath.iv.sin(box) + mpmath.iv.mpf("0.5")
 
         verdict = refine(enclose, _INTERVAL_PREC_CAP, settled_floor)
         if verdict is None:
             raise UndecidableTieError(
-                f"rounding of {(a, b)} under {self.theta.descriptor} "
+                f"the real part of {(a, b)} rotated by {self.theta.descriptor} "
                 f"is still ambiguous at {_INTERVAL_PREC_CAP} bits"
             )
         return verdict
 
 
-def _make_rotator(theta: Union[Theta, str]) -> _Rotator:
+def _rotation_step(theta: Union[Theta, str]) -> Callable[[IntPair], IntPair]:
     if isinstance(theta, str):
         theta = parse_theta(theta)
-    if isinstance(theta, Angle):
-        return _RationalRotator(theta)
-    return _IntervalRotator(theta)
+    if not isinstance(theta, Angle):
+        return _IntervalRotator(theta).step
+    # StepKernel on one size-1 unit block, which never reads its start and
+    # target: the block's update, and where it has no answer the exact step
+    kernel = JnfSystem((JordanBlock(1, 1, theta),), (_ORIGIN,), (_ORIGIN,), _HALF_UP).kernel
+    (_successor, update, _block), = kernel.plan
+    step = kernel.step
+    return lambda p: update(p, (0, 0)) or step((p,))[0]
 
 
 def rotate_round(p: IntPair, theta: Union[Theta, str]) -> IntPair:
     """One step: rotate the integer point by theta, then round each
     coordinate to the nearest integer with half ties rounded up."""
-    return _make_rotator(theta).step((int(p[0]), int(p[1])))
+    return _rotation_step(theta)((int(p[0]), int(p[1])))
 
 
 @dataclass(frozen=True)
@@ -214,7 +168,7 @@ def run_orbit(start: IntPair, theta: Union[Theta, str], budget: int = 1_000_000)
     """Iterate one start point until its orbit repeats or the budget ends."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return orbit_shape(_make_rotator(theta).step, (int(start[0]), int(start[1])), budget)
+    return orbit_shape(_rotation_step(theta), (int(start[0]), int(start[1])), budget)
 
 
 def disk_points(radius: int) -> list[IntPair]:
@@ -239,12 +193,12 @@ def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> 
         raise ValueError("budget must be positive")
     if isinstance(theta, str):
         theta = parse_theta(theta)
-    rotator = _make_rotator(theta)
+    rotate = _rotation_step(theta)
     cells: dict[IntPair, int] = {}
     orbits = []
     unresolved = []
     for start in disk_points(radius):
-        record = orbit_shape(rotator.step, start, budget)
+        record = orbit_shape(rotate, start, budget)
         orbits.append(record)
         if record.period is None:
             unresolved.append(start)

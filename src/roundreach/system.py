@@ -11,7 +11,8 @@ from functools import cached_property
 from typing import Any, Callable, Optional, Protocol, Union
 
 from .errors import InternalInvariantError, UndecidableTieError
-from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar, unit_circle
+from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar
+from .numerics import unit_circle, unit_point
 from .rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -117,9 +118,37 @@ class JnfSystem:
 
 
 # A float bracket's half-width is STEP_SLACK * (m + 1), with m the float
-# magnitude bound each StepKernel helper (and rotation_lab's prefilter)
-# computes; see StepKernel.
+# magnitude bound each StepKernel helper computes; see StepKernel.
 STEP_SLACK = 2.0**-44
+
+
+def rounded_rotation(bracket: Callable, cos: float, sin: float,
+                     open_part: Callable[[int, int], Optional[int]]) -> Callable:
+    """A rounded unit rotation on integer pairs: x = (a, b) to the roundings
+    of a*cos - b*sin and, as the same form at (b, -a), a*sin + b*cos.  A
+    `KindRule.bracket` reads each from floats; one it leaves open, and both
+    past float range, is open_part of its pair, and None from that makes the
+    step None.  This is StepKernel's Argand bracket with r = 1 and no second
+    term, so its slack derivation covers it while cos and sin lie within 22u
+    of the true values.  A second argument, the successor term of a kernel
+    update, is ignored: a lone rotation has none."""
+
+    def rotate(x, _successor=None):
+        a, b = x
+        try:
+            slack = (abs(a) + abs(b) + 1) * STEP_SLACK
+            re = bracket(a * cos - b * sin, slack)
+            im = bracket(a * sin + b * cos, slack)
+        except OverflowError:
+            re = im = None
+        if re is None:
+            re = open_part(a, b)
+        if re is not None and im is None:
+            im = open_part(b, -a)
+        return None if re is None or im is None else (re, im)
+
+    return rotate
+
 
 # 2*cos(pi*t/6) for the t in [0, 12) where it is rational (Niven)
 _TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
@@ -150,7 +179,9 @@ class StepKernel:
     angles: each part r*(a*cos - b*sin) + c (or r*(a*sin + b*cos) + d) is
     read in integers where Niven's theorem makes it rational
     (`_rational_turn`), and elsewhere bracketed in floats;
-    lambda*x_j = 0 leaves w = x_(j+1) on the grid.
+    lambda*x_j = 0 leaves w = x_(j+1) on the grid.  A lone unit rotation (a
+    size-1 block with r = 1) is `rounded_rotation`, float bracket first: the
+    fast order for the rotation experiments, where most parts are irrational.
 
     Polar: |w|^2/g^2 = (X^2 + Y^2 + X*Y*2cos(phi))/q^2 with X = p*k_j,
     Y = q*k_(j+1) and phi the angle between the two terms.  It is rational
@@ -198,7 +229,8 @@ class StepKernel:
         self.rule = RULES[spec.modulus_kind if self.polar else spec.kind]
         self.g = spec.granularity
         self.order = system.field_order()
-        self.cos, self.sin = unit_circle(self.order)
+        if self.polar:  # an Argand block reads one entry, from unit_point
+            self.cos, self.sin = unit_circle(self.order)
         plan = []
         for b, ((start, end), block) in enumerate(zip(system.block_slices(), system.blocks)):
             update = self._polar_update(block) if self.polar else self._argand_update(block)
@@ -270,7 +302,7 @@ class StepKernel:
                 return (ratio(p * a + q * y[0], q), ratio(p * b + q * y[1], q))
 
             return axis
-        cos, sin = self.cos[m], self.sin[m]
+        cos, sin = unit_point(m, self.order)
         rational_turn = _rational_turn(block.eigen_angle, self.order)
 
         def part(a, b, c):
@@ -297,7 +329,11 @@ class StepKernel:
             im = None if re is None else part(b, -a, y[1])  # r*(a*sin + b*cos) + d
             return None if im is None else (re, im)
 
-        return rotate
+        if block.size > 1 or block.eigen_modulus != 1:
+            return rotate
+        # part reads Niven's rational values in integers; the origin stays put
+        return rounded_rotation(bracket, cos, sin,
+                                lambda a, b: 0 if a == b == 0 else part(a, b, 0))
 
     # -- polar updates
 
@@ -311,8 +347,7 @@ class StepKernel:
         shift = (2 * m + stride) // (2 * stride)  # nearest grid angle to m, ties up
         qq = q * q
         cos = self.cos
-        two_cos = tuple(_TWO_COS.get(12 * d // order) if 12 * d % order == 0 else None
-                        for d in range(order))
+        two_cos = {t * order // 12: v for t, v in _TWO_COS.items() if t * order % 12 == 0}
 
         def polar(x, y):
             k, i = x
@@ -325,7 +360,7 @@ class StepKernel:
                 return (steps, (i + shift) % count) if steps else _ORIGIN
             a1, a2 = m + i * stride, h * stride
             d = (a1 - a2) % order
-            tc = two_cos[d]
+            tc = two_cos.get(d)
             squares = big_x * big_x + big_y * big_y
             if tc is not None:
                 steps = modulus(squares + big_x * big_y * tc, qq)

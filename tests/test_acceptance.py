@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
+from rational_rotator import RationalRotator
 from roundreach.numerics import (
     Angle,
     CycloNum,
@@ -71,9 +72,9 @@ from roundreach.qbf_compiler import (
 )
 from roundreach.rotation_lab import (
     _IntervalRotator,
-    _RationalRotator,
     disk_points,
     grid_csv,
+    rotate_round,
     run_disk,
 )
 
@@ -375,10 +376,11 @@ def test_criterion_9_rotation_experiments():
         assert all(o.period is not None for o in wide.orbits)
         assert grid_csv(report) == grid_csv(run_disk(10, "1/42 pi",
                                                      budget=10**6))
-        exact = _RationalRotator(Angle(Fraction(1, 7)))
+        exact = RationalRotator(Angle(Fraction(1, 7)))
         boxed = _IntervalRotator(_RationalAsInterval(1, 7))
         for point in disk_points(5):
             assert exact.step(point) == boxed.step(point), point
+            assert rotate_round(point, "1/7 pi") == exact.step(point), point
 
 
 # -- criterion 10: exact numeric substrate ----------------------------------

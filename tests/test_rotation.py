@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rational_rotator import RationalRotator
 from roundreach.errors import UndecidableTieError
 from roundreach.numerics import Angle
 from roundreach.rotation_lab import (
     IrrationalTheta,
     _IntervalRotator,
-    _RationalRotator,
-    _make_rotator,
     disk_points,
     emit_grid,
     grid_csv,
@@ -33,6 +32,10 @@ def test_rotate_round_frozen():
     assert rotate_round((1, 1), "1/2 pi") == (-1, 1)
     # half-tie case: rotating (1,0) by pi/3 lands re exactly on 1/2
     assert rotate_round((1, 0), "1/3 pi") == (1, 1)
+    # and im: (0, 1) by pi/3 is (-sqrt(3)/2, 1/2)
+    assert rotate_round((0, 1), "1/3 pi") == (-1, 1)
+    # a field of order 4000004: one float entry, no table and no exact cos
+    assert rotate_round((3, 4), "1/1000001 pi") == (3, 4)
 
 
 def test_parse_theta_grammar():
@@ -146,24 +149,6 @@ class _RationalAsInterval:
         return mpmath.iv.pi * self.num / self.den
 
 
-def test_interval_rotator_agrees_with_exact_on_rational_angle():
-    for num, den in ((1, 7), (2, 5), (1, 42)):
-        exact = _RationalRotator(Angle(Fraction(num, den)))
-        interval = _IntervalRotator(_RationalAsInterval(num, den))
-        for p in disk_points(6):
-            try:
-                assert interval.step(p) == exact.step(p), (num, den, p)
-            except UndecidableTieError:
-                # only a genuine half-integer tie can defeat intervals
-                a, b = p
-                re_v = Fraction(a) * exact.cos_exact - Fraction(b) * exact.sin_exact
-                im_v = Fraction(a) * exact.sin_exact + Fraction(b) * exact.cos_exact
-                half = Fraction(1, 2)
-                assert any((v + half).is_rational() and
-                           Fraction((v + half).as_rational()).denominator == 1
-                           for v in (re_v, im_v))
-
-
 def test_irrational_angle_runs_and_matches_float_picture():
     record = run_orbit((10, 0), "2^(2/5)/10 pi", budget=2000)
     assert record.period is not None
@@ -213,20 +198,44 @@ def test_interval_ladder_gives_up_at_its_cap():
         rotator.step((1, 0))
 
 
-WORKLOAD_ANGLES = ("1/42 pi", "1/7 pi", "1/4 pi", "1/3 pi", "1/6 pi", "2^(2/5)/10 pi")
-_ROTATORS = {theta: _make_rotator(theta) for theta in WORKLOAD_ANGLES}
+def _near_power(low: int, high: int):
+    return st.builds(lambda sign, e, d: sign * ((1 << e) + d), st.sampled_from((1, -1)),
+                     st.integers(low, high), st.integers(-3, 3))
+
+
 coordinates = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.builds(lambda e, d: (1 << e) + d, st.integers(50, 70), st.integers(-3, 3)),
     st.integers(-1000, 1000),
+    st.integers(-(2**70), 2**70),
+    _near_power(50, 70),      # past 2^53 an int converts with rounding
+    _near_power(1020, 1100),  # past float range there is no float bracket
 )
+RATIONAL_ANGLES = ("1/42 pi", "1/7 pi", "2/5 pi", "1/4 pi", "1/3 pi", "1/6 pi")
+_REFERENCES = {theta: RationalRotator(parse_theta(theta)) for theta in RATIONAL_ANGLES}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(WORKLOAD_ANGLES), coordinates, coordinates)
+@given(st.sampled_from(RATIONAL_ANGLES + ("2^(2/5)/10 pi",)), coordinates, coordinates)
 def test_float_prefilter_agrees_with_exact_rounding(theta, a, b):
-    # the step answers from the prefilter wherever its slack allows; the
-    # fallback alone is the exact rounding of each coordinate
-    rotator = _ROTATORS[theta]
-    exact = (rotator._fallback(a, b, im=False), rotator._fallback(a, b, im=True))
-    assert rotator.step((a, b)) == exact
+    # the step answers from the float bracket wherever its slack allows,
+    # then from Niven's rational parts, then exactly; the reference rounds
+    # exactly every time (at 4000 bits for the irrational angle)
+    reference = _REFERENCES.get(theta)
+    expected = (_rounding_at_4000_bits((a, b), theta) if reference is None
+                else reference.step((a, b)))
+    assert rotate_round((a, b), theta) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 7), (2, 5), (1, 42)]), coordinates, coordinates)
+def test_interval_rotator_agrees_with_exact_on_rational_angle(turn, a, b):
+    num, den = turn
+    reference = _REFERENCES[f"{num}/{den} pi"]
+    interval = _IntervalRotator(_RationalAsInterval(num, den))
+    try:
+        assert interval.step((a, b)) == reference.step((a, b))
+    except UndecidableTieError:
+        # only a genuine half-integer tie can defeat intervals
+        half = Fraction(1, 2)
+        assert any((v + half).is_rational() and
+                   Fraction((v + half).as_rational()).denominator == 1
+                   for v in reference.parts(a, b))
