@@ -85,6 +85,15 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _phi_rad_tail(order: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(s, deg, tail) for phi_order = phi_rad(x^s): the spread s = order/rad,
+    the degree of phi_rad, and its nonzero (j, c) below the leading term."""
+    s = order // math.prod(_primes(order))
+    base = cyclotomic_coeffs(order)[::s]
+    return s, len(base) - 1, tuple((j, c) for j, c in enumerate(base[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
 def _power_row(order: int, k: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (j, c) of zeta^k over the power basis 1..zeta^(deg-1).
 
@@ -92,11 +101,8 @@ def _power_row(order: int, k: int) -> tuple[tuple[int, int], ...]:
     has only exponents congruent to k mod s, so x^(k div s) is divided by
     phi_rad and the remainder spread back.  Every entry is an integer.
     """
-    s = order // math.prod(_primes(order))
+    s, deg, tail = _phi_rad_tail(order)
     q, r = divmod(k, s)
-    base = cyclotomic_coeffs(order)[::s]
-    deg = len(base) - 1
-    tail = [(j, c) for j, c in enumerate(base[:-1]) if c]
     rem = [0] * q + [1]
     for e in range(q, deg - 1, -1):
         c = rem[e]

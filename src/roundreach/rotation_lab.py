@@ -3,11 +3,12 @@
 Every lattice point in a disk is iterated under "rotate by theta, then
 round each coordinate to the nearest integer with half ties up", recording
 when each orbit becomes periodic and which cells get occupied at which
-generation.  A rational multiple of pi steps on `StepKernel`, as a system of
-one size-1 unit block: a float bracket, then Niven's rational values in
-integers, then the kernel's exact cyclotomic fallback.  Other angles use
-the same float bracket and then interval arithmetic with doubling precision
-and a hard cap.
+generation.  The disk's orbits are found together on one successor map
+(`orbit_shapes`), so each cell is stepped once.  A rational multiple of pi
+steps on `StepKernel`, as a system of one size-1 unit block: a float
+bracket, then Niven's rational values in integers, then the kernel's exact
+cyclotomic fallback.  Other angles use the same float bracket and then
+interval arithmetic with doubling precision and a hard cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .errors import UndecidableTieError
 # counter; a rational angle falls back through StepKernel, so none arrive
 from .numerics import Angle, certified_floor, refine, settled_floor  # noqa: F401
 from .rounding import RULES, ArgandPoint, ArgandRounding, RoundingKind
-from .system import JnfSystem, JordanBlock, OrbitRecord, orbit_shape, rounded_rotation
+from .system import (
+    JnfSystem,
+    JordanBlock,
+    OrbitRecord,
+    orbit_shape,
+    orbit_shapes,
+    rounded_rotation,
+)
 
 IntPair = tuple[int, int]
 
@@ -186,29 +194,17 @@ def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> 
     """Iterate every lattice point of the disk and aggregate first-visit
     generations; starts whose orbit never repeated within the budget (or
     hit an undecidable tie) are listed as unresolved but still contribute
-    the cells they reached."""
+    the cells they reached.  Each cell is stepped once, however many orbits
+    pass through it."""
     if radius < 1:
         raise ValueError("radius must be positive")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if isinstance(theta, str):
         theta = parse_theta(theta)
-    rotate = _rotation_step(theta)
-    cells: dict[IntPair, int] = {}
-    orbits = []
-    unresolved = []
-    for start in disk_points(radius):
-        record = orbit_shape(rotate, start, budget)
-        orbits.append(record)
-        if record.period is None:
-            unresolved.append(start)
-        for point, step in record.visited:
-            old = cells.get(point)
-            if old is None or step < old:
-                cells[point] = step
-    return GridReport(
-        radius, _theta_descriptor(theta), cells, tuple(unresolved), tuple(orbits)
-    )
+    cells, orbits = orbit_shapes(_rotation_step(theta), disk_points(radius), budget)
+    unresolved = tuple(record.start for record in orbits if record.period is None)
+    return GridReport(radius, _theta_descriptor(theta), cells, unresolved, orbits)
 
 
 def grid_csv(report: GridReport) -> str:

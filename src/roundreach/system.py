@@ -4,8 +4,8 @@ the shared decision driver, and the orbit-shape loop."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Optional, Protocol, Union
@@ -668,37 +668,94 @@ def iterate(
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """One start point's orbit: the states before the cycle, the cycle
-    length (None when the budget ran out or a tie was undecidable), and
-    every visited point with its first-visit step."""
+    """One start point's orbit: the states before the cycle and the cycle
+    length (None when the budget ran out or a tie was undecidable).
+    `visited` replays the orbit from the successor map it was found on."""
 
     start: Any
     transient: int
     period: Optional[int]
-    visited: tuple[tuple[Any, int], ...]
+    successors: Mapping[Any, Any] = field(repr=False, compare=False)
+
+    @property
+    def visited(self) -> tuple[tuple[Any, int], ...]:
+        """Every visited state with its first-visit step: the transient and
+        one period, or up to the state where the orbit stopped."""
+        state = self.start
+        out = [(state, 0)]
+        for i in range(1, self.transient + (self.period or 1)):
+            state = self.successors[state]
+            out.append((state, i))
+        return tuple(out)
+
+
+def orbit_shapes(
+    step: Callable[[Any], Any], starts: Sequence[Any], budget: int
+) -> tuple[dict[Any, int], tuple[OrbitRecord, ...]]:
+    """The orbits of many starts under one plain state -> state step, which
+    runs at most once per distinct state.
+
+    Returns every state within `budget` steps of a start with the first
+    generation at which any start reaches it, and one `OrbitRecord` per
+    start, in order. Each start's record is what iterating it alone gives:
+    the orbit stops at its first repeat, after `budget` steps, or at a
+    state whose step raises UndecidableTieError (unresolved at the last
+    completed step).
+    """
+    # level sweep from all starts at once: level k + 1 is the states first
+    # reached from level k, so each state is stepped at its first generation
+    generation = dict.fromkeys(starts, 0)
+    successors: dict[Any, Any] = {}
+    level, k = list(generation), 0
+    while level and k < budget:
+        k += 1
+        ahead = []
+        for state in level:
+            try:
+                successors[state] = new_state = step(state)
+            except UndecidableTieError:
+                continue
+            if new_state not in generation:
+                generation[new_state] = k
+                ahead.append(new_state)
+        level = ahead
+    # path labelling: shape[x] is (steps to x's cycle, its period), or (steps
+    # to a state with no successor, None); a walk stops at a labelled state
+    shape: dict[Any, tuple[int, Optional[int]]] = {}
+    for start in generation:
+        path: dict[Any, int] = {}
+        state = start
+        while state not in shape:
+            if state in path:
+                cycle = list(path)[path[state]:]
+                shape.update(dict.fromkeys(cycle, (0, len(cycle))))
+                for member in cycle:
+                    del path[member]
+            elif state in successors:
+                path[state] = len(path)
+                state = successors[state]
+            else:  # a tie, or a state past every start's budget
+                shape[state] = (0, None)
+        tail, period = shape[state]
+        for extra, member in enumerate(reversed(path), 1):
+            shape[member] = (tail + extra, period)
+    # a start iterated alone runs at most `budget` steps: a stop past them,
+    # or a cycle it would close later, leaves it unresolved at `budget`
+    records = []
+    for start in starts:
+        tail, period = shape[start]
+        if period is None:
+            tail = min(tail, budget)
+        elif tail + period > budget:
+            tail, period = budget, None
+        records.append(OrbitRecord(start, tail, period, successors))
+    return generation, tuple(records)
 
 
 def orbit_shape(step: Callable[[Any], Any], start: Any, budget: int) -> OrbitRecord:
     """Iterate a plain state -> state step from start until a state repeats
-    or budget steps have run, keeping every state at its first-visit step.
-
-    A step that raises UndecidableTieError ends the orbit unresolved at the
-    last completed step.
-    """
-    seen = {start: 0}
-    visited = [(start, 0)]
-    state = start
-    for i in range(1, budget + 1):
-        try:
-            state = step(state)
-        except UndecidableTieError:
-            return OrbitRecord(start, i - 1, None, tuple(visited))
-        if state in seen:
-            first = seen[state]
-            return OrbitRecord(start, first, i - first, tuple(visited))
-        seen[state] = i
-        visited.append((state, i))
-    return OrbitRecord(start, budget, None, tuple(visited))
+    or budget steps have run: the one-start case of `orbit_shapes`."""
+    return orbit_shapes(step, (start,), budget)[1][0]
 
 
 def orbit_step(

@@ -477,6 +477,7 @@ def test_equal_values_from_different_denominators_are_canonical():
 def test_kernel_stores_integers_and_builds_tables_once():
     numerics.cyclotomic_coeffs.cache_clear()
     numerics._power_row.cache_clear()
+    numerics._phi_rad_tail.cache_clear()
     z = CycloNum(24, tuple(Fraction(j - 3, j + 1) for j in range(8)))
     for _ in range(3):
         w = z * z.conjugate() + CycloNum.zeta_pow(24, 5) - 1

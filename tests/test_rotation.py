@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disk_reference import reference_disk
 from rational_rotator import RationalRotator
 from roundreach.errors import UndecidableTieError
 from roundreach.numerics import Angle
 from roundreach.rotation_lab import (
     IrrationalTheta,
     _IntervalRotator,
+    _rotation_step,
     disk_points,
     emit_grid,
     grid_csv,
@@ -21,6 +23,7 @@ from roundreach.rotation_lab import (
     run_disk,
     run_orbit,
 )
+from roundreach.system import orbit_shapes
 
 
 def test_rotate_round_frozen():
@@ -107,6 +110,46 @@ def test_orbit_replay():
         assert orbit.visited[0] == (orbit.start, 0)
         steps = [s for _, s in orbit.visited]
         assert steps == list(range(len(steps)))
+
+
+# the disks of the rotation-disk benchmark workload
+BENCHMARK_DISKS = [(radius, theta) for radius in (10, 20)
+                   for theta in ("1/42 pi", "1/7 pi", "1/4 pi", "1/3 pi", "1/6 pi",
+                                 "2^(2/5)/10 pi")]
+
+
+def _assert_disk_matches_reference(radius, theta, budget):
+    report = run_disk(radius, theta, budget)
+    cells, unresolved, shapes = reference_disk(_rotation_step(theta), disk_points(radius),
+                                               budget)
+    assert report.cells == cells
+    assert report.unresolved == unresolved
+    assert tuple((o.start, o.transient, o.period, o.visited) for o in report.orbits) == shapes
+
+
+@pytest.mark.parametrize("radius, theta", BENCHMARK_DISKS)
+def test_run_disk_matches_per_start_reference(radius, theta):
+    _assert_disk_matches_reference(radius, theta, 1_000_000)
+
+
+@pytest.mark.parametrize("theta", ["1/42 pi", "1/3 pi", "2^(2/5)/10 pi"])
+def test_run_disk_matches_per_start_reference_at_small_budgets(theta):
+    for budget in range(1, 6):
+        _assert_disk_matches_reference(3, theta, budget)
+
+
+def test_disk_steps_each_cell_once():
+    rotate = _rotation_step("1/42 pi")
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return rotate(p)
+
+    cells, orbits = orbit_shapes(counting, disk_points(20), 1_000_000)
+    assert len(calls) == len(set(calls)) == len(cells) == 1373
+    # walking each start alone steps once per orbit state
+    assert sum(o.transient + o.period for o in orbits) == 95461
 
 
 def test_budget_exhaustion_marks_unresolved():

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
+from disk_reference import reference_disk
 from roundreach import system as system_module
 from roundreach.argand_decider import decide_expansion, decide_truncation
 from roundreach.errors import InternalInvariantError, UndecidableTieError
@@ -30,6 +33,7 @@ from roundreach.system import (
     brute_force_decide,
     iterate,
     orbit_shape,
+    orbit_shapes,
     rational_simulate,
     rational_step,
     run_lock_step,
@@ -297,3 +301,49 @@ def test_orbit_shape_ends_unresolved_at_an_undecidable_tie():
     assert run.period is None
     assert run.transient == 2
     assert run.visited == ((0, 0), (1, 1), (2, 2))
+
+
+def _graph_step(successor, ties, calls):
+    # a stub step on a finite functional graph that raises at chosen states
+    def step_fn(x):
+        calls.append(x)
+        if x in ties:
+            raise UndecidableTieError(f"tie at {x}")
+        return successor[x]
+    return step_fn
+
+
+def _assert_matches_reference(successor, ties, starts, budget):
+    calls, reference_calls = [], []
+    cells, orbits = orbit_shapes(_graph_step(successor, ties, calls), starts, budget)
+    ref_cells, ref_unresolved, ref_shapes = reference_disk(
+        _graph_step(successor, ties, reference_calls), starts, budget)
+    assert cells == ref_cells
+    assert tuple(o.start for o in orbits if o.period is None) == ref_unresolved
+    assert tuple((o.start, o.transient, o.period, o.visited) for o in orbits) == ref_shapes
+    # each state is stepped once, and only if some start's own orbit steps it
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(reference_calls)
+    return orbits
+
+
+def test_orbit_shapes_share_ties_and_cycles_between_starts():
+    # 0 -> 1 -> 2 -> 3 (tie), 4 -> 2; 5 -> 6 -> 5, 7 -> 5; 8 -> 8
+    successor = [1, 2, 3, None, 2, 6, 5, 5, 8]
+    starts = [0, 4, 5, 7, 3, 8, 0]
+    for budget in range(1, 6):
+        _assert_matches_reference(successor, {3}, starts, budget)
+    orbits = _assert_matches_reference(successor, {3}, starts, 10)
+    assert [(o.transient, o.period) for o in orbits] == [
+        (3, None), (2, None), (0, 2), (1, 2), (0, None), (0, 1), (3, None)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_shapes_match_per_start_reference(data):
+    n = data.draw(st.integers(1, 24))
+    successor = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    ties = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    budget = data.draw(st.integers(1, 2 * n + 1))
+    _assert_matches_reference(successor, ties, starts, budget)
