@@ -23,6 +23,7 @@ from .rounding import (
     ArgandPoint,
     ArgandRounding,
     RoundingKind,
+    grid_point,
     point_value,
 )
 from .system import (
@@ -62,6 +63,9 @@ def niven_classify(angle: Angle) -> AngleClass:
         tan_rational=None if q == 2 else q in (1, 4),
         axis_multiple_90=q in (1, 2),
     )
+
+
+_ZERO = (0, 0)
 
 
 def _one_norm(points: Sequence[ArgandPoint]) -> Fraction:
@@ -106,16 +110,23 @@ def _divergence_due(
     return floor_sqrt(reach * reach / value_sq) + 1
 
 
+def _sq(x: tuple[int, int]) -> int:
+    """The squared modulus of a coordinate (a, b) in grid units, over g^2."""
+    return x[0] * x[0] + x[1] * x[1]
+
+
 class _ArgandBlockAnalyzer:
     """Shared bookkeeping: the watched coordinate is the bottom-most one
-    that is not permanently zero, and everything below it stays zero."""
+    that is not permanently zero, and everything below it stays zero.
+    Coordinates, the target's included, are pairs (a, b) in grid units;
+    squared moduli compare as the integers a^2 + b^2."""
 
     def __init__(
         self,
         offset: int,
         block: JordanBlock,
         spec: ArgandRounding,
-        target: Sequence[ArgandPoint],
+        target: Sequence[tuple[int, int]],
         order: int,
     ) -> None:
         self.offset = offset
@@ -133,8 +144,8 @@ class _ArgandBlockAnalyzer:
 
     def _cascade(self, state: Sequence, from_dim: int) -> Optional[Certificate]:
         d = from_dim
-        while d >= 0 and state[self.offset + d].is_zero():
-            if not self.target[d].is_zero():
+        while d >= 0 and state[self.offset + d] == _ZERO:
+            if self.target[d] != _ZERO:
                 return StabilizedMismatch(self.offset + d)
             d -= 1
         if d < 0:
@@ -147,33 +158,36 @@ class _ArgandBlockAnalyzer:
     def _assert_no_rounding(self, unrounded: Sequence[CycloNum], new: Sequence) -> None:
         for j in range(self.size):
             at = self.offset + j
-            if point_value(new[at], self.spec, self.order) != unrounded[at]:
+            value = point_value(grid_point(new[at], self.spec), self.spec, self.order)
+            if value != unrounded[at]:
                 raise InternalInvariantError(
                     "a right-angle rotation step should never round"
                 )
 
     def _assert_zero_floor(self, new: Sequence, below: int) -> None:
         for j in range(below + 1, self.size):
-            if not new[self.offset + j].is_zero():
+            if new[self.offset + j] != _ZERO:
                 raise InternalInvariantError(
                     "a zeroed coordinate came back to life"
                 )
 
     def _constant_modulus(
-        self, state: Sequence, a: int, q: Fraction, step: int
+        self, state: Sequence, a: int, q: int, step: int
     ) -> Optional[Certificate]:
-        """Watched coordinate a keeps squared modulus q forever from this
-        step: a target mismatch is permanent, the top coordinate settles,
-        and any other has the coordinate above diverge on a schedule."""
+        """Watched coordinate a keeps squared modulus q*g^2 forever from
+        this step: a target mismatch is permanent, the top coordinate
+        settles, and any other has the coordinate above diverge on a
+        schedule."""
         self.active = None
-        if q != self.target[a].modulus_sq():
+        if q != _sq(self.target[a]):
             return StabilizedMismatch(self.offset + a)
         if a == 0:
             self.settled = True
             return None
+        g_sq = self.spec.granularity ** 2
         above = state[self.offset + a - 1]
         due = step + _divergence_due(
-            q, above.modulus_sq(), self.target[a - 1].modulus_sq()
+            q * g_sq, _sq(above) * g_sq, _sq(self.target[a - 1]) * g_sq
         )
         self.pending = (due, a - 1)
         return None
@@ -221,15 +235,14 @@ class TruncationBlockAnalyzer(_ArgandBlockAnalyzer):
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.visited: dict[tuple[Fraction, Fraction], int] = {}
+        self.visited: dict[tuple[int, int], int] = {}
 
     def observe_initial(self, state: Sequence) -> Optional[Certificate]:
         cert = self._cascade(state, self.size - 1)
         if cert is not None:
             return cert
         if self.active is not None:
-            p = state[self.offset + self.active]
-            self.visited = {(p.re, p.im): 0}
+            self.visited = {state[self.offset + self.active]: 0}
         return None
 
     # bound on each analyzer class: perfbench/layertrace.py wraps the
@@ -239,33 +252,30 @@ class TruncationBlockAnalyzer(_ArgandBlockAnalyzer):
     def _watch(
         self, step_index: int, a: int, prev: Sequence, new: Sequence
     ) -> Optional[Certificate]:
-        p_prev: ArgandPoint = prev[self.offset + a]
-        p_new: ArgandPoint = new[self.offset + a]
-        q_prev = p_prev.modulus_sq()
-        q_new = p_new.modulus_sq()
+        x_new = new[self.offset + a]
+        q_prev = _sq(prev[self.offset + a])
+        q_new = _sq(x_new)
         if q_new > q_prev:
             raise InternalInvariantError("truncation grew a watched modulus")
         if not self.axis and q_new >= q_prev:
             raise InternalInvariantError(
                 "an off-axis truncation step failed to shrink the modulus"
             )
-        if p_new.is_zero():
+        if q_new == 0:
             cert = self._cascade(new, a)
             if cert is not None:
                 return cert
             if self.active is not None:
-                p = new[self.offset + self.active]
-                self.visited = {(p.re, p.im): step_index + 1}
+                self.visited = {new[self.offset + self.active]: step_index + 1}
             return None
-        key = (p_new.re, p_new.im)
-        if key in self.visited:
+        if x_new in self.visited:
             # a nonzero repeat: the coordinate rotates at constant modulus
             if not self.axis:
                 raise InternalInvariantError(
                     "a nonzero orbit stabilized off the right-angle axes"
                 )
             return self._constant_modulus(new, a, q_new, step_index + 1)
-        self.visited[key] = step_index + 1
+        self.visited[x_new] = step_index + 1
         return None
 
 
@@ -286,21 +296,20 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
         if self.active is None or not self.axis:
             return None
         a = self.active
-        q = state[self.offset + a].modulus_sq()
-        return self._constant_modulus(state, a, q, 0)
+        return self._constant_modulus(state, a, _sq(state[self.offset + a]), 0)
 
     observe = _ArgandBlockAnalyzer.observe  # see TruncationBlockAnalyzer
 
     def _watch(
         self, step_index: int, a: int, prev: Sequence, new: Sequence
     ) -> Optional[Certificate]:
-        q_prev = prev[self.offset + a].modulus_sq()
-        q_new = new[self.offset + a].modulus_sq()
+        q_prev = _sq(prev[self.offset + a])
+        q_new = _sq(new[self.offset + a])
         if q_new <= q_prev:
             raise InternalInvariantError(
                 "an off-axis expansion step failed to grow the modulus"
             )
-        if q_new > self.target[a].modulus_sq():
+        if q_new > _sq(self.target[a]):
             self.active = None
             return DivergedPastTarget(self.offset + a)
         return None

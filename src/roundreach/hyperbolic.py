@@ -16,6 +16,7 @@ from .numerics import Angle, ceil_sqrt
 from .rounding import (
     ArgandRounding,
     GridPoint,
+    PolarRounding,
     RoundingSpec,
     effect_bound,
     kball_count,
@@ -25,12 +26,12 @@ from .system import (
     BlockAnalyzer,
     Certificate,
     EscapedRadius,
+    IntegerMatrix,
     JnfSystem,
     JordanBlock,
     RationalSystem,
     Verdict,
     iterate,
-    orbit_step,
     run_lock_step,
 )
 
@@ -117,21 +118,35 @@ def radii(
 
 
 class HyperbolicBlockAnalyzer:
-    """Emits an escape certificate once any coordinate meets its radius."""
+    """Emits an escape certificate once any coordinate meets its radius.
 
-    def __init__(self, offset: int, table: RadiusTable) -> None:
+    A coordinate in grid units, (a, b) or (k, i), has squared modulus
+    (a^2 + b^2)*g^2 or k^2*g^2, so it meets radius c exactly when the
+    integer a^2 + b^2 (or k^2) reaches (c/g)^2, that is its ceiling.
+    """
+
+    def __init__(self, offset: int, table: RadiusTable, spec: RoundingSpec) -> None:
         self.offset = offset
         self.table = table
-        self._radii_sq = [c * c for c in table.radii]
+        self.polar = isinstance(spec, PolarRounding)
+        g = spec.granularity
+        # (coordinate, its bound on the integer squared modulus, radius),
+        # the bound ceil((n/d)^2) for n/d = c/g
+        watch = []
+        for j, c in enumerate(table.radii):
+            n, d = c.numerator * g.denominator, c.denominator * g.numerator
+            watch.append((offset + j, -(-n * n // (d * d)), c))
+        self._watch = tuple(watch)
 
-    def _check(self, state: Sequence[GridPoint]) -> Optional[Certificate]:
-        for j, c_sq in enumerate(self._radii_sq):
-            pt = state[self.offset + j]
-            if pt.modulus_sq() >= c_sq:
-                return EscapedRadius(self.offset + j, self.table.radii[j])
+    def _check(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
+        polar = self.polar
+        for at, bound, radius in self._watch:
+            a, b = state[at]
+            if (a * a if polar else a * a + b * b) >= bound:
+                return EscapedRadius(at, radius)
         return None
 
-    def observe_initial(self, state: Sequence[GridPoint]) -> Optional[Certificate]:
+    def observe_initial(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
         return self._check(state)
 
     def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
@@ -234,9 +249,10 @@ def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int
 class Fragment:
     """What a Jordan-form decider runs on: unit_tables(system, index) builds
     the UnitTable of a block whose eigenvalue has modulus one, unit_analyzer
-    (offset, block, rounding, target slice, field order) watches such a
-    block, and step_cap(system, tables) reads the cap off every block's
-    table.  With no unit_tables the fragment covers no modulus-one block."""
+    (offset, block, rounding, target slice in grid units, field order)
+    watches such a block, and step_cap(system, tables) reads the cap off
+    every block's table.  With no unit_tables the fragment covers no
+    modulus-one block."""
 
     step_cap: Callable[[JnfSystem, Sequence], int]
     unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
@@ -265,15 +281,15 @@ def block_tables(system: JnfSystem) -> list[RadiusTable]:
 def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     """Run the lock-step driver over the fragment's tables: the escape-radius
     analyzer on every block with a radius table, the fragment's unit
-    analyzer on the others, and the cap read off the same tables."""
+    analyzer on the others, and the cap read off the same tables.  The
+    analyzers see the target in the kernel's grid units."""
     tables = fragment.tables(system)
     order = system.field_order()
+    target = system.kernel.target
     analyzers = [
-        HyperbolicBlockAnalyzer(start, table)
+        HyperbolicBlockAnalyzer(start, table, system.rounding)
         if isinstance(table, RadiusTable)
-        else fragment.unit_analyzer(
-            start, block, system.rounding, system.target[start:end], order
-        )
+        else fragment.unit_analyzer(start, block, system.rounding, target[start:end], order)
         for block, (start, end), table in zip(
             system.blocks, system.block_slices(), tables
         )
@@ -738,17 +754,25 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
 
 
 class _EigenbasisEscape:
-    """Certifies NO once a coordinate of z = P^-1 x meets its escape radius."""
+    """Certifies NO once a coordinate of z = P^-1 x meets its escape radius.
 
-    def __init__(self, p_inverse: RationalMatrix, radii_flat: Sequence[Fraction]) -> None:
-        self.p_inverse = p_inverse
+    The state is x = k*g in grid units.  With E the least common
+    denominator of P^-1's entries and B = E*P^-1 an integer matrix,
+    z_d = g*(B k)_d/E, so |z_d| >= c_d exactly when the integer |(B k)_d|
+    reaches c_d*E/g, that is its ceiling.
+    """
+
+    def __init__(self, p_inverse: RationalMatrix, radii_flat: Sequence[Fraction],
+                 granularity: Fraction) -> None:
+        self.b = IntegerMatrix(p_inverse)
         self.radii = radii_flat
+        e = self.b.den
+        self.bounds = tuple(math.ceil(c * e / granularity) for c in radii_flat)
 
-    def observe_initial(self, state: Sequence[Fraction]) -> Optional[Certificate]:
-        z = mat_vec(self.p_inverse, state)
-        for d, (v, c) in enumerate(zip(z, self.radii)):
-            if abs(v) >= c:
-                return EscapedRadius(d, c)
+    def observe_initial(self, state: Sequence[int]) -> Optional[Certificate]:
+        for d, (v, bound) in enumerate(zip(self.b.times(state), self.bounds)):
+            if abs(v) >= bound:
+                return EscapedRadius(d, self.radii[d])
         return None
 
     def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
@@ -760,18 +784,23 @@ def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
     Jordan basis.
 
     The update matrix must have a rational spectrum with no modulus-one
-    eigenvalue.  The orbit x(i+1) = [M x(i)] is stepped exactly; each
-    state's z = P^-1 x is checked against escape radii that use the
-    effect bound of the rounding seen in that basis.
+    eigenvalue.  The orbit x(i+1) = [M x(i)] is stepped exactly, on the
+    integer coordinates of the system's kernel; each state's z = P^-1 x is
+    checked against escape radii that use the effect bound of the rounding
+    seen in that basis.
     """
     basis, tables, cap = eigenbasis(system)
     escape = _EigenbasisEscape(
-        basis.p_inverse, [c for table in tables for c in table.radii]
+        basis.p_inverse,
+        [c for table in tables for c in table.radii],
+        system.rounding.granularity,
     )
+    kernel = system.kernel
+    advance = kernel.step
     return iterate(
-        orbit_step(system),
-        system.initial,
-        system.target,
+        lambda state: (advance(state), None),
+        kernel.initial,
+        kernel.target,
         [escape],
         cap=cap,
         cap_is_state_bound=True,

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
-from .numerics import Angle, CycloNum, embed_polar, modulus_sq, sign_of_real
+from .numerics import Angle, CycloNum, Rational, embed_polar, modulus_sq, sign_of_real
 from .rounding import (
     PolarPoint,
     PolarRounding,
@@ -33,6 +33,23 @@ from .system import (
 )
 
 
+def _separation(upper_index: int, eigen_steps: int, lower_index: int, stride: int,
+                half_turn: int) -> int:
+    """The separation angle, in steps of pi/half_turn, between a grid angle
+    upper_index rotated by eigen_steps and the grid angle lower_index, with
+    stride steps per grid angle.  Lies in [0, half_turn]."""
+    d = ((upper_index - lower_index) * stride + eigen_steps) % (2 * half_turn)
+    return min(d, 2 * half_turn - d)
+
+
+def _half_turn(eigen_angle: Angle, resolution: int) -> tuple[int, int]:
+    """The steps per half turn that host both the grid angles pi/resolution
+    and the eigenvalue angle, and the eigenvalue angle in those steps."""
+    p, q = eigen_angle.numerator, eigen_angle.denominator
+    half_turn = lcm(resolution, q)
+    return half_turn, p * (half_turn // q)
+
+
 def phi_angle(
     upper: PolarPoint,
     eigen_angle: Angle,
@@ -43,8 +60,10 @@ def phi_angle(
     from the dimension below; both must be nonzero.  Lies in [0, pi]."""
     if upper.is_zero() or lower.is_zero():
         raise ValueError("the separation angle needs two nonzero values")
-    rotated = upper.angle(resolution) + eigen_angle
-    return rotated.distance_to(lower.angle(resolution))
+    half_turn, eigen_steps = _half_turn(eigen_angle, resolution)
+    steps = _separation(upper.angle_index, eigen_steps, lower.angle_index,
+                        half_turn // resolution, half_turn)
+    return Angle(steps, half_turn)
 
 
 def gamma_exceeds_right_angle(unrounded: CycloNum, rotated: CycloNum) -> bool:
@@ -59,21 +78,21 @@ def gamma_exceeds_right_angle(unrounded: CycloNum, rotated: CycloNum) -> bool:
 
 
 def divergence_stop(
-    upper_modulus: Fraction,
-    lower_modulus: Fraction,
-    target_modulus: Fraction,
+    upper_steps: Rational,
+    lower_steps: Rational,
+    target_steps: Rational,
     unrounded: CycloNum,
     spec: PolarRounding,
 ) -> bool:
     """Permanent-divergence test: the modulus grew by more than rounding can
     undo, dominates the value added from below, and already clears the
-    target.  All comparisons are exact."""
-    delta = modulus_effect_bound(spec)
-    if upper_modulus < target_modulus:
+    target.  The three moduli are given in grid steps of the spec's
+    granularity g.  All comparisons are exact."""
+    if upper_steps < target_steps:
         return False
-    if 2 * upper_modulus * upper_modulus < lower_modulus * lower_modulus:
+    if 2 * upper_steps * upper_steps < lower_steps * lower_steps:
         return False
-    threshold = (upper_modulus + delta) ** 2
+    threshold = (upper_steps * spec.granularity + modulus_effect_bound(spec)) ** 2
     return sign_of_real(modulus_sq(unrounded) - threshold) > 0
 
 
@@ -108,18 +127,19 @@ def resource_bounds(
 
 
 class _DimensionMachine:
-    """Tracks the lowest not-yet-settled dimension of one block."""
+    """Tracks the lowest not-yet-settled dimension of one block; moduli in
+    grid units, separation angles in steps of pi/half_turn."""
 
-    def __init__(self, dim: int, since: int, target_modulus: Fraction) -> None:
+    def __init__(self, dim: int, since: int, target_modulus: int) -> None:
         self.dim = dim
         self.since = since  # the dimension below rotates from this step on
         self.target_modulus = target_modulus
         self.mode = PhiMode.PHI_I
-        self.prev_phi: Optional[Angle] = None
-        self.prev_phi_modulus: Optional[Fraction] = None
+        self.prev_phi: Optional[int] = None
+        self.prev_phi_modulus: Optional[int] = None
         self.assert_next_phi_small = False
         self.visited: dict = {}
-        self.history: list[Fraction] = []
+        self.history: list[int] = []
 
 
 class PolarBlockAnalyzer:
@@ -129,7 +149,8 @@ class PolarBlockAnalyzer:
     constant modulus differs from the target's, and a divergence
     certificate when the tracked dimension provably outgrows the target.
     Violations of the supporting monotonicity facts raise, as they would
-    mean the analysis itself is wrong.
+    mean the analysis itself is wrong.  Coordinates, the target's
+    included, are pairs (k, i) in grid units: modulus k*g, angle index i.
     """
 
     def __init__(
@@ -137,7 +158,7 @@ class PolarBlockAnalyzer:
         offset: int,
         block: JordanBlock,
         spec: PolarRounding,
-        target: Sequence[PolarPoint],
+        target: Sequence[tuple[int, int]],
         order: int,
     ) -> None:
         self.offset = offset
@@ -147,7 +168,11 @@ class PolarBlockAnalyzer:
         self.target = tuple(target)
         self.size = block.size
         self.resolution = spec.angle_resolution
-        self.rotating_moduli: dict[int, Fraction] = {}
+        # separation angles phi in steps of pi/half_turn: a right angle is
+        # half_turn/2 of them
+        self.half_turn, self.eigen_steps = _half_turn(block.eigen_angle, self.resolution)
+        self.stride = self.half_turn // self.resolution
+        self.rotating_moduli: dict[int, int] = {}
         self.machine: Optional[_DimensionMachine] = None
 
     # -- helpers
@@ -160,9 +185,9 @@ class PolarBlockAnalyzer:
     ) -> Optional[Certificate]:
         """Mark dim as rotating from `since`, cascading up past zero values."""
         while dim >= 0:
-            modulus = state[self.offset + dim].modulus
+            modulus = state[self.offset + dim][0]
             self.rotating_moduli[dim] = modulus
-            if modulus != self.target[dim].modulus:
+            if modulus != self.target[dim][0]:
                 self.machine = None
                 return StabilizedMismatch(self.offset + dim)
             if dim == 0:
@@ -172,9 +197,9 @@ class PolarBlockAnalyzer:
                 break
             # a zero value below makes the next dimension autonomous too
             dim -= 1
-        machine = _DimensionMachine(dim - 1, since, self.target[dim - 1].modulus)
+        machine = _DimensionMachine(dim - 1, since, self.target[dim - 1][0])
         machine.visited[self._substate(state, dim - 1)] = 0
-        machine.history.append(state[self.offset + dim - 1].modulus)
+        machine.history.append(state[self.offset + dim - 1][0])
         self.machine = machine
         return None
 
@@ -191,7 +216,7 @@ class PolarBlockAnalyzer:
         new: Sequence,
     ) -> Optional[Certificate]:
         for dim, modulus in self.rotating_moduli.items():
-            if new[self.offset + dim].modulus != modulus:
+            if new[self.offset + dim][0] != modulus:
                 raise InternalInvariantError(
                     f"settled dimension {self.offset + dim} changed modulus"
                 )
@@ -199,49 +224,47 @@ class PolarBlockAnalyzer:
         if machine is None:
             return None
         dim = machine.dim
-        upper_prev: PolarPoint = prev[self.offset + dim]
-        upper_new: PolarPoint = new[self.offset + dim]
-        lower_prev: PolarPoint = prev[self.offset + dim + 1]
-        prev_modulus = upper_prev.modulus
-        new_modulus = upper_new.modulus
+        # (modulus in grid steps, angle index) of the tracked dimension
+        # before and after the step, and of the one below before it
+        prev_modulus, upper_angle = prev[self.offset + dim]
+        new_modulus = new[self.offset + dim][0]
+        lower_modulus, lower_angle = prev[self.offset + dim + 1]
+        half_turn = self.half_turn  # phi is wider than a right angle when 2*phi > half_turn
 
         prev_index = step_index  # the state the update was applied to
         phi_valid = prev_index >= machine.since + 1
         cor_valid = prev_index >= machine.since
 
-        phi: Optional[Angle] = None
-        if not upper_prev.is_zero() and not lower_prev.is_zero() and phi_valid:
-            phi = phi_angle(
-                upper_prev, self.block.eigen_angle, lower_prev, self.resolution
-            )  # the separation phi(prev_index)
+        phi: Optional[int] = None
+        if prev_modulus and lower_modulus and phi_valid:
+            # the separation phi(prev_index)
+            phi = _separation(upper_angle, self.eigen_steps, lower_angle,
+                              self.stride, half_turn)
 
         if machine.assert_next_phi_small:
             machine.assert_next_phi_small = False
-            if phi is not None and phi.compare_to_right_angle() > 0:
+            if phi is not None and 2 * phi > half_turn:
                 raise InternalInvariantError(
                     "separation stayed wide after a widening growth step"
                 )
 
         if phi is not None:
             if machine.prev_phi is not None:
-                if phi.pi_multiple > machine.prev_phi.pi_multiple:
+                if phi > machine.prev_phi:
                     raise InternalInvariantError(
                         "separation angle increased while the lower "
                         "dimension was rotating"
                     )
                 if (
                     machine.mode is PhiMode.PHI_D
-                    and phi.pi_multiple == machine.prev_phi.pi_multiple
-                    and phi.compare_to_right_angle() > 0
+                    and phi == machine.prev_phi
+                    and 2 * phi > half_turn
                     and new_modulus > prev_modulus
                 ):
                     raise InternalInvariantError(
                         "modulus grew at a repeated wide separation angle"
                     )
-                if (
-                    phi.pi_multiple == machine.prev_phi.pi_multiple
-                    and prev_modulus == machine.prev_phi_modulus
-                ):
+                if phi == machine.prev_phi and prev_modulus == machine.prev_phi_modulus:
                     # two equal separation angles at equal modulus settle
                     # the dimension into rotation
                     if new_modulus != prev_modulus:
@@ -249,14 +272,11 @@ class PolarBlockAnalyzer:
                             "modulus changed right after a rotation witness"
                         )
                     return self._promote(new, dim, prev_index - 1)
-                if (
-                    phi.pi_multiple < machine.prev_phi.pi_multiple
-                    and machine.mode is not PhiMode.PHI_SMALL
-                ):
+                if phi < machine.prev_phi and machine.mode is not PhiMode.PHI_SMALL:
                     machine.mode = PhiMode.PHI_D
             machine.prev_phi = phi
             machine.prev_phi_modulus = prev_modulus
-            if phi.compare_to_right_angle() <= 0:
+            if 2 * phi <= half_turn:
                 machine.mode = PhiMode.PHI_SMALL
         else:
             machine.prev_phi = None
@@ -271,18 +291,16 @@ class PolarBlockAnalyzer:
                 self.machine = None
                 return DivergedPastTarget(self.offset + dim)
 
-        if cor_valid and not upper_prev.is_zero():
+        if cor_valid and prev_modulus:
             w = unrounded[self.offset + dim]
             if divergence_stop(
-                prev_modulus,
-                lower_prev.modulus,
-                machine.target_modulus,
-                w,
-                self.spec,
+                prev_modulus, lower_modulus, machine.target_modulus, w, self.spec
             ):
                 self.machine = None
                 return DivergedPastTarget(self.offset + dim)
-            if phi is not None and self._gamma_wide_and_growing(upper_prev, w):
+            if phi is not None and self._gamma_wide_and_growing(
+                prev[self.offset + dim], w
+            ):
                 machine.assert_next_phi_small = True
 
         # fallback settle detection: the tracked suffix is autonomous, so a
@@ -300,11 +318,13 @@ class PolarBlockAnalyzer:
             )
         return self._promote(new, dim, prev_index + 1)
 
-    def _gamma_wide_and_growing(
-        self, upper_prev: PolarPoint, w: CycloNum
-    ) -> bool:
-        eigen = embed_polar(self.block.eigen_modulus, self.block.eigen_angle, self.order)
-        a = eigen * upper_prev.value(self.order, self.resolution)
+    def _gamma_wide_and_growing(self, upper_prev: tuple[int, int], w: CycloNum) -> bool:
+        """Whether w outgrows and opens wider than a right angle against
+        a = eigen * upper_prev, the exact rotated value, one embedding."""
+        k, i = upper_prev
+        block = self.block
+        a = embed_polar(block.eigen_modulus * k * self.spec.granularity,
+                        Angle(i, self.resolution) + block.eigen_angle, self.order)
         if sign_of_real(modulus_sq(w) - modulus_sq(a)) <= 0:
             return False
         return gamma_exceeds_right_angle(w, a)

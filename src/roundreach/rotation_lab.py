@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
 
 import mpmath
@@ -151,10 +152,18 @@ def _rotation_step(theta: Union[Theta, str]) -> Callable[[IntPair], IntPair]:
     return lambda p: update(p, (0, 0)) or step((p,))[0]
 
 
+# rotate_round's steps, one per parsed angle; run_disk builds its own step
+# each call, so no angle's step outlives a disk
+_memo_rotation_step = lru_cache(maxsize=64)(_rotation_step)
+
+
 def rotate_round(p: IntPair, theta: Union[Theta, str]) -> IntPair:
     """One step: rotate the integer point by theta, then round each
-    coordinate to the nearest integer with half ties rounded up."""
-    return _rotation_step(theta)((int(p[0]), int(p[1])))
+    coordinate to the nearest integer with half ties rounded up.  The step
+    is built once per angle and reused by later calls."""
+    if isinstance(theta, str):
+        theta = parse_theta(theta)
+    return _memo_rotation_step(theta)((int(p[0]), int(p[1])))
 
 
 @dataclass(frozen=True)

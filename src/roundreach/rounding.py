@@ -196,6 +196,15 @@ class PolarPoint:
 GridPoint = Union[ArgandPoint, PolarPoint]
 
 
+def grid_point(x: tuple[int, int], spec: RoundingSpec) -> GridPoint:
+    """The grid point of a coordinate in grid units: (a, b) is
+    ArgandPoint(a*g, b*g) and (k, i) is PolarPoint(k*g, i)."""
+    g = spec.granularity
+    if isinstance(spec, PolarRounding):
+        return PolarPoint(x[0] * g, x[1])
+    return ArgandPoint(x[0] * g, x[1] * g)
+
+
 def point_value(point: GridPoint, spec: RoundingSpec, order: int) -> CycloNum:
     if isinstance(point, ArgandPoint):
         return point.value(order)

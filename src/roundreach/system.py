@@ -11,19 +11,17 @@ from functools import cached_property
 from typing import Any, Callable, Optional, Protocol, Union
 
 from .errors import InternalInvariantError, UndecidableTieError
-from .numerics import Angle, CycloNum, Rational, angle_cos, angle_sin, embed_polar
+from .numerics import Angle, CycloNum, Rational, embed_polar
 from .numerics import unit_circle, unit_point
 from .rounding import (
-    ArgandPoint,
     ArgandRounding,
     GridPoint,
-    PolarPoint,
     PolarRounding,
     RULES,
     RoundingSpec,
+    grid_point,
     is_admissible,
     point_value,
-    round_real,
     round_value,
 )
 
@@ -156,6 +154,11 @@ _TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 _ORIGIN = (0, 0)
 
 
+def _units(value: Rational, g: Fraction) -> int:
+    """A value on the g-grid in grid units."""
+    return value.numerator * g.denominator // (value.denominator * g.numerator)
+
+
 def _fits(magnitude: float) -> bool:
     """Every float sum bounded by twice the magnitude stays finite."""
     return 4.0 * magnitude < math.inf
@@ -165,14 +168,16 @@ class StepKernel:
     """One rounded step of a Jordan-form system on integer coordinates.
 
     A coordinate is a pair in grid units: (a, b) for ArgandPoint(a*g, b*g)
-    and (k, i) for PolarPoint(k*g, i).  Coordinate j becomes the rounding of
-    w = lambda*x_j + x_(j+1) (no second term at the end of a block), with
-    lambda = (p/q)*zeta^m, zeta = e^(2*pi*i/N) and N the system's field
-    order.  Each update is decided in integers where w is rational in the
-    grid's terms, by a float bracket elsewhere, and by the exact cyclotomic
-    value through `round_value` when the bracket does not settle or a
-    float would leave its range (`exact` gives that value).  The kind's
-    entry in `rounding.RULES` rounds each integer ratio and float bracket.
+    and (k, i) for PolarPoint(k*g, i); `initial` and `target` hold the
+    system's start and target in these units, encoded once.  Coordinate j
+    becomes the rounding of w = lambda*x_j + x_(j+1) (no second term at
+    the end of a block), with lambda = (p/q)*zeta^m, zeta = e^(2*pi*i/N)
+    and N the system's field order.  Each update is decided in integers
+    where w is rational in the grid's terms, by a float bracket elsewhere,
+    and by the exact cyclotomic value through `round_value` when the
+    bracket does not settle or a float would leave its range (`exact`
+    gives that value).  The kind's entry in `rounding.RULES` rounds each
+    integer ratio and float bracket.
 
     Argand, lambda on an axis (m a multiple of N/4; by Niven exactly the
     rotations that keep the grid): both parts are integers over q.  Other
@@ -228,35 +233,44 @@ class StepKernel:
         self.polar = isinstance(spec, PolarRounding)
         self.rule = RULES[spec.modulus_kind if self.polar else spec.kind]
         self.g = spec.granularity
-        self.order = system.field_order()
-        if self.polar:  # an Argand block reads one entry, from unit_point
-            self.cos, self.sin = unit_circle(self.order)
+        self.initial = self.encode(system.initial)
+        self.target = self.encode(system.target)
+
+    # the field and the updates are built on the first step, so a run that
+    # concludes on its start builds neither
+
+    @cached_property
+    def order(self) -> int:
+        return self.system.field_order()
+
+    @cached_property
+    def circle(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The field's float cos and sin tables; an Argand block reads one
+        entry, from unit_point, instead."""
+        return unit_circle(self.order)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """Per coordinate: (successor index or None, update, block index)."""
+        system = self.system
         plan = []
         for b, ((start, end), block) in enumerate(zip(system.block_slices(), system.blocks)):
             update = self._polar_update(block) if self.polar else self._argand_update(block)
             for j in range(start, end):
                 plan.append((j + 1 if j + 1 < end else None, update, b))
-        # per coordinate: (successor index or None, update, block index)
-        self.plan = tuple(plan)
+        return tuple(plan)
 
     # -- grid points <-> integer coordinates
 
-    def _units(self, value: Fraction) -> int:
-        g = self.g
-        return value.numerator * g.denominator // (value.denominator * g.numerator)
-
     def encode(self, state: Sequence[GridPoint]) -> tuple[tuple[int, int], ...]:
+        g = self.g
         if self.polar:
-            return tuple((self._units(pt.modulus), pt.angle_index) for pt in state)
-        return tuple((self._units(pt.re), self._units(pt.im)) for pt in state)
-
-    def _point(self, x: tuple[int, int]) -> GridPoint:
-        if self.polar:
-            return PolarPoint(x[0] * self.g, x[1])
-        return ArgandPoint(x[0] * self.g, x[1] * self.g)
+            return tuple((_units(pt.modulus, g), pt.angle_index) for pt in state)
+        return tuple((_units(pt.re, g), _units(pt.im, g)) for pt in state)
 
     def decode(self, state: Sequence[tuple[int, int]]) -> tuple[GridPoint, ...]:
-        return tuple(self._point(x) for x in state)
+        spec = self.spec
+        return tuple(grid_point(x, spec) for x in state)
 
     # -- the step
 
@@ -273,9 +287,9 @@ class StepKernel:
         order = self.order
         nxt, _update, b = self.plan[j]
         lam = self.system.eigen_value(self.system.blocks[b], order)
-        w = lam * point_value(self._point(state[j]), self.spec, order)
+        w = lam * point_value(grid_point(state[j], self.spec), self.spec, order)
         if nxt is not None:
-            w = w + point_value(self._point(state[nxt]), self.spec, order)
+            w = w + point_value(grid_point(state[nxt], self.spec), self.spec, order)
         return w
 
     def _exact_round(self, state: Sequence[tuple[int, int]], j: int) -> tuple[int, int]:
@@ -303,14 +317,14 @@ class StepKernel:
 
             return axis
         cos, sin = unit_point(m, self.order)
-        rational_turn = _rational_turn(block.eigen_angle, self.order)
+        rational_turn = _rational_turn(block.eigen_angle)
 
         def part(a, b, c):
             # r*(a*cos - b*sin) + c rounded, or None
             t = rational_turn(a, b)
             if t is not None:
-                den = q * t.denominator
-                return ratio(p * t.numerator + c * den, den)
+                den = q * t[1]
+                return ratio(p * t[0] + c * den, den)
             try:
                 fa, fb, fc, fq = float(p * a), float(p * b), float(q * c), float(q)
             except OverflowError:
@@ -346,7 +360,7 @@ class StepKernel:
         stride = order // count  # field steps per grid angle
         shift = (2 * m + stride) // (2 * stride)  # nearest grid angle to m, ties up
         qq = q * q
-        cos = self.cos
+        cos = self.circle[0]
         two_cos = {t * order // 12: v for t, v in _TWO_COS.items() if t * order % 12 == 0}
 
         def polar(x, y):
@@ -387,7 +401,7 @@ class StepKernel:
         """The grid angle index nearest to X*zeta^a1 + Y*zeta^a2 for X, Y > 0
         when floats certify it, else None."""
         order = self.order
-        cos, sin = self.cos, self.sin
+        cos, sin = self.circle
         try:
             fx, fy = float(big_x), float(big_y)
         except OverflowError:
@@ -408,45 +422,50 @@ class StepKernel:
         return k
 
 
-def _rational_turn(angle: Angle, order: int) -> Callable[[int, int], Optional[Rational]]:
+def _rational_turn(angle: Angle) -> Callable[[int, int], Optional[tuple[int, int]]]:
     """For an angle off the axes, the map from integers (a, b) to the value
-    a*cos(angle) - b*sin(angle) where Niven's theorem shows it rational, and
-    to None elsewhere.  cos is rational only at denominator 3, where sin is
-    not, and sin only at denominator 6; at denominator 4 both are
-    +-sqrt(2)/2 and the value vanishes on one line."""
+    a*cos(angle) - b*sin(angle), as an integer numerator and positive
+    denominator, where Niven's theorem shows it rational, and to None
+    elsewhere.  cos is rational only at denominator 3, where it is +-1/2
+    and sin is not, and sin only at denominator 6, where it is +-1/2; at
+    denominator 4 both are +-sqrt(2)/2 and the value vanishes on one
+    line."""
     t = angle.denominator
+    turn = angle.numerator  # the angle is turn/t * pi, turn < 2t
     if t == 3:
-        c = angle_cos(angle, order).as_rational()
-        return lambda a, b: a * c if b == 0 else None
+        c = 1 if turn in (1, 5) else -1  # cos(pi/3) = cos(5pi/3) = 1/2
+        return lambda a, b: (a * c, 2) if b == 0 else None
     if t == 6:
-        s = angle_sin(angle, order).as_rational()
-        return lambda a, b: -b * s if a == 0 else None
+        s = -1 if turn < 6 else 1  # minus sin: sin is 1/2 in (0, pi)
+        return lambda a, b: (b * s, 2) if a == 0 else None
     if t == 4:
-        quadrant = angle.numerator // 2  # 1/4, 3/4, 5/4, 7/4 pi
+        quadrant = turn // 2  # 1/4, 3/4, 5/4, 7/4 pi
         cos_sign = 1 if quadrant in (0, 3) else -1
         sin_sign = 1 if quadrant in (0, 1) else -1
-        return lambda a, b: 0 if cos_sign * a == sin_sign * b else None
+        return lambda a, b: (0, 1) if cos_sign * a == sin_sign * b else None
     return lambda a, b: None
 
 
 def _field_steps(angle: Angle, order: int) -> int:
     """The m with angle = 2*pi*m/order; the order must host the angle."""
-    return (angle.pi_multiple * order / 2).numerator
+    return angle.numerator * order // (2 * angle.denominator)
 
 
 def step_with_intermediates(
     system: JnfSystem, state: tuple[GridPoint, ...]
 ) -> tuple[tuple[GridPoint, ...], Sequence[CycloNum]]:
-    """One rounded step; also returns the exact pre-rounding values, in the
-    system's field, as a sequence that computes each one only when it is
-    read."""
+    """One rounded step of grid points; also returns the exact pre-rounding
+    values, in the system's field, as a sequence that computes each one
+    only when it is read.  The deciders step the kernel's integer
+    coordinates directly."""
     kernel = system.kernel
     ints = kernel.encode(state)
     return kernel.decode(kernel.step(ints)), _Unrounded(kernel, ints)
 
 
 class _Unrounded(Sequence):
-    """The exact pre-rounding values of one step, computed on access."""
+    """The exact pre-rounding values of one step from an integer state,
+    computed on access."""
 
     __slots__ = ("kernel", "state")
 
@@ -466,11 +485,14 @@ def step(system: JnfSystem, state: tuple[GridPoint, ...]) -> tuple[GridPoint, ..
 
 
 def simulate(system: Union[JnfSystem, RationalSystem], steps: int) -> list[tuple]:
-    """The orbit from the stored initial point, inclusive: steps+1 states."""
-    advance = orbit_step(system)
+    """The orbit from the stored initial point, inclusive: steps+1 states,
+    stepped on the system's kernel and decoded one by one."""
+    kernel = system.kernel
+    state = kernel.initial
     out = [system.initial]
     for _ in range(steps):
-        out.append(advance(out[-1])[0])
+        state = kernel.step(state)
+        out.append(kernel.decode(state))
     return out
 
 
@@ -500,18 +522,67 @@ class RationalSystem:
     def dimension(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def kernel(self) -> "RationalKernel":
+        """The system's integer step, built on first use."""
+        return RationalKernel(self)
+
+
+class IntegerMatrix:
+    """A rational matrix M held as the integer matrix D*M, with D the least
+    common denominator of M's entries: `times(k)` gives the integer vector
+    D*M*k for an integer vector k."""
+
+    def __init__(self, matrix: Sequence[Sequence[Rational]]) -> None:
+        den = math.lcm(*(v.denominator for row in matrix for v in row))
+        self.den = den
+        # each row as its (column, entry) pairs with a nonzero entry
+        self.rows = tuple(
+            tuple((j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v)
+            for row in matrix
+        )
+
+    def times(self, k: Sequence[int]) -> list[int]:
+        out = []
+        for row in self.rows:
+            acc = 0
+            for j, c in row:
+                acc += c * k[j]
+            out.append(acc)
+        return out
+
+
+class RationalKernel:
+    """A rational-matrix system's step on integer coordinates: the state
+    x = k*g is the integer vector k in grid units.  M x / g = M k, and every
+    rounding kind commutes with scaling by g, so k' is M k rounded to
+    integers: coordinate i is RULES[kind].ratio((A k)_i, D), with A = D*M
+    the matrix as an `IntegerMatrix`.  `initial` and `target` hold the
+    system's start and target in grid units, encoded once."""
+
+    def __init__(self, system: RationalSystem) -> None:
+        self.g = system.rounding.granularity
+        self.ratio = RULES[system.rounding.kind].ratio
+        self.matrix = IntegerMatrix(system.matrix)
+        self.initial = self.encode(system.initial)
+        self.target = self.encode(system.target)
+
+    def encode(self, state: Sequence[Rational]) -> tuple[int, ...]:
+        g = self.g
+        return tuple(_units(v, g) for v in state)
+
+    def decode(self, state: Sequence[int]) -> tuple[Fraction, ...]:
+        g = self.g
+        return tuple(k * g for k in state)
+
+    def step(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        ratio, den = self.ratio, self.matrix.den
+        return tuple([ratio(v, den) for v in self.matrix.times(state)])
+
 
 def rational_step(system: RationalSystem, state: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    kind = system.rounding.kind
-    g = system.rounding.granularity
-    out = []
-    for row in system.matrix:
-        acc = Fraction(0)
-        for c, v in zip(row, state):
-            if c:
-                acc += c * v
-        out.append(round_real(acc, kind, g))
-    return tuple(out)
+    kernel = system.kernel
+    return kernel.decode(kernel.step(kernel.encode(state)))
 
 
 def rational_simulate(system: RationalSystem, steps: int) -> list[tuple[Fraction, ...]]:
@@ -578,20 +649,23 @@ class Undecided:
 class BlockAnalyzer(Protocol):
     """Observes one Jordan block along the shared orbit and may certify NO.
 
-    observe_initial sees the starting state; observe sees each transition with
-    the exact pre-rounding values. A returned certificate must hold forever
-    (the driver has already target-checked the current state).
+    States are the system kernel's integer coordinates in grid units, one
+    pair per dimension: (a, b) for ArgandPoint(a*g, b*g), (k, i) for
+    PolarPoint(k*g, i).  observe_initial sees the starting state; observe
+    sees each transition with the exact pre-rounding values, computed only
+    where read.  A returned certificate must hold forever (the driver has
+    already target-checked the current state).
     """
 
-    def observe_initial(self, state: Sequence[GridPoint]) -> Optional[Certificate]:
+    def observe_initial(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
         ...
 
     def observe(
         self,
         step_index: int,
-        prev: Sequence[GridPoint],
+        prev: Sequence[tuple[int, int]],
         unrounded: Sequence[CycloNum],
-        new: Sequence[GridPoint],
+        new: Sequence[tuple[int, int]],
     ) -> Optional[Certificate]:
         ...
 
@@ -758,16 +832,6 @@ def orbit_shape(step: Callable[[Any], Any], start: Any, budget: int) -> OrbitRec
     return orbit_shapes(step, (start,), budget)[1][0]
 
 
-def orbit_step(
-    system: Union[JnfSystem, RationalSystem]
-) -> Callable[[Any], tuple[Any, Any]]:
-    """The system's step for iterate: state -> (new state, unrounded values);
-    a rational system has no unrounded values to show."""
-    if isinstance(system, RationalSystem):
-        return lambda state: (rational_step(system, state), None)
-    return lambda state: step_with_intermediates(system, state)
-
-
 def run_lock_step(
     system: JnfSystem,
     analyzers: Sequence[BlockAnalyzer],
@@ -775,12 +839,15 @@ def run_lock_step(
     step_cap: int,
     cap_is_state_bound: bool,
 ) -> Verdict:
-    """Drive the shared orbit of a Jordan-form system, feeding every
-    analyzer, until a conclusion (see iterate)."""
+    """Drive the shared orbit of a Jordan-form system on its kernel's
+    integer coordinates, feeding every analyzer, until a conclusion (see
+    iterate)."""
+    kernel = system.kernel
+    advance = kernel.step
     return iterate(
-        orbit_step(system),
-        system.initial,
-        system.target,
+        lambda state: (advance(state), _Unrounded(kernel, state)),
+        kernel.initial,
+        kernel.target,
         analyzers,
         cap=step_cap,
         cap_is_state_bound=cap_is_state_bound,
@@ -808,12 +875,15 @@ class _LeavesBall:
 def _outside_ball(
     system: Union[JnfSystem, RationalSystem], radius: Fraction
 ) -> Callable[[Any], bool]:
-    """The test for one state coordinate outside the ball: a rational value,
-    or a pair of the kernel's integer coordinates."""
+    """The test for one state coordinate, in the kernel's grid units,
+    outside the ball: an integer, or a pair of integers."""
+    g = system.rounding.granularity
     if isinstance(system, RationalSystem):
-        return lambda v: abs(v) > radius
+        # |k|*g exceeds the radius exactly when |k| exceeds floor(radius/g)
+        bound = math.floor(radius / g)
+        return lambda k: abs(k) > bound
     # integer squares exceed (radius/g)^2 exactly when they exceed its floor
-    bound = math.floor((radius / system.rounding.granularity) ** 2)
+    bound = math.floor((radius / g) ** 2)
     if isinstance(system.rounding, PolarRounding):
         return lambda x: x[0] * x[0] > bound
     return lambda x: x[0] * x[0] + x[1] * x[1] > bound
@@ -830,23 +900,19 @@ def brute_force_decide(
     caller asserts that bound confines every orbit that can still reach the
     target. Hitting step_bound without a repeat yields CycleDetected at the
     bound; the caller picks step_bound large enough for that to be sound.
+    States meet only each other and the target, so the orbit runs on the
+    kernel's integer coordinates.
     """
-    if isinstance(system, RationalSystem):
-        advance, start, target = orbit_step(system), system.initial, system.target
-    else:
-        # states meet only each other and the target, so the orbit runs on
-        # the kernel's integer coordinates
-        kernel = system.kernel
-        advance = lambda state: (kernel.step(state), None)
-        start, target = kernel.encode(system.initial), kernel.encode(system.target)
+    kernel = system.kernel
+    advance = kernel.step
     observers = []
     if ball_bound is not None:
         radius = Fraction(ball_bound)
         observers.append(_LeavesBall(radius, _outside_ball(system, radius)))
     return iterate(
-        advance,
-        start,
-        target,
+        lambda state: (advance(state), None),
+        kernel.initial,
+        kernel.target,
         observers,
         cap=step_bound,
         cap_is_state_bound=True,

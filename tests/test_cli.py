@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
+from corpora import argand_corpus, hyperbolic_corpus, polar_corpus, rational_corpus
 from roundreach import hyperbolic, system as system_module
-from roundreach.cli import dispatch, main, parse_instance, serialize_instance
+from roundreach.cli import dispatch, main, parse_instance, serialize_instance, verdict_json
 from roundreach.numerics import Angle
 from roundreach.qbf_compiler import GadgetFamily
 from roundreach.rounding import (
@@ -565,6 +565,41 @@ def test_bounds_bytes_are_pinned(tmp_path, capsys):
         assert main(["bounds", str(path)]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == BOUNDS_CORPUS_DIGEST
+
+
+def rescaled(system, g: Fraction):
+    """The same system on the granularity-g grid, every point times g: its
+    orbit is the original one times g."""
+    if isinstance(system, RationalSystem):
+        return RationalSystem(system.matrix, tuple(v * g for v in system.initial),
+                              tuple(v * g for v in system.target),
+                              ArgandRounding(system.rounding.kind, g))
+    spec = system.rounding
+    if isinstance(spec, PolarRounding):
+        spec = PolarRounding(spec.modulus_kind, spec.angle_resolution, g)
+        scale = lambda p: PolarPoint(p.modulus * g, p.angle_index)  # noqa: E731
+    else:
+        spec = ArgandRounding(spec.kind, g)
+        scale = lambda p: ArgandPoint(p.re * g, p.im * g)  # noqa: E731
+    return JnfSystem(system.blocks, tuple(map(scale, system.initial)),
+                     tuple(map(scale, system.target)), spec)
+
+
+# SHA-256 of the `decide` verdict JSON of every system of criteria 4, 6 and 7
+# and the rational corpus, in turn at granularity 1, 1/2 and 3/2
+VERDICT_CORPUS_DIGEST = "20d0aaca1d7ac35af04ff6e082494592408ec4d2d11f7195116291541aae3476"
+
+
+def test_decide_verdicts_are_pinned():
+    corpus = list(itertools.chain(hyperbolic_corpus(), polar_corpus(), argand_corpus(),
+                                  rational_corpus()))
+    digest = hashlib.sha256()
+    for g in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
+        for system in corpus:
+            system = rescaled(system, g)
+            text = json.dumps(verdict_json(dispatch(system), system))
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == VERDICT_CORPUS_DIGEST
 
 
 def _readme_command_lines(readme: str) -> list[list[str]]:

@@ -14,6 +14,9 @@ from corpora import rational_corpus, rational_matrices
 from roundreach import hyperbolic
 from roundreach.errors import ModulusOneSpectrumError, NonRationalSpectrumError
 from roundreach.hyperbolic import (
+    HyperbolicBlockAnalyzer,
+    RadiusTable,
+    _EigenbasisEscape,
     decide_hyperbolic_general,
     decide_hyperbolic_jnf,
     eigenbasis,
@@ -30,6 +33,7 @@ from roundreach.numerics import Angle
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
+    PolarRounding,
     RoundingKind,
     effect_bound,
     modulus_effect_bound,
@@ -47,6 +51,7 @@ from roundreach.system import (
 )
 
 FL, MU, TR = RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP, RoundingKind.TRUNCATE
+GRANULARITIES = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
 
 # oracle runs of rational_corpus that conclude within 200 steps, as measured
 CONCLUSIVE_FLOOR = 24
@@ -320,14 +325,16 @@ def test_decider_orbit_is_the_conjugated_orbit_through_p(monkeypatch):
         basis = eigenbasis(system)[0]
         assert basis.delta == effect_bound(system.rounding) * max_abs_row_sum(p_inverse)
         decide_hyperbolic_general(system)
-        (step, x), = runs
+        (step, k), = runs
         runs.clear()
-        assert x == system.initial
+        # the decider steps integer coordinates in grid units
+        decode = system.kernel.decode
+        assert decode(k) == system.initial
         z = basis.initial
         for _ in range(8):
-            x = step(x)[0]
+            k = step(k)[0]
             z = _conjugated_step(p, p_inverse, j, system.rounding, z)
-            assert mat_vec(basis.p_inverse, x) == z, system
+            assert mat_vec(basis.p_inverse, decode(k)) == z, system
 
 
 def test_decide_general_agrees_with_brute_force():
@@ -372,3 +379,71 @@ def test_decide_general_nontrivial_basis():
     verdict = decide_hyperbolic_general(rs)
     assert isinstance(verdict, NotReached)
     assert isinstance(verdict.certificate, EscapedRadius)
+
+
+def _escape_analyzer(spec, radii_over_g):
+    g = spec.granularity
+    table = RadiusTable(Fraction(2), g, g, tuple(r * g for r in radii_over_g))
+    return HyperbolicBlockAnalyzer(1, table, spec)
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_escape_analyzer_edge_in_grid_units(g):
+    # coordinates are pairs in grid units; a coordinate escapes once its
+    # modulus reaches the radius, and one grid unit inside it does not
+    spec = ArgandRounding(FL, g)
+    cases = [
+        # (radius / g, pairs that escape, pairs that stay)
+        (Fraction(3), [(3, 0), (0, -3), (-3, 1)], [(2, 2), (-2, -2), (0, 2)]),
+        (Fraction(5), [(3, 4), (-4, 3), (5, 0)], [(4, 2), (3, -3), (0, 4)]),
+        (Fraction(1), [(1, 0), (0, -1)], [(0, 0)]),
+        # off the grid: 3/2 lies between sqrt(2) and 2
+        (Fraction(3, 2), [(2, 0), (0, -2)], [(1, 1), (-1, 1), (1, 0)]),
+    ]
+    for radius, escape, stay in cases:
+        analyzer = _escape_analyzer(spec, (Fraction(100), radius))
+        for x in escape:
+            cert = EscapedRadius(2, radius * g)
+            assert analyzer.observe_initial(((0, 0), (0, 0), x)) == cert, (radius, x)
+            assert analyzer.observe(0, None, None, ((0, 0), (0, 0), x)) == cert
+        for x in stay:
+            assert analyzer.observe_initial(((0, 0), (0, 0), x)) is None, (radius, x)
+    # the first coordinate of the block is checked first
+    analyzer = _escape_analyzer(spec, (Fraction(1), Fraction(1)))
+    assert analyzer.observe_initial(((9, 9), (0, 1), (1, 0))) == EscapedRadius(1, g)
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_polar_escape_analyzer_edge_in_grid_units(g):
+    spec = PolarRounding(FL, 3, g)
+    for radius, escape, stay in [(Fraction(3), 3, 2), (Fraction(1), 1, 0),
+                                 (Fraction(3, 2), 2, 1)]:
+        analyzer = _escape_analyzer(spec, (radius,))
+        cert = EscapedRadius(1, radius * g)
+        for i in range(6):
+            assert analyzer.observe_initial(((7, 0), (escape, i))) == cert
+        assert analyzer.observe_initial(((7, 0), (stay, 0))) is None
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_eigenbasis_escape_edge_in_grid_units(g):
+    # z = P^-1 x with x = k*g; with E = 6 and B = 6 P^-1, z_0 = g*(3a + 2b)/6
+    p_inverse = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(0), Fraction(1)))
+    wide = Fraction(10**6)
+    # the radius z_0 reaches at k = (1, 1) exactly, and one off the grid
+    for radius in (Fraction(5, 6) * g, Fraction(3, 4) * g):
+        escape = _EigenbasisEscape(p_inverse, (radius, wide), g)
+        for k in ((1, 1), (-1, -1), (3, -2), (5, -5)):
+            assert escape.observe_initial(k) == EscapedRadius(0, radius), (radius, k)
+            assert escape.observe(0, None, None, k) == EscapedRadius(0, radius)
+        # (B k)_0 = 4 and -4: one unit of g/6 inside
+        for k in ((0, 2), (-2, 1), (2, -1), (0, -2)):
+            assert escape.observe_initial(k) is None, (radius, k)
+    # every small state against the exact test |z_d| >= c_d
+    radii_flat = (Fraction(5, 6) * g, Fraction(2) * g)
+    escape = _EigenbasisEscape(p_inverse, radii_flat, g)
+    for k in itertools.product(range(-4, 5), repeat=2):
+        z = mat_vec(p_inverse, [v * g for v in k])
+        expected = next((EscapedRadius(d, c) for d, (v, c) in enumerate(zip(z, radii_flat))
+                         if abs(v) >= c), None)
+        assert escape.observe_initial(k) == expected, k

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from disk_reference import reference_disk
 from rational_rotator import RationalRotator
 from roundreach.errors import UndecidableTieError
+from roundreach import rotation_lab
 from roundreach.numerics import Angle
 from roundreach.rotation_lab import (
     IrrationalTheta,
@@ -23,7 +24,7 @@ from roundreach.rotation_lab import (
     run_disk,
     run_orbit,
 )
-from roundreach.system import orbit_shapes
+from roundreach.system import StepKernel, orbit_shapes
 
 
 def test_rotate_round_frozen():
@@ -39,6 +40,30 @@ def test_rotate_round_frozen():
     assert rotate_round((0, 1), "1/3 pi") == (-1, 1)
     # a field of order 4000004: one float entry, no table and no exact cos
     assert rotate_round((3, 4), "1/1000001 pi") == (3, 4)
+
+
+def test_rotate_round_builds_one_step_per_angle(monkeypatch):
+    built = []
+    init = StepKernel.__init__
+
+    def counting(self, system):
+        built.append(system.blocks[0].eigen_angle)
+        init(self, system)
+
+    monkeypatch.setattr(StepKernel, "__init__", counting)
+    rotation_lab._memo_rotation_step.cache_clear()
+    point = (10, 0)
+    for _ in range(200):
+        point = rotate_round(point, "1/42 pi")
+    # a parsed angle and its text share the one step
+    rotate_round((3, 4), Angle(Fraction(1, 42)))
+    assert built == [Angle(Fraction(1, 42))]
+    assert rotate_round((1, 0), "1/3 pi") == (1, 1)
+    assert len(built) == 2
+    # run_disk builds its step afresh on every call
+    run_disk(2, "1/42 pi")
+    run_disk(2, "1/42 pi")
+    assert len(built) == 4
 
 
 def test_parse_theta_grammar():

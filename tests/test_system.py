@@ -1,5 +1,6 @@
 """Orbit stepping, verdicts, the lock-step driver, and the brute-force oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
+from cyclo_step import reference_step
 from disk_reference import reference_disk
+from rational_step import reference_rational_step
 from roundreach import system as system_module
 from roundreach.argand_decider import decide_expansion, decide_truncation
 from roundreach.errors import InternalInvariantError, UndecidableTieError
@@ -43,6 +46,7 @@ from roundreach.system import (
 )
 
 MU, FL, TR = RoundingKind.MINIMAL_ERROR_UP, RoundingKind.FLOOR, RoundingKind.TRUNCATE
+GRANULARITIES = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
 
 
 def P(m, a=0):
@@ -117,6 +121,48 @@ def test_rational_system_step_and_simulate():
     assert len(states) == 4 and states[2] == rs.initial
 
 
+@st.composite
+def rational_case(draw):
+    """A 1-3 dimensional rational matrix, any rounding kind and granularity,
+    and a start of any size up to 2^70 grid units per coordinate."""
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    matrix = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    g = draw(st.sampled_from(GRANULARITIES))
+    kind = draw(st.sampled_from(list(RoundingKind)))
+    coordinate = st.integers(0, 70).flatmap(lambda bits: st.integers(-2**bits, 2**bits))
+    state = tuple(draw(coordinate) * g for _ in range(n))
+    return RationalSystem(matrix, state, state, ArgandRounding(kind, g))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_case())
+def test_rational_step_matches_fraction_reference(system):
+    expected = [system.initial]
+    for _ in range(4):
+        expected.append(reference_rational_step(system, expected[-1]))
+    for state, new in zip(expected, expected[1:]):
+        assert rational_step(system, state) == new, (system, state)
+    assert rational_simulate(system, 4) == expected
+
+
+@pytest.mark.parametrize("turn", [Fraction(p, t) for t in (3, 4, 6) for p in range(1, 2 * t)
+                                  if Fraction(p, t).denominator == t])
+def test_niven_turns_step_like_the_cyclotomic_reference(turn):
+    # every angle off the axes where a*cos - b*sin can be rational; the
+    # kernel reads those values in integers
+    rng = random.Random(str(turn))
+    for kind in RoundingKind:
+        for g in GRANULARITIES:
+            for _ in range(20):
+                size = rng.randint(1, 2)
+                state = tuple(A(rng.choice([0, rng.randint(-9, 9)]) * g,
+                                rng.choice([0, rng.randint(-9, 9)]) * g) for _ in range(size))
+                blocks = (JordanBlock(size, Fraction(rng.choice([1, 1, 1, 2])), Angle(turn)),)
+                system = JnfSystem(blocks, state, state, ArgandRounding(kind, g))
+                assert step(system, state) == reference_step(system, state)[0], system
+
+
 def test_rational_system_validation():
     m = ((Fraction(1),),)
     with pytest.raises(ValueError):
@@ -151,6 +197,32 @@ def test_brute_force_rational_path():
     m = ((Fraction(1, 2),),)
     rs = RationalSystem(m, (Fraction(9),), (Fraction(0),), ArgandRounding(FL, Fraction(1)))
     assert brute_force_decide(rs, step_bound=100) == Reached(4)
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_rational_ball_edge_in_grid_units(g):
+    # under the identity every orbit repeats its start at step 1 unless
+    # the start lies outside the ball; the test is |x| > R, so a start on
+    # the sphere stays in and one grid unit past it leaves
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+    def oracle(x, radius):
+        rs = RationalSystem(identity, x, (100 * g, -100 * g),
+                            ArgandRounding(FL, g))
+        return brute_force_decide(rs, ball_bound=radius, step_bound=10)
+
+    for units in (0, 1, 4):
+        radius = units * g
+        for sign in (1, -1):
+            on = sign * units * g
+            past = sign * (units + 1) * g
+            assert oracle((on, on), radius) == NotReached(CycleDetected(1))
+            assert oracle((on, past), radius) == NotReached(EscapedRadius(1, radius))
+            assert oracle((past, on), radius) == NotReached(EscapedRadius(0, radius))
+    # a radius off the grid: 4 grid units stay in, 5 leave
+    radius = Fraction(9, 2) * g
+    assert oracle((4 * g, -4 * g), radius) == NotReached(CycleDetected(1))
+    assert oracle((4 * g, -5 * g), radius) == NotReached(EscapedRadius(1, radius))
 
 
 class _EagerAnalyzer:
@@ -218,7 +290,9 @@ def test_driver_observe_indices():
             return None
 
     system = rotation_system((P(5), P(4)), (P(16, 1), P(4, 2)))
-    states = simulate(system, 3)
+    # the driver runs on the kernel's integer coordinates in grid units
+    states = [system.kernel.encode(state) for state in simulate(system, 3)]
+    assert states[0] == ((5, 0), (4, 0))
     run_lock_step(system, [Recorder()], step_cap=3, cap_is_state_bound=True)
     assert seen[0] == ("init", states[0])
     # observation i carries the transition x^(i) -> x^(i+1)
