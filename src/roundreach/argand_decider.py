@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
-from .numerics import Angle, CycloNum, ceil_sqrt, floor_sqrt
+from .numerics import Angle, ceil_sqrt, floor_sqrt
 from .rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -32,6 +32,7 @@ from .system import (
     JnfSystem,
     JordanBlock,
     StabilizedMismatch,
+    StepKernel,
     Verdict,
 )
 
@@ -121,20 +122,13 @@ class _ArgandBlockAnalyzer:
     Coordinates, the target's included, are pairs (a, b) in grid units;
     squared moduli compare as the integers a^2 + b^2."""
 
-    def __init__(
-        self,
-        offset: int,
-        block: JordanBlock,
-        spec: ArgandRounding,
-        target: Sequence[tuple[int, int]],
-        order: int,
-    ) -> None:
+    def __init__(self, offset: int, block: JordanBlock, kernel: StepKernel) -> None:
         self.offset = offset
         self.block = block
-        self.spec = spec
-        self.order = order
-        self.target = tuple(target)
+        self.kernel = kernel
+        self.spec = kernel.spec
         self.size = block.size
+        self.target = kernel.target[offset:offset + self.size]
         self.axis = niven_classify(block.eigen_angle).axis_multiple_90
         self.active: Optional[int] = None
         self.all_zero = False
@@ -155,11 +149,12 @@ class _ArgandBlockAnalyzer:
             self.active = d
         return None
 
-    def _assert_no_rounding(self, unrounded: Sequence[CycloNum], new: Sequence) -> None:
+    def _assert_no_rounding(self, prev: Sequence, new: Sequence) -> None:
+        kernel = self.kernel
         for j in range(self.size):
             at = self.offset + j
-            value = point_value(grid_point(new[at], self.spec), self.spec, self.order)
-            if value != unrounded[at]:
+            value = point_value(grid_point(new[at], self.spec), self.spec, kernel.order)
+            if value != kernel.exact(prev, at):
                 raise InternalInvariantError(
                     "a right-angle rotation step should never round"
                 )
@@ -198,21 +193,17 @@ class _ArgandBlockAnalyzer:
         raise NotImplementedError
 
     def observe(
-        self,
-        step_index: int,
-        prev: Sequence,
-        unrounded: Sequence[CycloNum],
-        new: Sequence,
+        self, step_index: int, prev: Sequence, new: Sequence
     ) -> Optional[Certificate]:
         if self.pending is not None:
-            self._assert_no_rounding(unrounded, new)
+            self._assert_no_rounding(prev, new)
             due, dim = self.pending
             if step_index + 1 >= due:
                 self.pending = None
                 return DivergedPastTarget(self.offset + dim)
             return None
         if self.settled:
-            self._assert_no_rounding(unrounded, new)
+            self._assert_no_rounding(prev, new)
             return None
         if self.all_zero:
             self._assert_zero_floor(new, -1)

@@ -47,6 +47,7 @@ from .rounding import (
     PolarRounding,
     RoundingKind,
     RoundingSpec,
+    checked_int,
 )
 from .system import (
     CycleDetected,
@@ -98,13 +99,6 @@ def _angle_str(angle: Angle) -> str:
     return f"{_rational_str(angle.pi_multiple)} pi"
 
 
-def _integer(value, what: str) -> int:
-    # bool is a subclass of int, but JSON true is not a number
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _array(value, what: str) -> list:
     # a JSON string iterates as its characters
     if not isinstance(value, list):
@@ -138,7 +132,7 @@ def _parse_rounding(obj) -> RoundingSpec:
         )
         return PolarRounding(
             RoundingKind(obj["kind"]),
-            _integer(obj["angle_resolution"], "angle_resolution"),
+            obj["angle_resolution"],
             _parse_rational(obj["granularity"]),
         )
     raise ValueError(f"unknown rounding shape {shape!r}")
@@ -165,7 +159,7 @@ def _parse_point(obj, spec: RoundingSpec):
     if isinstance(spec, PolarRounding):
         _require_fields(obj, ("modulus", "angle_index"), "polar point")
         return PolarPoint(
-            _parse_rational(obj["modulus"]), _integer(obj["angle_index"], "angle_index")
+            _parse_rational(obj["modulus"]), checked_int(obj["angle_index"], "angle_index")
         )
     _require_fields(obj, ("re", "im"), "argand point")
     return ArgandPoint(_parse_rational(obj["re"]), _parse_rational(obj["im"]))
@@ -221,7 +215,7 @@ def parse_instance(text: str) -> Instance:
             _require_fields(entry, ("size", "modulus", "angle"), "jordan block")
             blocks.append(
                 JordanBlock(
-                    _integer(entry["size"], "block size"),
+                    entry["size"],
                     _parse_rational(entry["modulus"]),
                     _parse_angle(entry["angle"]),
                 )

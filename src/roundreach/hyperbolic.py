@@ -149,7 +149,7 @@ class HyperbolicBlockAnalyzer:
     def observe_initial(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
         return self._check(state)
 
-    def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
+    def observe(self, step_index, prev, new) -> Optional[Certificate]:
         return self._check(new)
 
 
@@ -249,10 +249,10 @@ def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int
 class Fragment:
     """What a Jordan-form decider runs on: unit_tables(system, index) builds
     the UnitTable of a block whose eigenvalue has modulus one, unit_analyzer
-    (offset, block, rounding, target slice in grid units, field order)
-    watches such a block, and step_cap(system, tables) reads the cap off
-    every block's table.  With no unit_tables the fragment covers no
-    modulus-one block."""
+    (offset, block, the system's StepKernel) watches such a block, reading
+    the rounding, the field order and the encoded target from the kernel,
+    and step_cap(system, tables) reads the cap off every block's table.
+    With no unit_tables the fragment covers no modulus-one block."""
 
     step_cap: Callable[[JnfSystem, Sequence], int]
     unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
@@ -281,16 +281,14 @@ def block_tables(system: JnfSystem) -> list[RadiusTable]:
 def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     """Run the lock-step driver over the fragment's tables: the escape-radius
     analyzer on every block with a radius table, the fragment's unit
-    analyzer on the others, and the cap read off the same tables.  The
-    analyzers see the target in the kernel's grid units."""
+    analyzer on the others, and the cap read off the same tables."""
     tables = fragment.tables(system)
-    order = system.field_order()
-    target = system.kernel.target
+    kernel = system.kernel
     analyzers = [
         HyperbolicBlockAnalyzer(start, table, system.rounding)
         if isinstance(table, RadiusTable)
-        else fragment.unit_analyzer(start, block, system.rounding, target[start:end], order)
-        for block, (start, end), table in zip(
+        else fragment.unit_analyzer(start, block, kernel)
+        for block, (start, _end), table in zip(
             system.blocks, system.block_slices(), tables
         )
     ]
@@ -775,7 +773,7 @@ class _EigenbasisEscape:
                 return EscapedRadius(d, self.radii[d])
         return None
 
-    def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
+    def observe(self, step_index, prev, new) -> Optional[Certificate]:
         return self.observe_initial(new)
 
 
@@ -796,9 +794,8 @@ def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
         system.rounding.granularity,
     )
     kernel = system.kernel
-    advance = kernel.step
     return iterate(
-        lambda state: (advance(state), None),
+        kernel.step,
         kernel.initial,
         kernel.target,
         [escape],

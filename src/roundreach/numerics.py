@@ -157,16 +157,6 @@ class Angle:
         d = (self.pi_multiple - other.pi_multiple) % 2
         return Angle(min(d, 2 - d))
 
-    def compare_to_right_angle(self) -> int:
-        """-1, 0, +1 as this angle is below, at, or above pi/2 (as a magnitude)."""
-        d = self.pi_multiple
-        half = Fraction(1, 2)
-        if d < half:
-            return -1
-        if d == half:
-            return 0
-        return 1
-
     def is_zero(self) -> bool:
         return self.pi_multiple == 0
 

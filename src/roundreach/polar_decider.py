@@ -18,17 +18,14 @@ from typing import Optional, Sequence
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
 from .numerics import Angle, CycloNum, Rational, embed_polar, modulus_sq, sign_of_real
-from .rounding import (
-    PolarPoint,
-    PolarRounding,
-    modulus_effect_bound,
-)
+from .rounding import PolarRounding, modulus_effect_bound
 from .system import (
     Certificate,
     DivergedPastTarget,
     JnfSystem,
     JordanBlock,
     StabilizedMismatch,
+    StepKernel,
     Verdict,
 )
 
@@ -48,22 +45,6 @@ def _half_turn(eigen_angle: Angle, resolution: int) -> tuple[int, int]:
     p, q = eigen_angle.numerator, eigen_angle.denominator
     half_turn = lcm(resolution, q)
     return half_turn, p * (half_turn // q)
-
-
-def phi_angle(
-    upper: PolarPoint,
-    eigen_angle: Angle,
-    lower: PolarPoint,
-    resolution: int,
-) -> Angle:
-    """Separation angle between the rotated upper value and the value fed in
-    from the dimension below; both must be nonzero.  Lies in [0, pi]."""
-    if upper.is_zero() or lower.is_zero():
-        raise ValueError("the separation angle needs two nonzero values")
-    half_turn, eigen_steps = _half_turn(eigen_angle, resolution)
-    steps = _separation(upper.angle_index, eigen_steps, lower.angle_index,
-                        half_turn // resolution, half_turn)
-    return Angle(steps, half_turn)
 
 
 def gamma_exceeds_right_angle(unrounded: CycloNum, rotated: CycloNum) -> bool:
@@ -153,21 +134,14 @@ class PolarBlockAnalyzer:
     included, are pairs (k, i) in grid units: modulus k*g, angle index i.
     """
 
-    def __init__(
-        self,
-        offset: int,
-        block: JordanBlock,
-        spec: PolarRounding,
-        target: Sequence[tuple[int, int]],
-        order: int,
-    ) -> None:
+    def __init__(self, offset: int, block: JordanBlock, kernel: StepKernel) -> None:
         self.offset = offset
         self.block = block
-        self.spec = spec
-        self.order = order
-        self.target = tuple(target)
+        self.kernel = kernel
+        self.spec = kernel.spec
         self.size = block.size
-        self.resolution = spec.angle_resolution
+        self.target = kernel.target[offset:offset + self.size]
+        self.resolution = self.spec.angle_resolution
         # separation angles phi in steps of pi/half_turn: a right angle is
         # half_turn/2 of them
         self.half_turn, self.eigen_steps = _half_turn(block.eigen_angle, self.resolution)
@@ -209,11 +183,7 @@ class PolarBlockAnalyzer:
         return self._promote(state, self.size - 1, 0)
 
     def observe(
-        self,
-        step_index: int,
-        prev: Sequence,
-        unrounded: Sequence[CycloNum],
-        new: Sequence,
+        self, step_index: int, prev: Sequence, new: Sequence
     ) -> Optional[Certificate]:
         for dim, modulus in self.rotating_moduli.items():
             if new[self.offset + dim][0] != modulus:
@@ -292,7 +262,7 @@ class PolarBlockAnalyzer:
                 return DivergedPastTarget(self.offset + dim)
 
         if cor_valid and prev_modulus:
-            w = unrounded[self.offset + dim]
+            w = self.kernel.exact(prev, self.offset + dim)
             if divergence_stop(
                 prev_modulus, lower_modulus, machine.target_modulus, w, self.spec
             ):
@@ -324,7 +294,7 @@ class PolarBlockAnalyzer:
         k, i = upper_prev
         block = self.block
         a = embed_polar(block.eigen_modulus * k * self.spec.granularity,
-                        Angle(i, self.resolution) + block.eigen_angle, self.order)
+                        Angle(i, self.resolution) + block.eigen_angle, self.kernel.order)
         if sign_of_real(modulus_sq(w) - modulus_sq(a)) <= 0:
             return False
         return gamma_exceeds_right_angle(w, a)

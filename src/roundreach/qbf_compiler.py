@@ -840,7 +840,7 @@ def decide_hardness(instance: HardnessInstance, step_bound: int) -> tuple[bool, 
     too, so the cap counts as a conclusion.
     """
     verdict = iterate(
-        lambda state: (hardness_step(instance, state), None),
+        lambda state: hardness_step(instance, state),
         instance.initial,
         instance.target,
         (),

@@ -121,6 +121,14 @@ class ArgandRounding:
             raise ValueError("granularity must be positive")
 
 
+def checked_int(value, what: str) -> int:
+    """The value, which must be an int; bool is a subclass of int, but
+    True is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PolarRounding:
     """Rounding of the modulus on the g-grid and the angle to multiples of pi/R.
@@ -137,7 +145,7 @@ class PolarRounding:
         object.__setattr__(self, "granularity", Fraction(self.granularity))
         if self.granularity <= 0:
             raise ValueError("granularity must be positive")
-        if self.angle_resolution < 2:
+        if checked_int(self.angle_resolution, "angle_resolution") < 2:
             raise ValueError("angle resolution must be at least 2")
 
 

@@ -19,6 +19,7 @@ from .rounding import (
     PolarRounding,
     RULES,
     RoundingSpec,
+    checked_int,
     grid_point,
     is_admissible,
     point_value,
@@ -34,7 +35,7 @@ class JordanBlock:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigen_modulus", Fraction(self.eigen_modulus))
-        if self.size < 1:
+        if checked_int(self.size, "block size") < 1:
             raise ValueError("block size must be positive")
         if self.eigen_modulus < 0:
             raise ValueError("eigenvalue modulus must be nonnegative")
@@ -453,35 +454,20 @@ def _field_steps(angle: Angle, order: int) -> int:
 
 def step_with_intermediates(
     system: JnfSystem, state: tuple[GridPoint, ...]
-) -> tuple[tuple[GridPoint, ...], Sequence[CycloNum]]:
-    """One rounded step of grid points; also returns the exact pre-rounding
-    values, in the system's field, as a sequence that computes each one
-    only when it is read.  The deciders step the kernel's integer
-    coordinates directly."""
+) -> tuple[tuple[GridPoint, ...], tuple[CycloNum, ...]]:
+    """One rounded step of grid points, and the exact pre-rounding values
+    in the system's field, from the kernel's `exact`."""
     kernel = system.kernel
     ints = kernel.encode(state)
-    return kernel.decode(kernel.step(ints)), _Unrounded(kernel, ints)
+    exact = tuple(kernel.exact(ints, j) for j in range(len(ints)))
+    return kernel.decode(kernel.step(ints)), exact
 
 
-class _Unrounded(Sequence):
-    """The exact pre-rounding values of one step from an integer state,
-    computed on access."""
-
-    __slots__ = ("kernel", "state")
-
-    def __init__(self, kernel: StepKernel, state) -> None:
-        self.kernel = kernel
-        self.state = state
-
-    def __len__(self) -> int:
-        return len(self.state)
-
-    def __getitem__(self, j: int) -> CycloNum:
-        return self.kernel.exact(self.state, j)
-
-
-def step(system: JnfSystem, state: tuple[GridPoint, ...]) -> tuple[GridPoint, ...]:
-    return step_with_intermediates(system, state)[0]
+def step(system: Union[JnfSystem, RationalSystem], state: tuple) -> tuple:
+    """One rounded step of a Jordan-form or rational-matrix system's points,
+    on the system's kernel."""
+    kernel = system.kernel
+    return kernel.decode(kernel.step(kernel.encode(state)))
 
 
 def simulate(system: Union[JnfSystem, RationalSystem], steps: int) -> list[tuple]:
@@ -506,6 +492,10 @@ class RationalSystem:
     rounding: ArgandRounding
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix",
+                           tuple(tuple(Fraction(v) for v in row) for row in self.matrix))
+        object.__setattr__(self, "initial", tuple(Fraction(v) for v in self.initial))
+        object.__setattr__(self, "target", tuple(Fraction(v) for v in self.target))
         n = len(self.matrix)
         if n == 0:
             raise ValueError("a system needs at least one dimension")
@@ -515,7 +505,7 @@ class RationalSystem:
             raise ValueError("initial/target length must match dimension")
         g = self.rounding.granularity
         for v in (*self.initial, *self.target):
-            if (Fraction(v) / g).denominator != 1:
+            if (v / g).denominator != 1:
                 raise ValueError(f"{v} is not on the granularity-{g} grid")
 
     @property
@@ -578,11 +568,6 @@ class RationalKernel:
     def step(self, state: tuple[int, ...]) -> tuple[int, ...]:
         ratio, den = self.ratio, self.matrix.den
         return tuple([ratio(v, den) for v in self.matrix.times(state)])
-
-
-def rational_step(system: RationalSystem, state: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    kernel = system.kernel
-    return kernel.decode(kernel.step(kernel.encode(state)))
 
 
 def rational_simulate(system: RationalSystem, steps: int) -> list[tuple[Fraction, ...]]:
@@ -652,9 +637,11 @@ class BlockAnalyzer(Protocol):
     States are the system kernel's integer coordinates in grid units, one
     pair per dimension: (a, b) for ArgandPoint(a*g, b*g), (k, i) for
     PolarPoint(k*g, i).  observe_initial sees the starting state; observe
-    sees each transition with the exact pre-rounding values, computed only
-    where read.  A returned certificate must hold forever (the driver has
-    already target-checked the current state).
+    sees each transition prev -> new, step_index counting from 0.  An
+    analyzer that needs the exact pre-rounding value of coordinate j asks
+    the kernel for it, `kernel.exact(prev, j)`.  A returned certificate
+    must hold forever (the driver has already target-checked the current
+    state).
     """
 
     def observe_initial(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
@@ -664,7 +651,6 @@ class BlockAnalyzer(Protocol):
         self,
         step_index: int,
         prev: Sequence[tuple[int, int]],
-        unrounded: Sequence[CycloNum],
         new: Sequence[tuple[int, int]],
     ) -> Optional[Certificate]:
         ...
@@ -676,7 +662,7 @@ STATE_STORE_LIMIT = 2_000_000
 
 
 def iterate(
-    step: Callable[[Any], tuple[Any, Any]],
+    step: Callable[[Any], Any],
     start: Any,
     target: Any,
     observers: Sequence[BlockAnalyzer],
@@ -686,13 +672,13 @@ def iterate(
 ) -> Verdict:
     """Run the orbit of start under step until a conclusion.
 
-    step(state) returns (new state, unrounded values); observers follow
-    BlockAnalyzer.  Conclusions, in order of checking per step: target hit,
-    an observer certificate, an exact state repeat.  The cap is checked
-    before each step.  cap_is_state_bound True means the cap is a proved
-    bound on the number of distinct reachable states, so reaching it
-    without a repeat is a sound cycle conclusion; False makes it an
-    internal error.
+    step is a plain state -> state map, the same contract as
+    `orbit_shapes`; observers follow BlockAnalyzer.  Conclusions, in order
+    of checking per step: target hit, an observer certificate, an exact
+    state repeat.  The cap is checked before each step.
+    cap_is_state_bound True means the cap is a proved bound on the number
+    of distinct reachable states, so reaching it without a repeat is a
+    sound cycle conclusion; False makes it an internal error.
 
     Repeats are found exactly by a dict of every state seen while it holds
     fewer than STATE_STORE_LIMIT states.  Past that, Brent's tortoise is
@@ -716,12 +702,12 @@ def iterate(
             raise InternalInvariantError(
                 f"no conclusion within the resource bound of {cap} steps"
             )
-        new_state, unrounded = step(state)
+        new_state = step(state)
         i += 1
         if new_state == target:
             return Reached(i)
         for observer in observers:
-            cert = observer.observe(i - 1, state, unrounded, new_state)
+            cert = observer.observe(i - 1, state, new_state)
             if cert is not None:
                 return NotReached(cert)
         if visited is not None:
@@ -843,9 +829,8 @@ def run_lock_step(
     integer coordinates, feeding every analyzer, until a conclusion (see
     iterate)."""
     kernel = system.kernel
-    advance = kernel.step
     return iterate(
-        lambda state: (advance(state), _Unrounded(kernel, state)),
+        kernel.step,
         kernel.initial,
         kernel.target,
         analyzers,
@@ -865,7 +850,7 @@ class _LeavesBall:
     def observe_initial(self, state: Sequence) -> Optional[Certificate]:
         return None
 
-    def observe(self, step_index, prev, unrounded, new) -> Optional[Certificate]:
+    def observe(self, step_index, prev, new) -> Optional[Certificate]:
         for d, v in enumerate(new):
             if self.outside(v):
                 return EscapedRadius(d, self.radius)
@@ -904,13 +889,12 @@ def brute_force_decide(
     kernel's integer coordinates.
     """
     kernel = system.kernel
-    advance = kernel.step
     observers = []
     if ball_bound is not None:
         radius = Fraction(ball_bound)
         observers.append(_LeavesBall(radius, _outside_ball(system, radius)))
     return iterate(
-        lambda state: (advance(state), None),
+        kernel.step,
         kernel.initial,
         kernel.target,
         observers,

@@ -1,7 +1,7 @@
 """The original rational-matrix step on `Fraction` points, kept as a test
 reference.
 
-`roundreach.system.rational_step` now steps a `RationalSystem` on the
+`roundreach.system.step` now steps a `RationalSystem` on the
 integer coordinates of its `RationalKernel`: the state x = k*g is the
 integer vector k, and each coordinate of M k is rounded by an integer ratio.
 This module keeps the earlier step: every product of a matrix entry and a

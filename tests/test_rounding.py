@@ -191,6 +191,13 @@ def test_polar_point_validation():
         PolarPoint(Fraction(0), 2)
 
 
+@pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
+def test_polar_angle_resolution_must_be_an_int(resolution):
+    # parse_instance rejects these; the constructor must too
+    with pytest.raises(ValueError, match="angle_resolution must be an integer"):
+        PolarRounding(FL, resolution)
+
+
 def test_grid_fixpoint_both_shapes():
     argand = ArgandRounding(TR, Fraction(1, 2))
     pt = ArgandPoint(Fraction(3, 2), Fraction(-1))

@@ -1,5 +1,6 @@
 """Orbit stepping, verdicts, the lock-step driver, and the brute-force oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,11 +13,16 @@ from cyclo_step import reference_step
 from disk_reference import reference_disk
 from rational_step import reference_rational_step
 from roundreach import system as system_module
-from roundreach.argand_decider import decide_expansion, decide_truncation
+from roundreach.argand_decider import (
+    ExpansionBlockAnalyzer,
+    TruncationBlockAnalyzer,
+    decide_expansion,
+    decide_truncation,
+)
 from roundreach.errors import InternalInvariantError, UndecidableTieError
-from roundreach.hyperbolic import decide_hyperbolic_jnf
+from roundreach.hyperbolic import decide_hyperbolic_general, decide_hyperbolic_jnf
 from roundreach.numerics import Angle
-from roundreach.polar_decider import decide_polar
+from roundreach.polar_decider import PolarBlockAnalyzer, decide_polar
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
@@ -33,12 +39,12 @@ from roundreach.system import (
     RationalSystem,
     Reached,
     StabilizedMismatch,
+    StepKernel,
     brute_force_decide,
     iterate,
     orbit_shape,
     orbit_shapes,
     rational_simulate,
-    rational_step,
     run_lock_step,
     simulate,
     step,
@@ -72,6 +78,13 @@ def test_jnf_validation():
         JnfSystem(blocks, (PolarPoint(Fraction(1, 3), 0), P(0)), (P(1), P(0)), spec)
     with pytest.raises(ValueError):
         JordanBlock(0, Fraction(1), Angle(Fraction(0)))
+
+
+@pytest.mark.parametrize("size", [2.0, True, "2", Fraction(2)])
+def test_jordan_block_size_must_be_an_int(size):
+    # parse_instance rejects these; the constructor must too
+    with pytest.raises(ValueError, match="block size must be an integer"):
+        JordanBlock(size, Fraction(1), Angle(Fraction(0)))
 
 
 def test_field_order_accounts_for_angles_and_resolution():
@@ -116,7 +129,7 @@ def test_rational_system_step_and_simulate():
     m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     rs = RationalSystem(m, (Fraction(2), Fraction(5)), (Fraction(5), Fraction(2)),
                         ArgandRounding(FL, Fraction(1)))
-    assert rational_step(rs, rs.initial) == (Fraction(5), Fraction(2))
+    assert step(rs, rs.initial) == (Fraction(5), Fraction(2))
     states = rational_simulate(rs, 3)
     assert len(states) == 4 and states[2] == rs.initial
 
@@ -142,7 +155,7 @@ def test_rational_step_matches_fraction_reference(system):
     for _ in range(4):
         expected.append(reference_rational_step(system, expected[-1]))
     for state, new in zip(expected, expected[1:]):
-        assert rational_step(system, state) == new, (system, state)
+        assert step(system, state) == new, (system, state)
     assert rational_simulate(system, 4) == expected
 
 
@@ -171,6 +184,19 @@ def test_rational_system_validation():
     with pytest.raises(ValueError):
         RationalSystem(m, (Fraction(1, 3),), (Fraction(0),),
                        ArgandRounding(FL, Fraction(1)))
+
+
+def test_rational_system_entries_become_fractions():
+    # a float entry used to build, then fail in the decider
+    system = RationalSystem(((Fraction(1, 2),),), (0.5,), (Fraction(1),),
+                            ArgandRounding(FL, Fraction(1, 2)))
+    assert system.initial == (Fraction(1, 2),)
+    for v in (*system.matrix[0], *system.initial, *system.target):
+        assert type(v) is Fraction
+    assert decide_hyperbolic_general(system) == NotReached(CycleDetected(2))
+    # an int matrix and points are the same system as their Fractions
+    assert RationalSystem(((2,),), (1,), (4,), ArgandRounding(FL)) == RationalSystem(
+        ((Fraction(2),),), (Fraction(1),), (Fraction(4),), ArgandRounding(FL))
 
 
 def test_brute_force_reached_at_zero():
@@ -234,7 +260,7 @@ class _EagerAnalyzer:
     def observe_initial(self, state):
         return self.certificate
 
-    def observe(self, step_index, prev, unrounded, new):
+    def observe(self, step_index, prev, new):
         return self.certificate
 
 
@@ -256,7 +282,7 @@ class _SilentAnalyzer:
     def observe_initial(self, state):
         return None
 
-    def observe(self, step_index, prev, unrounded, new):
+    def observe(self, step_index, prev, new):
         return None
 
 
@@ -285,7 +311,7 @@ def test_driver_observe_indices():
             seen.append(("init", state))
             return None
 
-        def observe(self, step_index, prev, unrounded, new):
+        def observe(self, step_index, prev, new):
             seen.append((step_index, prev, new))
             return None
 
@@ -327,7 +353,7 @@ def test_iterate_brent_phase_is_exact(monkeypatch):
     monkeypatch.setattr(system_module, "STATE_STORE_LIMIT", 2)
 
     def step_fn(x):
-        return (x + 1 if x < 15 else 10), None
+        return x + 1 if x < 15 else 10
 
     def run(target):
         return iterate(step_fn, 0, target, (), cap=1000, cap_is_state_bound=False)
@@ -339,19 +365,24 @@ def test_iterate_brent_phase_is_exact(monkeypatch):
     repeat = verdict.certificate.step_bound
     orbit = [0]
     for _ in range(repeat):
-        orbit.append(step_fn(orbit[-1])[0])
+        orbit.append(step_fn(orbit[-1]))
     # the concluding state really was seen before
     assert orbit[-1] in orbit[:-1] and repeat < 1000
+
+
+def _unit_block_cases():
+    """Criteria 6 and 7: each corpus system with the decider it goes to."""
+    cases = [(decide_polar, s) for s in polar_corpus()]
+    cases += [(decide_truncation if s.rounding.kind is TR else decide_expansion, s)
+              for s in argand_corpus()]
+    return cases
 
 
 def test_brent_from_the_first_step_keeps_every_decider_verdict(monkeypatch):
     # the paper's PSPACE bound keeps only polynomially many states: with no
     # state store Brent's check runs from the first step, finds repeats
     # later, and must still reach the same verdicts within every cap
-    cases = [(decide_hyperbolic_jnf, s) for s in hyperbolic_corpus()]
-    cases += [(decide_polar, s) for s in polar_corpus()]
-    cases += [(decide_truncation if s.rounding.kind is TR else decide_expansion, s)
-              for s in argand_corpus()]
+    cases = [(decide_hyperbolic_jnf, s) for s in hyperbolic_corpus()] + _unit_block_cases()
     stored = [decide(s) for decide, s in cases]
     monkeypatch.setattr(system_module, "STATE_STORE_LIMIT", 0)
     for (decide, s), verdict in zip(cases, stored):
@@ -360,6 +391,84 @@ def test_brent_from_the_first_step_keeps_every_decider_verdict(monkeypatch):
         else:
             assert isinstance(verdict, NotReached), s
             assert isinstance(decide(s), NotReached), s
+
+
+def _turned_target(system):
+    """The system with its start, each point turned one grid angle (polar)
+    or mirrored across the diagonal (Argand), as the target: every modulus
+    matches, so no analyzer stops at a mismatch before it reads an exact
+    value."""
+    if isinstance(system.rounding, PolarRounding):
+        count = 2 * system.rounding.angle_resolution
+        target = tuple(PolarPoint(p.modulus, (p.angle_index + 1) % count if p.modulus else 0)
+                       for p in system.initial)
+    else:
+        target = tuple(ArgandPoint(p.im, p.re) for p in system.initial)
+    return JnfSystem(system.blocks, system.initial, target, system.rounding)
+
+
+def test_analyzers_read_the_exact_values_of_prev(monkeypatch):
+    # an analyzer asks the kernel for the exact pre-rounding values of the
+    # step it observes: those of prev, as the cyclotomic reference forms them
+    reads = []
+    observing = []  # the prev of each observe call in progress
+    exact = StepKernel.exact
+
+    def exact_spy(kernel, state, j):
+        value = exact(kernel, state, j)
+        if observing:
+            reads.append((kernel, observing[-1], state, j, value))
+        return value
+
+    def observe_spy(observe):
+        def spy(self, step_index, prev, new):
+            observing.append(prev)
+            try:
+                return observe(self, step_index, prev, new)
+            finally:
+                observing.pop()
+        return spy
+
+    monkeypatch.setattr(StepKernel, "exact", exact_spy)
+    for cls in (PolarBlockAnalyzer, TruncationBlockAnalyzer, ExpansionBlockAnalyzer):
+        monkeypatch.setattr(cls, "observe", observe_spy(cls.observe))
+    counts = dict.fromkeys((decide_polar, decide_truncation, decide_expansion), 0)
+    # the corpora alone stop almost every run at a modulus mismatch
+    cases = _unit_block_cases()
+    cases += [(decide, _turned_target(s)) for decide, s in cases]
+    for decide, system in cases:
+        decide(system)
+        kernel = system.kernel
+        reference = {}
+        for read_kernel, prev, state, j, value in reads:
+            assert read_kernel is kernel
+            assert state == prev, (system, prev, state, j)
+            if prev not in reference:
+                reference[prev] = reference_step(system, kernel.decode(prev))[1]
+            assert value == reference[prev][j], (system, prev, j)
+        counts[decide] += len(reads)
+        reads.clear()
+    # the polar growth tests and both Argand no-rounding checks all ran
+    assert all(counts.values()), counts
+
+
+def test_lock_step_and_orbit_shape_agree_on_one_step():
+    # the decision loop and the orbit-shape loop take the same state -> state
+    # step, so a silent run ends where the orbit's shape says it must
+    budget = 2000
+    for system in itertools.chain(polar_corpus(), argand_corpus()):
+        kernel = system.kernel
+        verdict = run_lock_step(system, [_SilentAnalyzer()], step_cap=budget,
+                                cap_is_state_bound=True)
+        shape = orbit_shape(kernel.step, kernel.initial, budget)
+        hits = [i for state, i in shape.visited if state == kernel.target]
+        if hits:
+            expected = Reached(hits[0])
+        elif shape.period is None:
+            expected = NotReached(CycleDetected(budget))
+        else:
+            expected = NotReached(CycleDetected(shape.transient + shape.period))
+        assert verdict == expected, system
 
 
 def test_orbit_shape_ends_unresolved_at_an_undecidable_tie():
