@@ -13,6 +13,7 @@ interval arithmetic with doubling precision and a hard cap.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,12 +192,11 @@ def run_orbit(start: IntPair, theta: Union[Theta, str], budget: int = 1_000_000)
 def disk_points(radius: int) -> list[IntPair]:
     """All integer points with x^2 + y^2 <= radius^2, in (x, y) order."""
     r_sq = radius * radius
-    return [
-        (a, b)
-        for a in range(-radius, radius + 1)
-        for b in range(-radius, radius + 1)
-        if a * a + b * b <= r_sq
-    ]
+    points = []
+    for a in range(-radius, radius + 1):
+        half = math.isqrt(r_sq - a * a)
+        points.extend((a, b) for b in range(-half, half + 1))
+    return points
 
 
 def run_disk(radius: int, theta: Union[Theta, str], budget: int = 1_000_000) -> GridReport:

@@ -726,11 +726,12 @@ def iterate(
         state = new_state
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrbitRecord:
     """One start point's orbit: the states before the cycle and the cycle
     length (None when the budget ran out or a tie was undecidable).
-    `visited` replays the orbit from the successor map it was found on."""
+    `visited` replays the orbit from the successor map it was found on.
+    A slot dataclass: it compares by start and shape, never by the map."""
 
     start: Any
     transient: int
@@ -749,6 +750,9 @@ class OrbitRecord:
         return tuple(out)
 
 
+_NO_SUCCESSOR = object()
+
+
 def orbit_shapes(
     step: Callable[[Any], Any], starts: Sequence[Any], budget: int
 ) -> tuple[dict[Any, int], tuple[OrbitRecord, ...]]:
@@ -761,6 +765,9 @@ def orbit_shapes(
     the orbit stops at its first repeat, after `budget` steps, or at a
     state whose step raises UndecidableTieError (unresolved at the last
     completed step).
+
+    A walk marks its own states with their index along it in the one label
+    dict, so one lookup per state finds a finished label or a closing cycle.
     """
     # level sweep from all starts at once: level k + 1 is the states first
     # reached from level k, so each state is stepped at its first generation
@@ -780,23 +787,29 @@ def orbit_shapes(
                 ahead.append(new_state)
         level = ahead
     # path labelling: shape[x] is (steps to x's cycle, its period), or (steps
-    # to a state with no successor, None); a walk stops at a labelled state
-    shape: dict[Any, tuple[int, Optional[int]]] = {}
+    # to a state with no successor, None); a walk stops at a labelled state,
+    # and the int index it gives its own states is replaced before it ends
+    shape: dict[Any, Union[int, tuple[int, Optional[int]]]] = {}
     for start in generation:
-        path: dict[Any, int] = {}
-        state = start
-        while state not in shape:
-            if state in path:
-                cycle = list(path)[path[state]:]
-                shape.update(dict.fromkeys(cycle, (0, len(cycle))))
-                for member in cycle:
-                    del path[member]
-            elif state in successors:
-                path[state] = len(path)
-                state = successors[state]
-            else:  # a tie, or a state past every start's budget
-                shape[state] = (0, None)
-        tail, period = shape[state]
+        if start in shape:
+            continue
+        path: list[Any] = []
+        state, label = start, None
+        while label is None:
+            successor = successors.get(state, _NO_SUCCESSOR)
+            if successor is _NO_SUCCESSOR:  # a tie, or past every start's budget
+                label = shape[state] = (0, None)
+                break
+            shape[state] = len(path)
+            path.append(state)
+            state = successor
+            label = shape.get(state)
+        if isinstance(label, int):
+            cycle = path[label:]
+            del path[label:]
+            label = (0, len(cycle))
+            shape.update(dict.fromkeys(cycle, label))
+        tail, period = label
         for extra, member in enumerate(reversed(path), 1):
             shape[member] = (tail + extra, period)
     # a start iterated alone runs at most `budget` steps: a stop past them,

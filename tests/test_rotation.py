@@ -97,6 +97,23 @@ def test_disk_points_count_and_order():
     assert disk_points(1) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
+def test_disk_points_by_rows_match_the_square_scan():
+    for radius in range(0, 61):
+        r_sq = radius * radius
+        square = [(a, b) for a in range(-radius, radius + 1)
+                  for b in range(-radius, radius + 1) if a * a + b * b <= r_sq]
+        assert disk_points(radius) == square
+
+
+def test_disk_records_compare_by_shape_not_by_successor_map():
+    first, second = run_disk(10, "1/42 pi"), run_disk(10, "1/42 pi")
+    assert first.orbits[0].successors is not second.orbits[0].successors
+    assert first.orbits == second.orbits
+    record = first.orbits[0]
+    assert repr(record) == (f"OrbitRecord(start={record.start!r}, "
+                            f"transient={record.transient}, period={record.period})")
+
+
 def test_quarter_turn_disk_report():
     report = run_disk(1, "1/2 pi")
     assert report.theta == "1/2 pi"

@@ -521,6 +521,36 @@ def test_orbit_shapes_share_ties_and_cycles_between_starts():
         (3, None), (2, None), (0, 2), (1, 2), (0, None), (0, 1), (3, None)]
 
 
+def test_orbit_shapes_close_a_cycle_at_the_walk_start():
+    # 0 -> 1 -> 2 -> 0: the walk from 0 meets its own first index
+    orbits = _assert_matches_reference([1, 2, 0], set(), [0, 2], 10)
+    assert [(o.transient, o.period) for o in orbits] == [(0, 3), (0, 3)]
+
+
+def test_orbit_shapes_self_loops():
+    # 0 -> 0 alone; 1 -> 2 -> 2 behind a tail
+    orbits = _assert_matches_reference([0, 2, 2], set(), [0, 1, 2], 10)
+    assert [(o.transient, o.period) for o in orbits] == [(0, 1), (1, 1), (0, 1)]
+
+
+def test_orbit_shapes_start_on_a_cycle_labelled_by_an_earlier_walk():
+    # 0 -> 1 -> 2 -> 3 -> 1: the walk from 0 labels the cycle that 2 and 3 start on
+    orbits = _assert_matches_reference([1, 2, 3, 1], set(), [0, 2, 3], 10)
+    assert [(o.transient, o.period) for o in orbits] == [(1, 3), (0, 3), (0, 3)]
+
+
+def test_orbit_shapes_later_walks_join_a_walk_that_ended_at_a_tie():
+    # 0 -> 1 -> 2 -> 3 (tie); 4 -> 5 -> 3 and 6 -> 1 join it; 7 -> 8 -> 9 -> 8
+    # joins a cycle first; no start is the tie state
+    successor = [1, 2, 3, None, 5, 3, 1, 8, 9, 8]
+    starts = [0, 7, 4, 6]
+    for budget in range(1, 6):
+        _assert_matches_reference(successor, {3}, starts, budget)
+    orbits = _assert_matches_reference(successor, {3}, starts, 10)
+    assert [(o.transient, o.period) for o in orbits] == [
+        (3, None), (1, 2), (2, None), (3, None)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_orbit_shapes_match_per_start_reference(data):
