@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
@@ -24,6 +24,7 @@ from .rounding import (
     ArgandRounding,
     RoundingKind,
     grid_point,
+    kball_count,
     point_value,
 )
 from .system import (
@@ -306,24 +307,24 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
         return None
 
 
-def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
+def argand_step_cap(system: JnfSystem, tables: Sequence, count: Callable = kball_count) -> int:
     """Safety-net step bound: per-block budgets, target-distance slack for
     the scheduled divergences, and a joint state count for the cycle, read
-    off the blocks' tables."""
+    off the blocks' tables, with each ball counted by count."""
     spec = system.rounding
     settle = 0
     states = 1
     for (start, end), table in zip(system.block_slices(), tables):
         if isinstance(table, RadiusTable):
-            states *= table.step_bound(spec)
+            states *= table.step_bound(spec, count)
             continue
-        g = spec.granularity
-        target_slice = system.target[start:end]
-        y1 = _one_norm(target_slice)
-        q_max = max((p.modulus_sq() for p in target_slice), default=Fraction(0))
+        # the target's 1-norm over g and its largest squared modulus over
+        # g^2, both integers in grid units
+        target = system.kernel.target[start:end]
         slack = (
-            math.ceil((y1 + table.modulus_bounds[0]) / g)
-            + math.ceil(q_max / (g * g))
+            sum(abs(a) + abs(b) for a, b in target)
+            + math.ceil(table.modulus_bounds[0] / spec.granularity)
+            + max(map(_sq, target))
             + 8
         )
         settle += table.settle_bounds[0] + slack

@@ -12,14 +12,19 @@ from .errors import (
     ModulusOneSpectrumError,
     NonRationalSpectrumError,
 )
-from .numerics import Angle, ceil_sqrt
+from .numerics import Angle, Rational
 from .rounding import (
+    RULES,
+    ArgandPoint,
     ArgandRounding,
     GridPoint,
+    PolarPoint,
     PolarRounding,
+    RoundingKind,
     RoundingSpec,
     effect_bound,
     kball_count,
+    kball_floor,
     modulus_effect_bound,
 )
 from .system import (
@@ -38,25 +43,8 @@ from .system import (
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    a = math.isqrt(q.numerator)
-    b = math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b)
-    return None
-
-
-def modulus_upper(value: Union[GridPoint, Fraction, int], granularity: Fraction = Fraction(1)) -> Fraction:
-    """A rational upper bound on |value|: exact when the modulus is rational,
-    else the ceiling on the granularity grid (a sound enlargement)."""
-    if isinstance(value, (int, Fraction)):
-        return abs(Fraction(value))
-    q = value.modulus_sq()
-    root = _exact_sqrt(q)
-    if root is not None:
-        return root
-    g = Fraction(granularity)
-    return Fraction(ceil_sqrt(q / (g * g))) * g
+# sqrt(num/den) rounded up to whole grid steps: the ceiling rule's modulus
+_modulus_up = RULES[RoundingKind.CEIL].modulus
 
 
 @dataclass(frozen=True)
@@ -73,12 +61,14 @@ class RadiusTable:
     def size(self) -> int:
         return len(self.radii)
 
-    def step_bound(self, spec: RoundingSpec) -> int:
-        """States available to this block: ball-count product, floored by the
-        bounding-hypercube count (2*Cmax/g)^size."""
+    def step_bound(self, spec: RoundingSpec, count: Callable = kball_count) -> int:
+        """States available to this block: the product of the ball counts,
+        floored by the bounding-hypercube count (2*Cmax/g)^size.  With
+        count=kball_floor it is a lower bound on the exact value, and costs
+        one isqrt per radius."""
         product = 1
         for c in self.radii:
-            product *= kball_count(c, spec)
+            product *= count(c, spec)
         cmax = max(self.radii)
         cube = (2 * cmax / spec.granularity) ** len(self.radii)
         return max(product, math.ceil(cube))
@@ -87,34 +77,51 @@ class RadiusTable:
 def radii(
     block: JordanBlock,
     delta: Fraction,
-    target_slice: Sequence[Union[GridPoint, Fraction]],
-    initial_slice: Optional[Sequence[Union[GridPoint, Fraction]]] = None,
+    target_slice: Sequence[Union[GridPoint, Rational]],
+    initial_slice: Optional[Sequence[Union[GridPoint, Rational]]] = None,
     granularity: Fraction = Fraction(1),
 ) -> RadiusTable:
     """Escape radii from the eigenvalue modulus, the rounding effect bound,
-    and the moduli of the relevant points."""
+    and the moduli of the relevant points.
+
+    A point is a grid point on the granularity grid, whose modulus is
+    rounded up to the grid, or a rational modulus.  The chain and its
+    envelope check run on integer numerators over one common denominator.
+    """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("the rounding effect bound must be positive")
     lam = block.eigen_modulus
     if lam == 1:
         raise ModulusOneSpectrumError("escape radii need |eigenvalue| != 1")
-    moduli = [modulus_upper(v, granularity) for v in target_slice]
-    if initial_slice is not None:
-        moduli += [modulus_upper(v, granularity) for v in initial_slice]
-    ell = max(Fraction(1), delta, *moduli) if moduli else max(Fraction(1), delta)
-    denom = lam - 1 if lam > 1 else 1 - lam
+    g = Fraction(granularity)
+    moduli = []
+    for v in (*target_slice, *(initial_slice or ())):
+        if isinstance(v, (ArgandPoint, PolarPoint)):
+            sq = v.modulus_sq() / (g * g)
+            v = _modulus_up(sq.numerator, sq.denominator) * g
+        moduli.append(abs(v))
+    ell = Fraction(max(1, delta, *moduli))
+    # the chain out[j] = (delta + out[j + 1])/|lam - 1| + ell from
+    # out[size] = 0, on numerators over den = dd*ed*u^size with
+    # |lam - 1| = u/q: out[j]*den is a multiple of u^j, so each // is exact
+    q, u = lam.denominator, abs(lam.numerator - lam.denominator)
     size = block.size
-    out = [Fraction(0)] * size
-    out[size - 1] = delta / denom + ell
-    for j in range(size - 2, -1, -1):
-        out[j] = (delta + out[j + 1]) / denom + ell
-    beta = Fraction(2) / denom
-    cap = ell * (size + 1) * (1 + beta**size)
-    for c in out:
-        if not ell < c <= cap:
+    dd, ed = delta.denominator, ell.denominator
+    u_size = u**size
+    den = dd * ed * u_size
+    delta_num = delta.numerator * ed * u_size
+    ell_num = ell.numerator * dd * u_size
+    # the proved envelope ell*(size + 1)*(1 + (2/|lam - 1|)^size)
+    cap_num = ell.numerator * dd * (size + 1) * (u_size + (2 * q) ** size)
+    out = [0] * size
+    c = 0
+    for j in range(size - 1, -1, -1):
+        c = (delta_num + c) * q // u + ell_num
+        if not ell_num < c <= cap_num:
             raise InternalInvariantError("radius chain left its proved envelope")
-    return RadiusTable(lam, delta, ell, tuple(out))
+        out[j] = c
+    return RadiusTable(lam, delta, ell, tuple(Fraction(c, den) for c in out))
 
 
 class HyperbolicBlockAnalyzer:
@@ -153,38 +160,36 @@ class HyperbolicBlockAnalyzer:
         return self._check(new)
 
 
-def _block_is_real(system: JnfSystem, block: JordanBlock, start: int, end: int) -> bool:
-    if not isinstance(system.rounding, ArgandRounding):
-        return False
-    if not (block.eigen_angle.is_zero() or block.eigen_angle.pi_multiple == 1):
-        return False
-    for pt in (*system.initial[start:end], *system.target[start:end]):
-        if pt.im != 0:  # type: ignore[union-attr]
-            return False
-    return True
-
-
 def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTable:
     """Escape radii of one block: the one place they are built.
 
-    In an eigenbasis the effect bound is the basis's delta; on the grid it
-    is the modulus effect bound, the real-only one for a real block under
-    componentwise rounding.
+    In an eigenbasis the effect bound is the basis's delta, and the moduli
+    are those of start and target in z.  On the grid the moduli are read
+    off the kernel's integer coordinates in whole grid steps: k for (k, i),
+    and for (a, b) isqrt(a^2 + b^2), plus one unless exact.  The effect
+    bound is the modulus effect bound, the real-only one for a real block
+    under componentwise rounding.
     """
     block = system.blocks[index]
     start, end = system.block_slices()[index]
+    g = system.rounding.granularity
     if isinstance(system, Eigenbasis):
-        delta = system.delta
+        return radii(block, system.delta, system.target[start:end],
+                     system.initial[start:end], g)
+    kernel = system.kernel
+    points = (*kernel.target[start:end], *kernel.initial[start:end])
+    if isinstance(system.rounding, PolarRounding):
+        steps = [k for k, _ in points]
+        real_only = False
     else:
-        real_only = _block_is_real(system, block, start, end)
-        delta = modulus_effect_bound(system.rounding, real_only=real_only)
-    return radii(
-        block,
-        delta,
-        system.target[start:end],
-        system.initial[start:end],
-        system.rounding.granularity,
-    )
+        steps = [_modulus_up(a * a + b * b, 1) for a, b in points]
+        angle = block.eigen_angle
+        real_only = (angle.is_zero() or angle.pi_multiple == 1) and not any(
+            b for _, b in points
+        )
+    delta = modulus_effect_bound(system.rounding, real_only=real_only)
+    # radii reads only the largest modulus
+    return radii(block, delta, (max(steps) * g,), None, g)
 
 
 @dataclass(frozen=True)
@@ -237,11 +242,14 @@ def unit_table(
     return table
 
 
-def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
+def hyperbolic_step_cap(
+    system: JnfSystem, tables: Sequence[RadiusTable], count: Callable = kball_count
+) -> int:
+    """The product of every radius's ball count."""
     cap = 1
     for table in tables:
         for c in table.radii:
-            cap *= kball_count(c, system.rounding)
+            cap *= count(c, system.rounding)
     return cap
 
 
@@ -252,9 +260,12 @@ class Fragment:
     (offset, block, the system's StepKernel) watches such a block, reading
     the rounding, the field order and the encoded target from the kernel,
     and step_cap(system, tables) reads the cap off every block's table.
-    With no unit_tables the fragment covers no modulus-one block."""
+    Each ball count in the cap is a kball_count; step_cap(system, tables,
+    kball_floor) counts the inscribed squares instead, a lower bound on
+    the cap that costs one isqrt per radius.  With no unit_tables the
+    fragment covers no modulus-one block."""
 
-    step_cap: Callable[[JnfSystem, Sequence], int]
+    step_cap: Callable[..., int]
     unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
     unit_analyzer: Optional[Callable[..., BlockAnalyzer]] = None
 
@@ -281,7 +292,10 @@ def block_tables(system: JnfSystem) -> list[RadiusTable]:
 def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     """Run the lock-step driver over the fragment's tables: the escape-radius
     analyzer on every block with a radius table, the fragment's unit
-    analyzer on the others, and the cap read off the same tables."""
+    analyzer on the others, and the cap read off the same tables.  The
+    run starts under the cap's floor and builds the exact cap, whose
+    ball counts are linear in the radii, only if the orbit runs that
+    long."""
     tables = fragment.tables(system)
     kernel = system.kernel
     analyzers = [
@@ -295,8 +309,9 @@ def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     return run_lock_step(
         system,
         analyzers,
-        step_cap=fragment.step_cap(system, tables),
+        step_cap=fragment.step_cap(system, tables, kball_floor),
         cap_is_state_bound=system.is_hyperbolic,
+        exact_cap=lambda: fragment.step_cap(system, tables, kball_count),
     )
 
 
@@ -341,10 +356,6 @@ def mat_inv(m: RationalMatrix) -> RationalMatrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, row[k]) for x in row[n:]) for k, row in enumerate(rows))
-
-
-def max_abs_row_sum(m: RationalMatrix) -> Fraction:
-    return max(sum((abs(v) for v in row), Fraction(0)) for row in m)
 
 
 # Exact Jordan form.  M is scaled to the integer matrix A = D M, D the least
@@ -709,11 +720,11 @@ def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
 @dataclass(frozen=True)
 class Eigenbasis:
     """Where a rational-matrix system is watched: its Jordan basis
-    z = P^-1 x, with the blocks of J, start and target in z, and delta,
-    the rounding's effect bound there (the grid's scaled by the maximum
-    absolute row sum of P^-1)."""
+    z = P^-1 x, with P^-1 held as the integer matrix B = E*P^-1, the blocks
+    of J, start and target in z, and delta, the rounding's effect bound
+    there (the grid's scaled by the maximum absolute row sum of P^-1)."""
 
-    p_inverse: RationalMatrix
+    b: IntegerMatrix
     delta: Fraction
     blocks: tuple[JordanBlock, ...]
     initial: tuple[Fraction, ...]
@@ -727,27 +738,40 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
     """The system's Jordan basis, every block's escape radii there, and a
     proved bound on the number of distinct states.
 
-    The bound counts grid points x = P z in the box the radii span.  A
-    modulus-one eigenvalue raises ModulusOneSpectrumError, a non-rational
-    one NonRationalSpectrumError.
+    The state x = k*g is the kernel's integer vector k, so z = (B k)*g/E:
+    start and target in z are one integer product each, scaled once.  The
+    bound counts grid points x = P z in the box the radii span: coordinate
+    i stays within floor(sum_d |p_id| c_d / g) grid steps, summed on
+    integer numerators.  A modulus-one eigenvalue raises
+    ModulusOneSpectrumError, a non-rational one NonRationalSpectrumError.
     """
     p, j = jnf_rational(system.matrix)
-    p_inverse = mat_inv(p)
+    b = IntegerMatrix(mat_inv(p))
+    kernel = system.kernel
+    spec = system.rounding
+    g = spec.granularity
+    scale = g / b.den
+    effect = effect_bound(spec)
+    row_sum = max(sum(abs(c) for _, c in row) for row in b.rows)
     basis = Eigenbasis(
-        p_inverse,
-        effect_bound(system.rounding) * max_abs_row_sum(p_inverse),
+        b,
+        Fraction(effect.numerator * row_sum, effect.denominator * b.den),
         tuple(parse_jordan_blocks(j)),
-        mat_vec(p_inverse, system.initial),
-        mat_vec(p_inverse, system.target),
-        system.rounding,
+        tuple(v * scale for v in b.times(kernel.initial)),
+        tuple(v * scale for v in b.times(kernel.target)),
+        spec,
     )
     tables = [escape_table(basis, i) for i in range(len(basis.blocks))]
     all_radii = [c for table in tables for c in table.radii]
-    g = system.rounding.granularity
+    # radius d is reach[d] / radius_den, and P is rows / den
+    radius_den = math.lcm(*(c.denominator for c in all_radii))
+    reach = [c.numerator * (radius_den // c.denominator) for c in all_radii]
+    pm = IntegerMatrix(p)
+    over = pm.den * radius_den * g.numerator
     cap = 1
-    for row in p:
-        reach = sum((abs(c) * r for c, r in zip(row, all_radii)), Fraction(0))
-        cap *= 2 * math.floor(reach / g) + 1
+    for row in pm.rows:
+        steps = sum(abs(c) * reach[d] for d, c in row) * g.denominator // over
+        cap *= 2 * steps + 1
     return basis, tables, cap
 
 
@@ -760,12 +784,15 @@ class _EigenbasisEscape:
     reaches c_d*E/g, that is its ceiling.
     """
 
-    def __init__(self, p_inverse: RationalMatrix, radii_flat: Sequence[Fraction],
+    def __init__(self, b: IntegerMatrix, radii_flat: Sequence[Fraction],
                  granularity: Fraction) -> None:
-        self.b = IntegerMatrix(p_inverse)
+        self.b = b
         self.radii = radii_flat
-        e = self.b.den
-        self.bounds = tuple(math.ceil(c * e / granularity) for c in radii_flat)
+        over = b.den * granularity.denominator
+        self.bounds = tuple(
+            -(-c.numerator * over // (c.denominator * granularity.numerator))
+            for c in radii_flat
+        )
 
     def observe_initial(self, state: Sequence[int]) -> Optional[Certificate]:
         for d, (v, bound) in enumerate(zip(self.b.times(state), self.bounds)):
@@ -789,7 +816,7 @@ def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
     """
     basis, tables, cap = eigenbasis(system)
     escape = _EigenbasisEscape(
-        basis.p_inverse,
+        basis.b,
         [c for table in tables for c in table.radii],
         system.rounding.granularity,
     )

@@ -152,11 +152,6 @@ class Angle:
     def __neg__(self) -> "Angle":
         return Angle(-self.pi_multiple)
 
-    def distance_to(self, other: "Angle") -> "Angle":
-        """Angular distance in [0, pi]."""
-        d = (self.pi_multiple - other.pi_multiple) % 2
-        return Angle(min(d, 2 - d))
-
     def is_zero(self) -> bool:
         return self.pi_multiple == 0
 
@@ -390,15 +385,6 @@ def embed_polar(modulus: Rational, angle: Angle, order: int) -> CycloNum:
             f"angle {angle} does not embed into the order-{order} field"
         )
     return modulus * CycloNum.zeta_pow(order, num.numerator // 2)
-
-
-def angle_cos(angle: Angle, order: int) -> CycloNum:
-    z = embed_polar(1, angle, order)
-    return (z + z.conjugate()) / 2
-
-
-def angle_sin(angle: Angle, order: int) -> CycloNum:
-    return embed_polar(1, angle, order).imag_part()
 
 
 @lru_cache(maxsize=None)

@@ -328,3 +328,22 @@ def kball_count(radius: Rational, spec: RoundingSpec) -> int:
     # row a holds the b with (a*d)^2 + (b*d)^2 <= n^2; row -a mirrors row a
     rows = sum(2 * math.isqrt((nn - a * a * dd) // dd) + 1 for a in range(1, half + 1))
     return 2 * math.isqrt(nn // dd) + 1 + 2 * rows
+
+
+def kball_floor(radius: Rational, spec: RoundingSpec) -> int:
+    """A lower bound on kball_count at the cost of one isqrt.
+
+    kball_count takes one isqrt per grid row, so it costs radius/g
+    operations.  For a ball of k = n/d grid steps, the inscribed square
+    |a|, |b| <= m holds (2m+1)^2 points, with m the largest integer whose
+    2m^2 is at most k^2, m = isqrt(n^2 // (2 d^2)).  The polar count is
+    already one product.
+    """
+    if isinstance(spec, PolarRounding):
+        return kball_count(radius, spec)
+    g = spec.granularity
+    n, d = radius.numerator * g.denominator, radius.denominator * g.numerator
+    if n < 0:
+        return 0
+    m = math.isqrt(n * n // (2 * d * d))
+    return (2 * m + 1) ** 2

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from roundreach.numerics import Angle, CycloNum, angle_cos, angle_sin, certified_floor
+from angle_reference import angle_cos, angle_sin
+from roundreach.numerics import Angle, CycloNum, certified_floor
 
 
 class RationalRotator:

@@ -504,9 +504,13 @@ def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypa
     caps = []
     iterate = system_module.iterate
 
-    def recording(*args, cap, cap_is_state_bound):
-        caps.append((cap, cap_is_state_bound))
-        return iterate(*args, cap=cap, cap_is_state_bound=cap_is_state_bound)
+    def recording(*args, cap, cap_is_state_bound, exact_cap=None):
+        # a decider that passes exact_cap runs under it, from the floor cap
+        exact = cap if exact_cap is None else exact_cap()
+        assert cap <= exact
+        caps.append((exact, cap_is_state_bound))
+        return iterate(*args, cap=cap, cap_is_state_bound=cap_is_state_bound,
+                       exact_cap=exact_cap)
 
     monkeypatch.setattr(system_module, "iterate", recording)
     monkeypatch.setattr(hyperbolic, "iterate", recording)

@@ -1,16 +1,28 @@
 """Escape-radius analysis away from the unit circle, plus exact linear algebra."""
 
 import itertools
+import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import escape_reference
 import sympy_jordan
-from corpora import rational_corpus, rational_matrices
+from corpora import (
+    argand_corpus,
+    hyperbolic_corpus,
+    polar_corpus,
+    rational_corpus,
+    rational_matrices,
+)
+from escape_reference import max_abs_row_sum, modulus_upper
+from roundreach.argand_decider import decide_truncation
+from roundreach.cli import dispatch
 from roundreach import hyperbolic
 from roundreach.errors import ModulusOneSpectrumError, NonRationalSpectrumError
 from roundreach.hyperbolic import (
@@ -24,8 +36,6 @@ from roundreach.hyperbolic import (
     mat_inv,
     mat_mul,
     mat_vec,
-    max_abs_row_sum,
-    modulus_upper,
     parse_jordan_blocks,
     radii,
 )
@@ -33,6 +43,7 @@ from roundreach.numerics import Angle
 from roundreach.rounding import (
     ArgandPoint,
     ArgandRounding,
+    PolarPoint,
     PolarRounding,
     RoundingKind,
     effect_bound,
@@ -42,12 +53,14 @@ from roundreach.rounding import (
 from roundreach.system import (
     CycleDetected,
     EscapedRadius,
+    IntegerMatrix,
     JnfSystem,
     JordanBlock,
     NotReached,
     RationalSystem,
     Reached,
     brute_force_decide,
+    run_lock_step,
 )
 
 FL, MU, TR = RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP, RoundingKind.TRUNCATE
@@ -334,7 +347,7 @@ def test_decider_orbit_is_the_conjugated_orbit_through_p(monkeypatch):
         for _ in range(8):
             k = step(k)
             z = _conjugated_step(p, p_inverse, j, system.rounding, z)
-            assert mat_vec(basis.p_inverse, decode(k)) == z, system
+            assert mat_vec(p_inverse, decode(k)) == z, system
 
 
 def test_decide_general_agrees_with_brute_force():
@@ -432,7 +445,7 @@ def test_eigenbasis_escape_edge_in_grid_units(g):
     wide = Fraction(10**6)
     # the radius z_0 reaches at k = (1, 1) exactly, and one off the grid
     for radius in (Fraction(5, 6) * g, Fraction(3, 4) * g):
-        escape = _EigenbasisEscape(p_inverse, (radius, wide), g)
+        escape = _EigenbasisEscape(IntegerMatrix(p_inverse), (radius, wide), g)
         for k in ((1, 1), (-1, -1), (3, -2), (5, -5)):
             assert escape.observe_initial(k) == EscapedRadius(0, radius), (radius, k)
             assert escape.observe(0, None, k) == EscapedRadius(0, radius)
@@ -441,9 +454,219 @@ def test_eigenbasis_escape_edge_in_grid_units(g):
             assert escape.observe_initial(k) is None, (radius, k)
     # every small state against the exact test |z_d| >= c_d
     radii_flat = (Fraction(5, 6) * g, Fraction(2) * g)
-    escape = _EigenbasisEscape(p_inverse, radii_flat, g)
+    escape = _EigenbasisEscape(IntegerMatrix(p_inverse), radii_flat, g)
     for k in itertools.product(range(-4, 5), repeat=2):
         z = mat_vec(p_inverse, [v * g for v in k])
         expected = next((EscapedRadius(d, c) for d, (v, c) in enumerate(zip(z, radii_flat))
                          if abs(v) >= c), None)
         assert escape.observe_initial(k) == expected, k
+
+
+# ---------------------------------------------------------------------------
+# Set-up that follows the orbit: lazy step caps, and escape radii and the
+# eigenbasis on grid-unit integers
+
+
+def _real_system(blocks, initial, target, kind):
+    return JnfSystem(tuple(blocks), tuple(A(*p) for p in initial),
+                     tuple(A(*p) for p in target), ArgandRounding(kind))
+
+
+def _scaling_cases(k):
+    """(system, decider, verdict) for a lambda = 3 or 1/2 block, alone under
+    floor rounding or beside a quarter-turn unit block under truncation,
+    with its start or its target at 3^k."""
+    three = JordanBlock(1, Fraction(3), Angle(Fraction(0)))
+    half = JordanBlock(1, Fraction(1, 2), Angle(Fraction(0)))
+    turn = JordanBlock(1, Fraction(1), Angle(Fraction(1, 2)))
+    # floor or truncation halves 3^k down to 1 in bit_length - 1 steps
+    down = (3**k).bit_length() - 1
+    quarter = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    return [
+        (_real_system([three], [(1,)], [(3**k,)], FL), decide_hyperbolic_jnf, Reached(k)),
+        (_real_system([half], [(3**k,)], [(1,)], FL), decide_hyperbolic_jnf, Reached(down)),
+        (_real_system([turn, three], [(1, 0), (1,)], [quarter[k % 4], (3**k,)], TR),
+         decide_truncation, Reached(k)),
+        (_real_system([turn, half], [(1, 0), (3**k,)], [quarter[down % 4], (1,)], TR),
+         decide_truncation, Reached(down)),
+    ]
+
+
+def test_decide_time_follows_the_orbit_not_its_numbers():
+    # the exact step cap counts the grid points of balls of radius about
+    # 3^k, one isqrt per grid row; built before the first step it took
+    # seconds by k = 14, for an orbit of 14 steps.  Sizes rise, so an eager
+    # cap fails here rather than running on.
+    for k in (8, 12, 14, 16, 20, 30, 40, 60):
+        for system, decide, verdict in _scaling_cases(k):
+            start = time.perf_counter()
+            assert decide(system) == verdict, (k, system)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, (k, system, elapsed)
+
+
+def _eager(monkeypatch, floors):
+    """Make decide_by_blocks run under its exact cap from the first step,
+    recording (floor, exact cap) for each run."""
+    run = run_lock_step
+
+    def eager(system, analyzers, *, step_cap, cap_is_state_bound, exact_cap=None):
+        cap = exact_cap()
+        floors.append((step_cap, cap))
+        return run(system, analyzers, step_cap=cap, cap_is_state_bound=cap_is_state_bound)
+
+    monkeypatch.setattr(hyperbolic, "run_lock_step", eager)
+
+
+def test_lazy_and_eager_caps_give_the_same_verdicts(monkeypatch):
+    systems = [*hyperbolic_corpus(), *polar_corpus(), *argand_corpus(), *rational_corpus()]
+    built = []
+    run = run_lock_step
+
+    def counting(system, analyzers, *, step_cap, cap_is_state_bound, exact_cap):
+        def exact():
+            built.append(system)
+            return exact_cap()
+
+        return run(system, analyzers, step_cap=step_cap,
+                   cap_is_state_bound=cap_is_state_bound, exact_cap=exact)
+
+    monkeypatch.setattr(hyperbolic, "run_lock_step", counting)
+    lazy = [dispatch(s) for s in systems]
+    # every corpus orbit concludes before its floor: no exact count is built
+    assert built == []
+    floors = []
+    _eager(monkeypatch, floors)
+    assert [dispatch(s) for s in systems] == lazy
+    assert len(floors) == 400
+    assert all(floor <= cap for floor, cap in floors)
+
+
+def test_an_orbit_forced_to_its_cap_ends_at_the_exact_cap(monkeypatch):
+    # lambda = 2 from 1 hits 2^8 at step 8; with the ball counts shrunk the
+    # floor is 3 and the exact cap 7, so the run must stop at step 7
+    system = _real_system([JordanBlock(1, Fraction(2), Angle(Fraction(0)))],
+                          [(1,)], [(2**8,)], FL)
+    assert decide_hyperbolic_jnf(system) == Reached(8)
+    exact_counts = []
+    monkeypatch.setattr(hyperbolic, "kball_floor", lambda c, spec: 3)
+    monkeypatch.setattr(hyperbolic, "kball_count",
+                        lambda c, spec: exact_counts.append(c) or 7)
+    verdict = NotReached(CycleDetected(7))
+    assert decide_hyperbolic_jnf(system) == verdict
+    assert len(exact_counts) == 1
+    floors = []
+    _eager(monkeypatch, floors)
+    assert decide_hyperbolic_jnf(system) == verdict
+    assert floors == [(3, 7)]
+
+
+GRIDS = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+SPECS = [ArgandRounding(kind, g) for kind in RoundingKind for g in GRIDS] + [
+    PolarRounding(kind, resolution, g)
+    for kind in (FL, MU, TR) for resolution in (2, 3) for g in GRIDS
+]
+
+
+def _random_units(rng):
+    """A grid coordinate in grid units: small, a Pythagorean pair, or large."""
+    pick = rng.random()
+    if pick < 0.5:
+        return rng.randint(-12, 12), rng.randint(-12, 12)
+    if pick < 0.7:
+        a, b = rng.choice([(3, 4), (5, 12), (8, 15), (0, 7), (20, 21)])
+        return rng.choice([1, -1]) * a, rng.choice([1, -1]) * b
+    return rng.randint(-10**15, 10**15), rng.randint(-10**15, 10**15)
+
+
+def _random_grid_systems(count):
+    rng = random.Random(230)
+    moduli = [Fraction(v) for v in ("1/3", "1/2", "2/3", "3/2", "2", "3", "1")]
+    angles = [Angle(Fraction(v)) for v in ("0", "1", "1/2", "1/4")]
+    for _ in range(count):
+        spec = rng.choice(SPECS)
+        blocks = tuple(JordanBlock(rng.randint(1, 3), rng.choice(moduli), rng.choice(angles))
+                       for _ in range(rng.randint(1, 2)))
+        dim = sum(b.size for b in blocks)
+
+        def point():
+            a, b = _random_units(rng)
+            if isinstance(spec, PolarRounding):
+                k = abs(a)
+                return PolarPoint(k * spec.granularity,
+                                  rng.randrange(2 * spec.angle_resolution) if k else 0)
+            if rng.random() < 0.3:
+                b = 0  # real points, for the real-only effect bound
+            return ArgandPoint(a * spec.granularity, b * spec.granularity)
+
+        yield JnfSystem(blocks, tuple(point() for _ in range(dim)),
+                        tuple(point() for _ in range(dim)), spec)
+
+
+def test_escape_tables_match_the_fraction_reference():
+    checked = 0
+    systems = [*hyperbolic_corpus(), *_random_grid_systems(600)]
+    for system in systems:
+        for i, block in enumerate(system.blocks):
+            if block.eigen_modulus == 1:
+                continue
+            table = hyperbolic.escape_table(system, i)
+            expected = escape_reference.escape_table(system, i)
+            assert (table.eigen_modulus, table.delta, table.ell, table.radii) == (
+                expected.eigen_modulus, expected.delta, expected.ell, expected.radii
+            ), (system, i)
+            # grid points handed to radii directly read the same moduli
+            start, end = system.block_slices()[i]
+            args = (block, table.delta, system.target[start:end],
+                    system.initial[start:end], system.rounding.granularity)
+            assert radii(*args) == escape_reference.radii(*args)
+            checked += 1
+    assert checked > 700
+
+
+def _random_rational_systems(count):
+    rng = random.Random(231)
+    eigenvalues = [Fraction(v) for v in ("1/2", "-1/2", "2", "-2", "3", "1/3", "3/2")]
+    made = 0
+    while made < count:
+        n = rng.randint(1, 3)
+        j = [[Fraction(0)] * n for _ in range(n)]
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            eigenvalue = rng.choice(eigenvalues)
+            for i in range(start, start + size):
+                j[i][i] = eigenvalue
+                if i + 1 < start + size:
+                    j[i][i + 1] = Fraction(1)
+            start += size
+        p = tuple(tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                        for _ in range(n)) for _ in range(n))
+        try:
+            p_inverse = mat_inv(p)
+        except ValueError:
+            continue
+        g = rng.choice(GRIDS)
+        m = mat_mul(mat_mul(p, tuple(map(tuple, j))), p_inverse)
+        points = [tuple(rng.randint(-10, 10) * g for _ in range(n)) for _ in range(2)]
+        made += 1
+        yield RationalSystem(m, *points, ArgandRounding(rng.choice(list(RoundingKind)), g))
+
+
+def test_eigenbasis_matches_the_fraction_reference():
+    for system in [*rational_corpus(), *_random_rational_systems(200)]:
+        basis, tables, cap = eigenbasis(system)
+        p_inverse, delta, initial, target, ref_tables, ref_cap = (
+            escape_reference.eigenbasis(system))
+        n = len(p_inverse)
+        for column in range(n):
+            unit = [int(i == column) for i in range(n)]
+            assert basis.b.times(unit) == [basis.b.den * v for v in mat_vec(p_inverse, unit)]
+        assert (basis.delta, basis.initial, basis.target) == (delta, initial, target)
+        assert tables == ref_tables
+        assert cap == ref_cap
+        # the escape analyzer's integer bounds are the ceilings of c*E/g
+        radii_flat = [c for table in tables for c in table.radii]
+        escape = _EigenbasisEscape(basis.b, radii_flat, system.rounding.granularity)
+        assert escape.bounds == tuple(
+            math.ceil(c * basis.b.den / system.rounding.granularity) for c in radii_flat)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from angle_reference import angle_distance
 from roundreach.numerics import Angle, CycloNum, embed_polar
 from roundreach.rounding import (
     PolarPoint,
@@ -267,4 +268,4 @@ def test_rounded_angle_never_moves_into_target_mismatch():
             continue
         grid_angle = p.angle(3)
         true_angle = Angle(num)
-        assert grid_angle.distance_to(true_angle).pi_multiple <= Fraction(1, 6)
+        assert angle_distance(grid_angle, true_angle).pi_multiple <= Fraction(1, 6)

@@ -19,6 +19,7 @@ from roundreach.rounding import (
     effect_bound,
     is_admissible,
     kball_count,
+    kball_floor,
     modulus_effect_bound,
     point_value,
     round_real,
@@ -277,3 +278,23 @@ def test_kball_count_matches_lattice_enumeration(radius, g, resolution):
     inside = {p for p in points if is_admissible(p, spec) and p.modulus_sq() <= radius * radius}
     expect = len(inside) if radius >= 0 else 0
     assert kball_count(radius, spec) == expect
+
+
+@given(radius=st.fractions(min_value=Fraction(-1), max_value=Fraction(40), max_denominator=6),
+       g=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]),
+       resolution=st.sampled_from([None, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_kball_floor_is_the_inscribed_square(radius, g, resolution):
+    if resolution is not None:
+        spec = PolarRounding(FL, resolution, g)
+        assert kball_floor(radius, spec) == kball_count(radius, spec)
+        return
+    spec = ArgandRounding(FL, g)
+    if radius < 0:
+        assert kball_floor(radius, spec) == 0
+        return
+    # the widest square |a|, |b| <= m of grid points whose corners lie in the ball
+    m = 0
+    while 2 * ((m + 1) * g) ** 2 <= radius * radius:
+        m += 1
+    assert kball_floor(radius, spec) == (2 * m + 1) ** 2 <= kball_count(radius, spec)
