@@ -194,8 +194,6 @@ def parse_instance(text: str) -> Instance:
             "rational instance",
         )
         spec = _parse_rounding(obj["rounding"])
-        if not isinstance(spec, ArgandRounding):
-            raise ValueError("a rational-matrix instance needs componentwise rounding")
         matrix = tuple(
             tuple(_parse_rational(c) for c in _array(row, "a matrix row"))
             for row in _array(obj["matrix"], "matrix")

@@ -5,20 +5,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import (
     InternalInvariantError,
     ModulusOneSpectrumError,
     NonRationalSpectrumError,
 )
-from .numerics import Angle, Rational
+from .numerics import Angle
 from .rounding import (
     RULES,
-    ArgandPoint,
-    ArgandRounding,
-    GridPoint,
-    PolarPoint,
     PolarRounding,
     RoundingKind,
     RoundingSpec,
@@ -74,19 +70,12 @@ class RadiusTable:
         return max(product, math.ceil(cube))
 
 
-def radii(
-    block: JordanBlock,
-    delta: Fraction,
-    target_slice: Sequence[Union[GridPoint, Rational]],
-    initial_slice: Optional[Sequence[Union[GridPoint, Rational]]] = None,
-    granularity: Fraction = Fraction(1),
-) -> RadiusTable:
+def radii(block: JordanBlock, delta: Fraction, modulus: Fraction) -> RadiusTable:
     """Escape radii from the eigenvalue modulus, the rounding effect bound,
-    and the moduli of the relevant points.
+    and an upper bound on the moduli of the block's start and target.
 
-    A point is a grid point on the granularity grid, whose modulus is
-    rounded up to the grid, or a rational modulus.  The chain and its
-    envelope check run on integer numerators over one common denominator.
+    The chain and its envelope check run on integer numerators over one
+    common denominator.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -94,14 +83,7 @@ def radii(
     lam = block.eigen_modulus
     if lam == 1:
         raise ModulusOneSpectrumError("escape radii need |eigenvalue| != 1")
-    g = Fraction(granularity)
-    moduli = []
-    for v in (*target_slice, *(initial_slice or ())):
-        if isinstance(v, (ArgandPoint, PolarPoint)):
-            sq = v.modulus_sq() / (g * g)
-            v = _modulus_up(sq.numerator, sq.denominator) * g
-        moduli.append(abs(v))
-    ell = Fraction(max(1, delta, *moduli))
+    ell = Fraction(max(1, delta, modulus))
     # the chain out[j] = (delta + out[j + 1])/|lam - 1| + ell from
     # out[size] = 0, on numerators over den = dd*ed*u^size with
     # |lam - 1| = u/q: out[j]*den is a multiple of u^j, so each // is exact
@@ -160,22 +142,16 @@ class HyperbolicBlockAnalyzer:
         return self._check(new)
 
 
-def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTable:
-    """Escape radii of one block: the one place they are built.
+def escape_table(system: JnfSystem, index: int) -> RadiusTable:
+    """Escape radii of one block of a Jordan-form system.
 
-    In an eigenbasis the effect bound is the basis's delta, and the moduli
-    are those of start and target in z.  On the grid the moduli are read
-    off the kernel's integer coordinates in whole grid steps: k for (k, i),
-    and for (a, b) isqrt(a^2 + b^2), plus one unless exact.  The effect
-    bound is the modulus effect bound, the real-only one for a real block
-    under componentwise rounding.
+    The moduli are read off the kernel's integer coordinates in whole grid
+    steps: k for (k, i), and for (a, b) isqrt(a^2 + b^2), plus one unless
+    exact.  The effect bound is the modulus effect bound, the real-only one
+    for a real block under componentwise rounding.
     """
     block = system.blocks[index]
     start, end = system.block_slices()[index]
-    g = system.rounding.granularity
-    if isinstance(system, Eigenbasis):
-        return radii(block, system.delta, system.target[start:end],
-                     system.initial[start:end], g)
     kernel = system.kernel
     points = (*kernel.target[start:end], *kernel.initial[start:end])
     if isinstance(system.rounding, PolarRounding):
@@ -188,8 +164,7 @@ def escape_table(system: Union[JnfSystem, "Eigenbasis"], index: int) -> RadiusTa
             b for _, b in points
         )
     delta = modulus_effect_bound(system.rounding, real_only=real_only)
-    # radii reads only the largest modulus
-    return radii(block, delta, (max(steps) * g,), None, g)
+    return radii(block, delta, max(steps) * system.rounding.granularity)
 
 
 @dataclass(frozen=True)
@@ -334,6 +309,7 @@ def mat_vec(m: RationalMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The exact product; the tests and the benchmark build matrices with it."""
     n = len(a)
     k = len(b)
     cols = len(b[0])
@@ -364,7 +340,7 @@ def mat_inv(m: RationalMatrix) -> RationalMatrix:
 # and M's eigenvalues are the r / D.  The Jordan basis is built on the
 # integer matrices A - r I = D (M - r/D I), which have the kernels of
 # M - r/D I, in one fixed convention (below, at jnf_rational), so that P
-# and J are a function of M alone.
+# and the Jordan blocks are a function of M alone.
 
 IntMatrix = list[list[int]]
 
@@ -629,16 +605,18 @@ def _block_structure(spectrum, eig_power, n: int) -> list[tuple[int, int]]:
     return structure
 
 
-def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
-    """Exact Jordan decomposition M = P J P^-1 over the rationals, checked
-    exactly as M P = P J with P of full rank.
+def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[JordanBlock, ...]]:
+    """Exact Jordan decomposition M = P J P^-1 over the rationals: P and the
+    blocks of J, checked exactly as M P = P J with P of full rank.
 
     The eigenvalues come in ascending order, the blocks of one eigenvalue
     largest first.  Each block of size s takes as v the first nullspace
     vector of (M - lambda I)^s outside the span of the nullspace of
     (M - lambda I)^(s-1) and the chains already built, and adds its chain
     (M - lambda I)^i v, last power first.  Nullspace vectors are read off
-    the reduced row echelon form, one per free column.
+    the reduced row echelon form, one per free column.  M P = P J holds
+    exactly when, in every block, each column p_i of P has
+    M p_i = lambda p_i + p_(i-1), with p_(i-1) = 0 at the block's start.
 
     Raises NonRationalSpectrumError, naming the factor of the characteristic
     polynomial that is left, when the rational eigenvalues' multiplicities
@@ -676,62 +654,40 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
                 chain.append([x / d for x in mat_vec(eig_power(r, 1), chain[-1])])
             eig_basis += chain
             basis += reversed(chain)
-    p = tuple(tuple(col[i] for col in basis) for i in range(n))
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    start = 0
-    for r, size in structure:
-        for i in range(start, start + size):
-            rows[i][i] = Fraction(r, d)
-            if i + 1 < start + size:
-                rows[i][i + 1] = Fraction(1)
-        start += size
-    j = tuple(map(tuple, rows))
-    if mat_mul(matrix, p) != mat_mul(p, j) or _rank(_integer_rows(p)) < n:
-        raise InternalInvariantError("Jordan reconstruction mismatch")
-    return p, j
-
-
-def parse_jordan_blocks(j: RationalMatrix) -> list[JordanBlock]:
-    """Split a Jordan matrix into blocks; validates the shape exactly."""
-    n = len(j)
-    for r in range(n):
-        for c in range(n):
-            if c == r or c == r + 1:
-                continue
-            if j[r][c] != 0:
-                raise ValueError("not a Jordan matrix: stray entry")
+    # M p_i = lambda p_i + p_(i-1) is A q_i = r q_i + d q_(i-1) on the
+    # block's columns q_i = L p_i, L their least common denominator
     blocks = []
     start = 0
-    while start < n:
-        end = start
-        while end + 1 < n and j[end][end + 1] == 1:
-            if j[end + 1][end + 1] != j[start][start]:
-                raise ValueError("not a Jordan matrix: eigenvalue changes inside a block")
-            end += 1
-        if end + 1 < n and j[end][end + 1] not in (0, 1):
-            raise ValueError("not a Jordan matrix: superdiagonal entry outside {0,1}")
-        eig = j[start][start]
-        angle = Angle(0) if eig >= 0 else Angle(1)
-        blocks.append(JordanBlock(end - start + 1, abs(eig), angle))
-        start = end + 1
-    return blocks
+    for r, size in structure:
+        cols = basis[start:start + size]
+        lcm = math.lcm(*(x.denominator for col in cols for x in col))
+        prev = [0] * n
+        for col in cols:
+            q = [x.numerator * (lcm // x.denominator) for x in col]
+            if [sum(c * x for c, x in zip(row, q)) for row in a] != [
+                    r * x + d * y for x, y in zip(q, prev)]:
+                raise InternalInvariantError("Jordan reconstruction mismatch")
+            prev = q
+        blocks.append(JordanBlock(size, Fraction(abs(r), d), Angle(0) if r >= 0 else Angle(1)))
+        start += size
+    if _rank(_integer_rows(basis)) < n:
+        raise InternalInvariantError("Jordan reconstruction mismatch")
+    return tuple(tuple(col[i] for col in basis) for i in range(n)), tuple(blocks)
 
 
 @dataclass(frozen=True)
 class Eigenbasis:
     """Where a rational-matrix system is watched: its Jordan basis
     z = P^-1 x, with P^-1 held as the integer matrix B = E*P^-1, the blocks
-    of J, start and target in z, and delta, the rounding's effect bound
-    there (the grid's scaled by the maximum absolute row sum of P^-1)."""
+    of its Jordan form, start and target in z, and delta, the rounding's
+    effect bound there (the grid's scaled by the maximum absolute row sum
+    of P^-1)."""
 
     b: IntegerMatrix
     delta: Fraction
     blocks: tuple[JordanBlock, ...]
     initial: tuple[Fraction, ...]
     target: tuple[Fraction, ...]
-    rounding: ArgandRounding
-
-    block_slices = JnfSystem.block_slices
 
 
 def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], int]:
@@ -739,13 +695,14 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
     proved bound on the number of distinct states.
 
     The state x = k*g is the kernel's integer vector k, so z = (B k)*g/E:
-    start and target in z are one integer product each, scaled once.  The
+    start and target in z are one integer product each, scaled once.  A
+    block's radii read the largest |z| of its start and target.  The
     bound counts grid points x = P z in the box the radii span: coordinate
     i stays within floor(sum_d |p_id| c_d / g) grid steps, summed on
     integer numerators.  A modulus-one eigenvalue raises
     ModulusOneSpectrumError, a non-rational one NonRationalSpectrumError.
     """
-    p, j = jnf_rational(system.matrix)
+    p, blocks = jnf_rational(system.matrix)
     b = IntegerMatrix(mat_inv(p))
     kernel = system.kernel
     spec = system.rounding
@@ -756,12 +713,17 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
     basis = Eigenbasis(
         b,
         Fraction(effect.numerator * row_sum, effect.denominator * b.den),
-        tuple(parse_jordan_blocks(j)),
+        blocks,
         tuple(v * scale for v in b.times(kernel.initial)),
         tuple(v * scale for v in b.times(kernel.target)),
-        spec,
     )
-    tables = [escape_table(basis, i) for i in range(len(basis.blocks))]
+    tables = []
+    start = 0
+    for block in blocks:
+        end = start + block.size
+        z = (*basis.initial[start:end], *basis.target[start:end])
+        tables.append(radii(block, basis.delta, max(map(abs, z))))
+        start = end
     all_radii = [c for table in tables for c in table.radii]
     # radius d is reach[d] / radius_den, and P is rows / den
     radius_den = math.lcm(*(c.denominator for c in all_radii))

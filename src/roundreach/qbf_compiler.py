@@ -718,32 +718,6 @@ def lower_qbf_to_program(formula: QbfFormula, family: GadgetFamily) -> Program:
     return Program(layout, family, tuple(instructions))
 
 
-def program_initial_state(program: Program) -> tuple[int, ...]:
-    state = [0] * program.var_count
-    state[program.layout.const] = 1
-    return tuple(state)
-
-
-def program_step(program: Program, state: Sequence[int], instr: Instruction) -> tuple[int, ...]:
-    new = list(state)
-    ratio = RULES[program.family.rounding_kind].ratio
-    for target, row in instr.items():
-        value = round_row(row, state, ratio)
-        if value not in (0, 1):
-            raise InternalInvariantError(
-                f"non-boolean value {value} written to slot {target}"
-            )
-        new[target] = value
-    return tuple(new)
-
-
-def run_program_sweep(program: Program, state: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(state)
-    for instr in program.instructions:
-        out = program_step(program, out, instr)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Explosion into one matrix
 
@@ -821,15 +795,6 @@ def hardness_step(instance: HardnessInstance, state: Sequence[int]) -> tuple[int
     for r in {r for col in compress(range(len(state)), state) for r in readers[col]}:
         out[r] = round_row(rows[r], state, ratio)
     return tuple(out)
-
-
-def hardness_simulate(instance: HardnessInstance, steps: int) -> list[tuple[int, ...]]:
-    out = [instance.initial]
-    state = instance.initial
-    for _ in range(steps):
-        state = hardness_step(instance, state)
-        out.append(state)
-    return out
 
 
 def decide_hardness(instance: HardnessInstance, step_bound: int) -> tuple[bool, Optional[int]]:

@@ -492,6 +492,8 @@ class RationalSystem:
     rounding: ArgandRounding
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rounding, ArgandRounding):
+            raise ValueError("a rational-matrix instance needs componentwise rounding")
         object.__setattr__(self, "matrix",
                            tuple(tuple(Fraction(v) for v in row) for row in self.matrix))
         object.__setattr__(self, "initial", tuple(Fraction(v) for v in self.initial))

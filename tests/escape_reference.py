@@ -22,7 +22,6 @@ from roundreach.hyperbolic import (
     jnf_rational,
     mat_inv,
     mat_vec,
-    parse_jordan_blocks,
 )
 from roundreach.numerics import ceil_sqrt
 from roundreach.rounding import (
@@ -124,10 +123,9 @@ def max_abs_row_sum(m: RationalMatrix) -> Fraction:
 def eigenbasis(system: RationalSystem):
     """(P^-1, delta, start in z, target in z, the blocks' radius tables,
     the state-count cap), each built in `Fraction` arithmetic."""
-    p, j = jnf_rational(system.matrix)
+    p, blocks = jnf_rational(system.matrix)
     p_inverse = mat_inv(p)
     delta = effect_bound(system.rounding) * max_abs_row_sum(p_inverse)
-    blocks = parse_jordan_blocks(j)
     initial = mat_vec(p_inverse, system.initial)
     target = mat_vec(p_inverse, system.target)
     tables = []

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus
+from dense_hardness import hardness_simulate
 from rational_rotator import RationalRotator
 from roundreach.numerics import (
     Angle,
@@ -64,7 +65,6 @@ from roundreach.qbf_compiler import (
     copy_row,
     decide_hardness,
     evaluate_qbf,
-    hardness_simulate,
     not_row,
     op_count,
     or_row,

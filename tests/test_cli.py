@@ -138,6 +138,16 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_rational_instance_with_polar_rounding_rejected(tmp_path, capsys):
+    obj = json.loads(serialize_instance(rational_example()))
+    obj["rounding"] = json.loads(serialize_instance(polar_example()))["rounding"]
+    path = write(tmp_path, "polar.json", json.dumps(obj))
+    assert main(["decide", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a rational-matrix instance needs componentwise rounding\n"
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     obj = json.loads(serialize_instance(polar_example()))
     obj["extra"] = True

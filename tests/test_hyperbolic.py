@@ -21,10 +21,15 @@ from corpora import (
     rational_matrices,
 )
 from escape_reference import max_abs_row_sum, modulus_upper
+from sympy_jordan import jordan_matrix
 from roundreach.argand_decider import decide_truncation
 from roundreach.cli import dispatch
 from roundreach import hyperbolic
-from roundreach.errors import ModulusOneSpectrumError, NonRationalSpectrumError
+from roundreach.errors import (
+    InternalInvariantError,
+    ModulusOneSpectrumError,
+    NonRationalSpectrumError,
+)
 from roundreach.hyperbolic import (
     HyperbolicBlockAnalyzer,
     RadiusTable,
@@ -36,7 +41,6 @@ from roundreach.hyperbolic import (
     mat_inv,
     mat_mul,
     mat_vec,
-    parse_jordan_blocks,
     radii,
 )
 from roundreach.numerics import Angle
@@ -84,7 +88,8 @@ def test_modulus_upper():
 def test_radii_frozen_table():
     spec = ArgandRounding(FL, Fraction(1))
     block = JordanBlock(2, Fraction(2), Angle(Fraction(0)))
-    t = radii(block, modulus_effect_bound(spec), (A(1), A(0)), (A(3), A(2)), Fraction(1))
+    # start (3, 2) and target (1, 0): the largest modulus is 3
+    t = radii(block, modulus_effect_bound(spec), Fraction(3))
     assert t.radii == (Fraction(9), Fraction(9, 2))
     assert t.ell == 3
     assert t.step_bound(spec) == 17457
@@ -93,7 +98,7 @@ def test_radii_frozen_table():
 def test_radii_rejects_unit_modulus():
     block = JordanBlock(1, Fraction(1), Angle(Fraction(0)))
     with pytest.raises(ModulusOneSpectrumError):
-        radii(block, Fraction(1), (A(0),))
+        radii(block, Fraction(1), Fraction(0))
 
 
 def test_radii_within_proved_envelope_randomized():
@@ -102,9 +107,9 @@ def test_radii_within_proved_envelope_randomized():
         lam = rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3)])
         size = rng.randint(1, 4)
         delta = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        pts = [A(rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2 * size)]
+        modulus = Fraction(rng.randint(0, 15), rng.randint(1, 3))
         block = JordanBlock(size, lam, Angle(Fraction(0)))
-        t = radii(block, delta, pts[:size], pts[size:], Fraction(1))
+        t = radii(block, delta, modulus)
         denom = abs(lam - 1)
         cap = t.ell * (size + 1) * (1 + (Fraction(2) / denom) ** size)
         for c in t.radii:
@@ -194,9 +199,8 @@ def test_mat_inv_inverts_or_rejects_singular(m):
 
 def test_jnf_rational_reconstructs():
     for m, eigs in itertools.islice(rational_matrices(), 20):
-        p2, j2 = jnf_rational(m)
-        assert mat_mul(mat_mul(p2, j2), mat_inv(p2)) == m
-        blocks = parse_jordan_blocks(j2)
+        p2, blocks = jnf_rational(m)
+        assert mat_mul(mat_mul(p2, jordan_matrix(blocks)), mat_inv(p2)) == m
         assert sorted(abs(b.eigen_modulus) for b in blocks for _ in range(b.size)) == \
             sorted(abs(e) for e in eigs)
 
@@ -231,12 +235,38 @@ def test_jnf_rational_names_a_rational_leftover_factor():
         jnf_rational(m)
 
 
+def test_jnf_rational_rejects_a_chain_head_outside_the_eigenspace(monkeypatch):
+    # (1, 2) is no eigenvector of diag(2, 1/2); the other column, (1, 0),
+    # keeps P of full rank, so only the column check can see it
+    pick = hyperbolic._pick_vec
+    heads = [[Fraction(1), Fraction(2)]]
+    monkeypatch.setattr(hyperbolic, "_pick_vec",
+                        lambda small, big: heads.pop() if heads else pick(small, big))
+    with pytest.raises(InternalInvariantError, match="reconstruction"):
+        jnf_rational(matrix([[2, 0], [0, "1/2"]]))
+    assert heads == []
+
+
+def test_jnf_rational_rejects_a_repeated_column(monkeypatch):
+    # both blocks of 2 I take the eigenvector (1, 0): every column passes
+    # its check, but P has rank 1
+    monkeypatch.setattr(hyperbolic, "_pick_vec", lambda small, big: big[0])
+    with pytest.raises(InternalInvariantError, match="reconstruction"):
+        jnf_rational(matrix([[2, 0], [0, 2]]))
+
+
+def jnf_p_j(m):
+    """jnf_rational's P and the J its blocks make."""
+    p, blocks = jnf_rational(m)
+    return p, jordan_matrix(blocks)
+
+
 def test_jnf_rational_matches_sympy_on_the_corpus():
     # rational_corpus() runs on exactly these 200 matrices
     matrices = [m for m, _ in itertools.islice(rational_matrices(), 200)]
     assert [system.matrix for system in rational_corpus()] == matrices
     for m in matrices:
-        assert jnf_rational(m) == sympy_jordan.jnf_rational(m), m
+        assert jnf_p_j(m) == sympy_jordan.jnf_rational(m), m
 
 
 def conjugated(p_rows, j_rows):
@@ -260,7 +290,7 @@ def conjugated(p_rows, j_rows):
     matrix([["-7/3"]]),
 ])
 def test_jnf_rational_exact_corners(m):
-    p, j = jnf_rational(m)
+    p, j = jnf_p_j(m)
     assert (p, j) == sympy_jordan.jnf_rational(m)
     assert mat_mul(mat_mul(p, j), mat_inv(p)) == m
 
@@ -299,20 +329,7 @@ def conjugated_jordan(draw):
 @settings(max_examples=120, deadline=None)
 @given(conjugated_jordan())
 def test_jnf_rational_matches_sympy(m):
-    assert jnf_rational(m) == sympy_jordan.jnf_rational(m)
-
-
-def test_parse_jordan_blocks_shapes():
-    j = (
-        (Fraction(2), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(2), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(-3)),
-    )
-    blocks = parse_jordan_blocks(j)
-    assert [(b.size, b.eigen_modulus, str(b.eigen_angle)) for b in blocks] == [
-        (2, Fraction(2), "0 pi"),
-        (1, Fraction(3), "1 pi"),
-    ]
+    assert jnf_p_j(m) == sympy_jordan.jnf_rational(m)
 
 
 def _conjugated_step(p, p_inverse, j, spec, z):
@@ -333,7 +350,7 @@ def test_decider_orbit_is_the_conjugated_orbit_through_p(monkeypatch):
 
     monkeypatch.setattr(hyperbolic, "iterate", capture)
     for system in rational_corpus():
-        p, j = jnf_rational(system.matrix)
+        p, j = jnf_p_j(system.matrix)
         p_inverse = mat_inv(p)
         basis = eigenbasis(system)[0]
         assert basis.delta == effect_bound(system.rounding) * max_abs_row_sum(p_inverse)
@@ -615,11 +632,6 @@ def test_escape_tables_match_the_fraction_reference():
             assert (table.eigen_modulus, table.delta, table.ell, table.radii) == (
                 expected.eigen_modulus, expected.delta, expected.ell, expected.radii
             ), (system, i)
-            # grid points handed to radii directly read the same moduli
-            start, end = system.block_slices()[i]
-            args = (block, table.delta, system.target[start:end],
-                    system.initial[start:end], system.rounding.granularity)
-            assert radii(*args) == escape_reference.radii(*args)
             checked += 1
     assert checked > 700
 

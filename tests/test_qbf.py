@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_hardness
+from dense_hardness import hardness_simulate, program_initial_state, run_program_sweep
 from roundreach import qbf_compiler
 from roundreach.errors import GadgetBrokenError
 from roundreach.qbf_compiler import (
@@ -31,7 +32,6 @@ from roundreach.qbf_compiler import (
     evaluate_qbf,
     expr_vars,
     explode_program_to_matrix,
-    hardness_simulate,
     hardness_step,
     lower_qbf_to_program,
     not_row,
@@ -40,8 +40,6 @@ from roundreach.qbf_compiler import (
     parse_prefix_formula,
     parse_qdimacs,
     perturb,
-    program_initial_state,
-    run_program_sweep,
     scaled_row,
     zero_row,
 )

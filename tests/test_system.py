@@ -184,6 +184,9 @@ def test_rational_system_validation():
     with pytest.raises(ValueError):
         RationalSystem(m, (Fraction(1, 3),), (Fraction(0),),
                        ArgandRounding(FL, Fraction(1)))
+    # a polar rounding used to build, then fail at the first step
+    with pytest.raises(ValueError, match="needs componentwise rounding"):
+        RationalSystem(m, (Fraction(1),), (Fraction(0),), PolarRounding(FL, 2))
 
 
 def test_rational_system_entries_become_fractions():
