@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
@@ -24,7 +24,6 @@ from .rounding import (
     ArgandRounding,
     RoundingKind,
     grid_point,
-    kball_count,
     point_value,
 )
 from .system import (
@@ -307,16 +306,16 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
         return None
 
 
-def argand_step_cap(system: JnfSystem, tables: Sequence, count: Callable = kball_count) -> int:
+def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
     """Safety-net step bound: per-block budgets, target-distance slack for
     the scheduled divergences, and a joint state count for the cycle, read
-    off the blocks' tables, with each ball counted by count."""
+    off the blocks' tables."""
     spec = system.rounding
     settle = 0
     states = 1
     for (start, end), table in zip(system.block_slices(), tables):
         if isinstance(table, RadiusTable):
-            states *= table.step_bound(spec, count)
+            states *= table.step_bound(spec)
             continue
         # the target's 1-norm over g and its largest squared modulus over
         # g^2, both integers in grid units

@@ -19,8 +19,7 @@ from .rounding import (
     RoundingKind,
     RoundingSpec,
     effect_bound,
-    kball_count,
-    kball_floor,
+    kbox_count,
     modulus_effect_bound,
 )
 from .system import (
@@ -57,14 +56,12 @@ class RadiusTable:
     def size(self) -> int:
         return len(self.radii)
 
-    def step_bound(self, spec: RoundingSpec, count: Callable = kball_count) -> int:
-        """States available to this block: the product of the ball counts,
-        floored by the bounding-hypercube count (2*Cmax/g)^size.  With
-        count=kball_floor it is a lower bound on the exact value, and costs
-        one isqrt per radius."""
+    def step_bound(self, spec: RoundingSpec) -> int:
+        """States available to this block: the product of the box counts,
+        floored by the bounding-hypercube count (2*Cmax/g)^size."""
         product = 1
         for c in self.radii:
-            product *= count(c, spec)
+            product *= kbox_count(c, spec)
         cmax = max(self.radii)
         cube = (2 * cmax / spec.granularity) ** len(self.radii)
         return max(product, math.ceil(cube))
@@ -217,14 +214,12 @@ def unit_table(
     return table
 
 
-def hyperbolic_step_cap(
-    system: JnfSystem, tables: Sequence[RadiusTable], count: Callable = kball_count
-) -> int:
-    """The product of every radius's ball count."""
+def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
+    """The product of every radius's box count."""
     cap = 1
     for table in tables:
         for c in table.radii:
-            cap *= count(c, system.rounding)
+            cap *= kbox_count(c, system.rounding)
     return cap
 
 
@@ -235,12 +230,9 @@ class Fragment:
     (offset, block, the system's StepKernel) watches such a block, reading
     the rounding, the field order and the encoded target from the kernel,
     and step_cap(system, tables) reads the cap off every block's table.
-    Each ball count in the cap is a kball_count; step_cap(system, tables,
-    kball_floor) counts the inscribed squares instead, a lower bound on
-    the cap that costs one isqrt per radius.  With no unit_tables the
-    fragment covers no modulus-one block."""
+    With no unit_tables the fragment covers no modulus-one block."""
 
-    step_cap: Callable[..., int]
+    step_cap: Callable[[JnfSystem, Sequence], int]
     unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
     unit_analyzer: Optional[Callable[..., BlockAnalyzer]] = None
 
@@ -267,10 +259,7 @@ def block_tables(system: JnfSystem) -> list[RadiusTable]:
 def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     """Run the lock-step driver over the fragment's tables: the escape-radius
     analyzer on every block with a radius table, the fragment's unit
-    analyzer on the others, and the cap read off the same tables.  The
-    run starts under the cap's floor and builds the exact cap, whose
-    ball counts are linear in the radii, only if the orbit runs that
-    long."""
+    analyzer on the others, and the cap read off the same tables."""
     tables = fragment.tables(system)
     kernel = system.kernel
     analyzers = [
@@ -284,9 +273,8 @@ def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     return run_lock_step(
         system,
         analyzers,
-        step_cap=fragment.step_cap(system, tables, kball_floor),
+        step_cap=fragment.step_cap(system, tables),
         cap_is_state_bound=system.is_hyperbolic,
-        exact_cap=lambda: fragment.step_cap(system, tables, kball_count),
     )
 
 
@@ -294,7 +282,7 @@ def decide_hyperbolic_jnf(system: JnfSystem) -> Verdict:
     """Decide reachability when every eigenvalue has modulus != 1.
 
     Orbit coordinates either meet their escape radius (a permanent no) or stay
-    confined, where exact repeat detection and the ball-count pigeonhole bound
+    confined, where exact repeat detection and the box-count pigeonhole bound
     conclude.  A modulus-one block raises ModulusOneSpectrumError.
     """
     return decide_by_blocks(system, HYPERBOLIC)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
 from .numerics import Angle, CycloNum, Rational, embed_polar, modulus_sq, sign_of_real
-from .rounding import PolarRounding, kball_count, modulus_effect_bound
+from .rounding import PolarRounding, modulus_effect_bound
 from .system import (
     Certificate,
     DivergedPastTarget,
@@ -300,12 +300,9 @@ class PolarBlockAnalyzer:
         return gamma_exceeds_right_angle(w, a)
 
 
-def polar_step_cap(
-    system: JnfSystem, tables: Optional[Sequence] = None, count: Callable = kball_count
-) -> int:
+def polar_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
     """Safety-net step bound: settle times plus a joint state count, read
-    off the blocks' tables (POLAR's, built here when none are given), with
-    each ball counted by count."""
+    off the blocks' tables (POLAR's, built here when none are given)."""
     spec = system.rounding
     if tables is None:
         tables = POLAR.tables(system)
@@ -313,7 +310,7 @@ def polar_step_cap(
     states = 1
     for table in tables:
         if isinstance(table, RadiusTable):
-            states *= table.step_bound(spec, count)
+            states *= table.step_bound(spec)
             continue
         settle += table.settle_bounds[0]
         for bound in table.modulus_bounds:

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .numerics import (
     Angle,
@@ -292,10 +292,6 @@ def round_value(value: CycloLike, spec: RoundingSpec) -> GridPoint:
     return PolarPoint(steps * g, index)
 
 
-def round_vector(values: Sequence[CycloLike], spec: RoundingSpec) -> tuple[GridPoint, ...]:
-    return tuple(round_value(v, spec) for v in values)
-
-
 def effect_bound(spec: RoundingSpec) -> Fraction:
     """The rounding effect bound: per component for Argand, on the modulus for Polar."""
     kind = spec.kind if isinstance(spec, ArgandRounding) else spec.modulus_kind
@@ -315,35 +311,15 @@ def modulus_effect_bound(spec: RoundingSpec, real_only: bool = False) -> Fractio
     return Fraction(3, 2) * base
 
 
-def kball_count(radius: Rational, spec: RoundingSpec) -> int:
-    """Number of admissible points of modulus at most radius."""
-    k = Fraction(radius) / spec.granularity  # the radius in grid steps, n/d
+def kbox_count(radius: Rational, spec: RoundingSpec) -> int:
+    """An upper bound on the admissible points of modulus at most radius,
+    from one floor division.  A ball of k grid steps lies in the box
+    |a|, |b| <= floor(k), which holds (2*floor(k) + 1)^2 points; the polar
+    count 1 + floor(k)*2R is the ball's exact count."""
+    k = _fraction(radius) / spec.granularity
     if k < 0:
         return 0
     half = math.floor(k)
     if isinstance(spec, PolarRounding):
         return 1 + half * 2 * spec.angle_resolution
-    n, d = k.numerator, k.denominator
-    nn, dd = n * n, d * d
-    # row a holds the b with (a*d)^2 + (b*d)^2 <= n^2; row -a mirrors row a
-    rows = sum(2 * math.isqrt((nn - a * a * dd) // dd) + 1 for a in range(1, half + 1))
-    return 2 * math.isqrt(nn // dd) + 1 + 2 * rows
-
-
-def kball_floor(radius: Rational, spec: RoundingSpec) -> int:
-    """A lower bound on kball_count at the cost of one isqrt.
-
-    kball_count takes one isqrt per grid row, so it costs radius/g
-    operations.  For a ball of k = n/d grid steps, the inscribed square
-    |a|, |b| <= m holds (2m+1)^2 points, with m the largest integer whose
-    2m^2 is at most k^2, m = isqrt(n^2 // (2 d^2)).  The polar count is
-    already one product.
-    """
-    if isinstance(spec, PolarRounding):
-        return kball_count(radius, spec)
-    g = spec.granularity
-    n, d = radius.numerator * g.denominator, radius.denominator * g.numerator
-    if n < 0:
-        return 0
-    m = math.isqrt(n * n // (2 * d * d))
-    return (2 * m + 1) ** 2
+    return (2 * half + 1) ** 2

@@ -671,7 +671,6 @@ def iterate(
     *,
     cap: int,
     cap_is_state_bound: bool,
-    exact_cap: Optional[Callable[[], int]] = None,
 ) -> Verdict:
     """Run the orbit of start under step until a conclusion.
 
@@ -682,11 +681,6 @@ def iterate(
     cap_is_state_bound True means the cap is a proved bound on the number
     of distinct reachable states, so reaching it without a repeat is a
     sound cycle conclusion; False makes it an internal error.
-
-    Given exact_cap, cap is only a floor of the cap: the first time the
-    step count reaches it, exact_cap() builds the exact cap, which the run
-    goes on under.  So the exact cap is built only for an orbit that runs
-    as long as its floor, and the verdict is the one the exact cap gives.
 
     Repeats are found exactly by a dict of every state seen while it holds
     fewer than STATE_STORE_LIMIT states.  Past that, Brent's tortoise is
@@ -705,9 +699,6 @@ def iterate(
     i = 0
     while True:
         if i >= cap:
-            if exact_cap is not None:
-                cap, exact_cap = exact_cap(), None
-                continue
             if cap_is_state_bound:
                 return NotReached(CycleDetected(cap))
             raise InternalInvariantError(
@@ -848,11 +839,10 @@ def run_lock_step(
     *,
     step_cap: int,
     cap_is_state_bound: bool,
-    exact_cap: Optional[Callable[[], int]] = None,
 ) -> Verdict:
     """Drive the shared orbit of a Jordan-form system on its kernel's
     integer coordinates, feeding every analyzer, until a conclusion (see
-    iterate, also for step_cap as a floor of exact_cap())."""
+    iterate)."""
     kernel = system.kernel
     return iterate(
         kernel.step,
@@ -861,7 +851,6 @@ def run_lock_step(
         analyzers,
         cap=step_cap,
         cap_is_state_bound=cap_is_state_bound,
-        exact_cap=exact_cap,
     )
 
 

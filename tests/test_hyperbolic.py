@@ -23,8 +23,9 @@ from corpora import (
 from escape_reference import max_abs_row_sum, modulus_upper
 from sympy_jordan import jordan_matrix
 from roundreach.argand_decider import decide_truncation
-from roundreach.cli import dispatch
-from roundreach import hyperbolic
+from ball_reference import kball_count
+from roundreach.cli import dispatch, main, serialize_instance
+from roundreach import hyperbolic, system as system_module
 from roundreach.errors import (
     InternalInvariantError,
     ModulusOneSpectrumError,
@@ -64,7 +65,6 @@ from roundreach.system import (
     RationalSystem,
     Reached,
     brute_force_decide,
-    run_lock_step,
 )
 
 FL, MU, TR = RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP, RoundingKind.TRUNCATE
@@ -92,7 +92,7 @@ def test_radii_frozen_table():
     t = radii(block, modulus_effect_bound(spec), Fraction(3))
     assert t.radii == (Fraction(9), Fraction(9, 2))
     assert t.ell == 3
-    assert t.step_bound(spec) == 17457
+    assert t.step_bound(spec) == 29241
 
 
 def test_radii_rejects_unit_modulus():
@@ -510,10 +510,10 @@ def _scaling_cases(k):
 
 
 def test_decide_time_follows_the_orbit_not_its_numbers():
-    # the exact step cap counts the grid points of balls of radius about
-    # 3^k, one isqrt per grid row; built before the first step it took
-    # seconds by k = 14, for an orbit of 14 steps.  Sizes rise, so an eager
-    # cap fails here rather than running on.
+    # step caps once counted the grid points of balls of radius about 3^k,
+    # one isqrt per grid row; built before the first step, that took seconds
+    # by k = 14, for an orbit of 14 steps.  Sizes rise, so a cap linear in
+    # the radius fails here rather than running on.
     for k in (8, 12, 14, 16, 20, 30, 40, 60):
         for system, decide, verdict in _scaling_cases(k):
             start = time.perf_counter()
@@ -522,60 +522,66 @@ def test_decide_time_follows_the_orbit_not_its_numbers():
             assert elapsed < 1.0, (k, system, elapsed)
 
 
-def _eager(monkeypatch, floors):
-    """Make decide_by_blocks run under its exact cap from the first step,
-    recording (floor, exact cap) for each run."""
-    run = run_lock_step
+def test_bounds_does_not_grow_with_the_radius(tmp_path, capsys):
+    # bounds evaluates the step cap the decider runs under; counted disc by
+    # disc it took 10 s at k = 16
+    path = tmp_path / "inst.json"
+    for k in (8, 12, 14, 16, 20, 30, 40, 60):
+        for system, _decide, _verdict in _scaling_cases(k):
+            path.write_text(serialize_instance(system))
+            start = time.perf_counter()
+            assert main(["bounds", str(path)]) == 0
+            elapsed = time.perf_counter() - start
+            assert capsys.readouterr().out.splitlines()[-1].startswith("step cap: ")
+            assert elapsed < 1.0, (k, system, elapsed)
 
-    def eager(system, analyzers, *, step_cap, cap_is_state_bound, exact_cap=None):
-        cap = exact_cap()
-        floors.append((step_cap, cap))
-        return run(system, analyzers, step_cap=cap, cap_is_state_bound=cap_is_state_bound)
 
-    monkeypatch.setattr(hyperbolic, "run_lock_step", eager)
+def _spy_on_iterate(monkeypatch, runs):
+    """Record (steps run, cap) for every orbit the deciders iterate."""
+    run = system_module.iterate
+
+    def spy(step, *args, cap, cap_is_state_bound):
+        steps = itertools.count()
+
+        def counted(state):
+            next(steps)
+            return step(state)
+
+        verdict = run(counted, *args, cap=cap, cap_is_state_bound=cap_is_state_bound)
+        runs.append((next(steps), cap))
+        return verdict
+
+    monkeypatch.setattr(system_module, "iterate", spy)
+    monkeypatch.setattr(hyperbolic, "iterate", spy)
 
 
-def test_lazy_and_eager_caps_give_the_same_verdicts(monkeypatch):
+def test_box_and_disc_caps_give_the_same_verdicts(monkeypatch):
+    # the box around each Argand ball holds more grid points than the ball;
+    # counted either way, every corpus orbit concludes before its cap
     systems = [*hyperbolic_corpus(), *polar_corpus(), *argand_corpus(), *rational_corpus()]
-    built = []
-    run = run_lock_step
-
-    def counting(system, analyzers, *, step_cap, cap_is_state_bound, exact_cap):
-        def exact():
-            built.append(system)
-            return exact_cap()
-
-        return run(system, analyzers, step_cap=step_cap,
-                   cap_is_state_bound=cap_is_state_bound, exact_cap=exact)
-
-    monkeypatch.setattr(hyperbolic, "run_lock_step", counting)
-    lazy = [dispatch(s) for s in systems]
-    # every corpus orbit concludes before its floor: no exact count is built
-    assert built == []
-    floors = []
-    _eager(monkeypatch, floors)
-    assert [dispatch(s) for s in systems] == lazy
-    assert len(floors) == 400
-    assert all(floor <= cap for floor, cap in floors)
+    runs = []
+    _spy_on_iterate(monkeypatch, runs)
+    boxed = [dispatch(s) for s in systems]
+    box_runs = runs[:]
+    runs.clear()
+    monkeypatch.setattr(hyperbolic, "kbox_count", kball_count)
+    assert [dispatch(s) for s in systems] == boxed
+    disc_runs = runs
+    assert len(disc_runs) == len(box_runs) >= 400
+    assert all(steps < cap for steps, cap in box_runs + disc_runs)
+    pairs = [(disc, box) for (_, disc), (_, box) in zip(disc_runs, box_runs)]
+    assert all(disc <= box for disc, box in pairs)
+    assert any(disc < box for disc, box in pairs)
 
 
 def test_an_orbit_forced_to_its_cap_ends_at_the_exact_cap(monkeypatch):
-    # lambda = 2 from 1 hits 2^8 at step 8; with the ball counts shrunk the
-    # floor is 3 and the exact cap 7, so the run must stop at step 7
+    # lambda = 2 from 1 hits 2^8 at step 8; with the box count shrunk to 7
+    # the cap is 7, so the run must stop at step 7
     system = _real_system([JordanBlock(1, Fraction(2), Angle(Fraction(0)))],
                           [(1,)], [(2**8,)], FL)
     assert decide_hyperbolic_jnf(system) == Reached(8)
-    exact_counts = []
-    monkeypatch.setattr(hyperbolic, "kball_floor", lambda c, spec: 3)
-    monkeypatch.setattr(hyperbolic, "kball_count",
-                        lambda c, spec: exact_counts.append(c) or 7)
-    verdict = NotReached(CycleDetected(7))
-    assert decide_hyperbolic_jnf(system) == verdict
-    assert len(exact_counts) == 1
-    floors = []
-    _eager(monkeypatch, floors)
-    assert decide_hyperbolic_jnf(system) == verdict
-    assert floors == [(3, 7)]
+    monkeypatch.setattr(hyperbolic, "kbox_count", lambda c, spec: 7)
+    assert decide_hyperbolic_jnf(system) == NotReached(CycleDetected(7))
 
 
 GRIDS = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_cyclo as ref
+from ball_reference import kball_count
 from roundreach.numerics import Angle, CycloNum, embed_polar, modulus_sq, totient
 from roundreach.rounding import (
     RULES,
@@ -18,13 +19,11 @@ from roundreach.rounding import (
     RoundingKind,
     effect_bound,
     is_admissible,
-    kball_count,
-    kball_floor,
+    kbox_count,
     modulus_effect_bound,
     point_value,
     round_real,
     round_value,
-    round_vector,
 )
 
 FL, CE = RoundingKind.FLOOR, RoundingKind.CEIL
@@ -243,15 +242,6 @@ def test_effect_bound_covers_rounding_move():
         assert modulus_sq(moved).as_rational() <= delta_sq
 
 
-def test_round_vector():
-    spec = ArgandRounding(TR, Fraction(1))
-    zs = [CycloNum.from_rational(4, Fraction(5, 2)), CycloNum.from_rational(4, Fraction(-5, 2))]
-    assert round_vector(zs, spec) == (
-        ArgandPoint(Fraction(2), Fraction(0)),
-        ArgandPoint(Fraction(-2), Fraction(0)),
-    )
-
-
 def test_kball_count_small_radii():
     # grid points with |z| <= 2: 5x5 square minus the four corners
     assert kball_count(Fraction(2), ArgandRounding(FL, Fraction(1))) == 13
@@ -259,6 +249,11 @@ def test_kball_count_small_radii():
     # polar at resolution 2: origin plus 4 rays of 2 each
     assert kball_count(Fraction(2), PolarRounding(FL, 2, Fraction(1))) == 9
     assert kball_count(Fraction(0), ArgandRounding(FL, Fraction(1))) == 1
+    # the boxes around them: 5x5, 3x3, the polar ball itself, the origin
+    assert kbox_count(Fraction(2), ArgandRounding(FL, Fraction(1))) == 25
+    assert kbox_count(Fraction(1), ArgandRounding(FL, Fraction(1))) == 9
+    assert kbox_count(Fraction(2), PolarRounding(FL, 2, Fraction(1))) == 9
+    assert kbox_count(Fraction(0), ArgandRounding(FL, Fraction(1))) == 1
 
 
 @given(radius=st.fractions(min_value=Fraction(-1), max_value=Fraction(7), max_denominator=6),
@@ -278,23 +273,27 @@ def test_kball_count_matches_lattice_enumeration(radius, g, resolution):
     inside = {p for p in points if is_admissible(p, spec) and p.modulus_sq() <= radius * radius}
     expect = len(inside) if radius >= 0 else 0
     assert kball_count(radius, spec) == expect
+    # the box count bounds the ball's points, and is exact for polar balls
+    assert kbox_count(radius, spec) >= expect
+    if resolution is not None:
+        assert kbox_count(radius, spec) == expect
 
 
 @given(radius=st.fractions(min_value=Fraction(-1), max_value=Fraction(40), max_denominator=6),
        g=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)]),
        resolution=st.sampled_from([None, 2, 3]))
 @settings(max_examples=300, deadline=None)
-def test_kball_floor_is_the_inscribed_square(radius, g, resolution):
+def test_kbox_count_is_the_bounding_box(radius, g, resolution):
     if resolution is not None:
         spec = PolarRounding(FL, resolution, g)
-        assert kball_floor(radius, spec) == kball_count(radius, spec)
+        assert kbox_count(radius, spec) == kball_count(radius, spec)
         return
     spec = ArgandRounding(FL, g)
     if radius < 0:
-        assert kball_floor(radius, spec) == 0
+        assert kbox_count(radius, spec) == 0
         return
-    # the widest square |a|, |b| <= m of grid points whose corners lie in the ball
+    # the narrowest square |a|, |b| <= m of grid points that holds the ball
     m = 0
-    while 2 * ((m + 1) * g) ** 2 <= radius * radius:
+    while (m + 1) * g <= radius:
         m += 1
-    assert kball_floor(radius, spec) == (2 * m + 1) ** 2 <= kball_count(radius, spec)
+    assert kbox_count(radius, spec) == (2 * m + 1) ** 2 >= kball_count(radius, spec)
