@@ -11,7 +11,6 @@ follows from watching the bottom-most nonzero coordinate of each block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,7 +19,6 @@ from .errors import InternalInvariantError
 from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
 from .numerics import Angle, ceil_sqrt, floor_sqrt
 from .rounding import (
-    ArgandPoint,
     ArgandRounding,
     RoundingKind,
     grid_point,
@@ -69,31 +67,30 @@ def niven_classify(angle: Angle) -> AngleClass:
 _ZERO = (0, 0)
 
 
-def _one_norm(points: Sequence[ArgandPoint]) -> Fraction:
-    return sum((abs(p.re) + abs(p.im) for p in points), Fraction(0))
-
-
 def truncation_bounds(
     system: JnfSystem, block_index: Optional[int] = None
 ) -> UnitTable:
     """The budget tables of one unit-modulus block under
     modulus-non-increasing rounding: coordinate k resolves within
-    ceil((2*u[k]/g)^size) steps, and the ceiling's exponent is size + 1.
-    initial_size is the summed 1-norm of the block's starting coordinates."""
+    ceil((2*u[k]/g)^size) steps, which for u[k] = U*g is (2U)^size, and the
+    ceiling's exponent is size + 1.  initial_size is the summed 1-norm of
+    the block's starting coordinates, read in grid units off the kernel."""
     spec = system.rounding
     if not isinstance(spec, ArgandRounding):
         raise ValueError("these budgets are defined for componentwise rounding")
     block, start, end = system.unit_block(block_index)
-    initial_size = _one_norm(system.initial[start:end])
+    initial = sum(abs(a) + abs(b) for a, b in system.kernel.initial[start:end])
     size = block.size
-    g = Fraction(spec.granularity)
-    clamped = max(initial_size, Fraction(1))
-    growth_base = max(2 * size * (2 / g) ** size * clamped, Fraction(2))
+    g = spec.granularity
+    gn, gd = g.numerator, g.denominator
+    # max(2*size*(2/g)^size*clamped, 2), clamped = max(initial*g, 1)
+    den = gn**size * gd
+    growth = (max(2 * size * (2 * gd) ** size * max(initial * gn, gd), 2 * den), den)
 
-    def settle(u: Fraction) -> int:
-        return math.ceil((2 * u / g) ** size)
+    def settle(u: int) -> int:
+        return (2 * u) ** size
 
-    return unit_table(size, initial_size, settle(initial_size), settle, growth_base, size + 1)
+    return unit_table(size, g, initial, settle(initial), settle, growth, size + 1)
 
 
 def _divergence_due(
@@ -322,7 +319,7 @@ def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
         target = system.kernel.target[start:end]
         slack = (
             sum(abs(a) + abs(b) for a, b in target)
-            + math.ceil(table.modulus_bounds[0] / spec.granularity)
+            + table.modulus_steps[0]
             + max(map(_sq, target))
             + 8
         )

@@ -12,7 +12,7 @@ from .errors import (
     ModulusOneSpectrumError,
     NonRationalSpectrumError,
 )
-from .numerics import Angle
+from .numerics import Angle, Rational
 from .rounding import (
     RULES,
     PolarRounding,
@@ -44,43 +44,53 @@ _modulus_up = RULES[RoundingKind.CEIL].modulus
 
 @dataclass(frozen=True)
 class RadiusTable:
-    """Per-dimension escape radii for one block; index 0 is the fed-most
+    """Per-dimension escape radii for one block, held as integer numerators
+    over one denominator: radius j is nums[j]/den.  Index 0 is the fed-most
     coordinate, the last index the autonomous one."""
 
     eigen_modulus: Fraction
-    delta: Fraction
-    ell: Fraction
-    radii: tuple[Fraction, ...]
+    delta: Rational
+    ell: Rational
+    nums: tuple[int, ...]
+    den: int
 
     @property
     def size(self) -> int:
-        return len(self.radii)
+        return len(self.nums)
+
+    @property
+    def radii(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def step_bound(self, spec: RoundingSpec) -> int:
         """States available to this block: the product of the box counts,
         floored by the bounding-hypercube count (2*Cmax/g)^size."""
         product = 1
-        for c in self.radii:
-            product *= kbox_count(c, spec)
-        cmax = max(self.radii)
-        cube = (2 * cmax / spec.granularity) ** len(self.radii)
-        return max(product, math.ceil(cube))
+        for c in self.nums:
+            product *= kbox_count(c, self.den, spec)
+        g = spec.granularity
+        side, over = 2 * max(self.nums) * g.denominator, self.den * g.numerator
+        return max(product, -(-side**self.size // over**self.size))
 
 
-def radii(block: JordanBlock, delta: Fraction, modulus: Fraction) -> RadiusTable:
+def _larger(a: Rational, b: Rational) -> Rational:
+    """The larger of two rationals, compared on numerators."""
+    return b if b.numerator * a.denominator > a.numerator * b.denominator else a
+
+
+def radii(block: JordanBlock, delta: Rational, modulus: Rational) -> RadiusTable:
     """Escape radii from the eigenvalue modulus, the rounding effect bound,
     and an upper bound on the moduli of the block's start and target.
 
     The chain and its envelope check run on integer numerators over one
-    common denominator.
+    common denominator, which the table keeps.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise ValueError("the rounding effect bound must be positive")
     lam = block.eigen_modulus
-    if lam == 1:
+    if lam.numerator == lam.denominator:
         raise ModulusOneSpectrumError("escape radii need |eigenvalue| != 1")
-    ell = Fraction(max(1, delta, modulus))
+    ell = _larger(_larger(1, delta), modulus)
     # the chain out[j] = (delta + out[j + 1])/|lam - 1| + ell from
     # out[size] = 0, on numerators over den = dd*ed*u^size with
     # |lam - 1| = u/q: out[j]*den is a multiple of u^j, so each // is exact
@@ -100,7 +110,7 @@ def radii(block: JordanBlock, delta: Fraction, modulus: Fraction) -> RadiusTable
         if not ell_num < c <= cap_num:
             raise InternalInvariantError("radius chain left its proved envelope")
         out[j] = c
-    return RadiusTable(lam, delta, ell, tuple(Fraction(c, den) for c in out))
+    return RadiusTable(lam, delta, ell, tuple(out), den)
 
 
 class HyperbolicBlockAnalyzer:
@@ -116,20 +126,21 @@ class HyperbolicBlockAnalyzer:
         self.table = table
         self.polar = isinstance(spec, PolarRounding)
         g = spec.granularity
-        # (coordinate, its bound on the integer squared modulus, radius),
+        # (coordinate, its bound on the integer squared modulus, numerator),
         # the bound ceil((n/d)^2) for n/d = c/g
+        d = table.den * g.numerator
         watch = []
-        for j, c in enumerate(table.radii):
-            n, d = c.numerator * g.denominator, c.denominator * g.numerator
+        for j, c in enumerate(table.nums):
+            n = c * g.denominator
             watch.append((offset + j, -(-n * n // (d * d)), c))
         self._watch = tuple(watch)
 
     def _check(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
         polar = self.polar
-        for at, bound, radius in self._watch:
+        for at, bound, c in self._watch:
             a, b = state[at]
             if (a * a if polar else a * a + b * b) >= bound:
-                return EscapedRadius(at, radius)
+                return EscapedRadius(at, Fraction(c, self.table.den))
         return None
 
     def observe_initial(self, state: Sequence[tuple[int, int]]) -> Optional[Certificate]:
@@ -161,25 +172,42 @@ def escape_table(system: JnfSystem, index: int) -> RadiusTable:
             b for _, b in points
         )
     delta = modulus_effect_bound(system.rounding, real_only=real_only)
-    return radii(block, delta, max(steps) * system.rounding.granularity)
+    g = system.rounding.granularity
+    return radii(block, delta, Fraction(max(steps) * g.numerator, g.denominator))
 
 
 @dataclass(frozen=True)
 class UnitTable:
     """Modulus and step budgets for one block whose eigenvalue has modulus
-    one; index 0 is the top of the block.
+    one, in whole grid steps of the granularity g; index 0 is the top of
+    the block.
 
-    The block settles bottom-up: modulus_bounds[k] bounds coordinate k's
+    The block settles bottom-up: modulus_steps[k]*g bounds coordinate k's
     modulus while it is watched and settle_bounds[k] the step by which it
-    has resolved.  initial_size is a rational upper bound on the summed
-    moduli of the block's starting coordinates.
+    has resolved.  initial_steps*g is an upper bound on the summed moduli
+    of the block's starting coordinates, and growth the growth base as a
+    (numerator, denominator) pair.  The rational views below are for
+    output.
     """
 
-    initial_size: Fraction
-    growth_base: Fraction
+    granularity: Fraction
+    initial_steps: int
+    growth: tuple[int, int]
     exponent: int
-    modulus_bounds: tuple[Fraction, ...]
+    modulus_steps: tuple[int, ...]
     settle_bounds: tuple[int, ...]
+
+    @property
+    def initial_size(self) -> Fraction:
+        return self.initial_steps * self.granularity
+
+    @property
+    def growth_base(self) -> Fraction:
+        return Fraction(*self.growth)
+
+    @property
+    def modulus_bounds(self) -> tuple[Fraction, ...]:
+        return tuple(u * self.granularity for u in self.modulus_steps)
 
     def doubly_exponential_ceiling(self, j: int) -> Fraction:
         """Closed-form ceiling for modulus_bounds[size - 1 - j]."""
@@ -189,37 +217,44 @@ class UnitTable:
 
 def unit_table(
     size: int,
-    initial_size: Fraction,
+    granularity: Fraction,
+    initial_steps: int,
     last: int,
-    settle: Callable[[Fraction], int],
-    growth_base: Fraction,
+    settle: Callable[[int], int],
+    growth: tuple[int, int],
     exponent: int,
 ) -> UnitTable:
-    """Evaluate the budget recurrence of a unit-modulus block: the bottom
-    coordinate settles by step `last`, and coordinate k, watched once the
-    one below has settled, stays within initial_size + size*t[k+1]*u[k+1]
-    and resolves within settle(u[k]) more steps.  Checks the modulus table
-    against doubly_exponential_ceiling."""
-    u = [initial_size] * size
+    """Evaluate the budget recurrence of a unit-modulus block in grid steps:
+    the bottom coordinate settles by step `last`, and coordinate k, watched
+    once the one below has settled, stays within
+    initial_steps + size*t[k+1]*u[k+1] steps and resolves within
+    settle(u[k]) more.  Checks the modulus table against
+    doubly_exponential_ceiling on integer numerators: with g = gn/gd, the
+    clamped initial size C = max(initial_steps*gn, gd)/gd and the growth
+    base G = Gn/Gd, u*g <= (G*C)^e reads u*gn*(Gd*gd)^e <= gd*(Gn*Cn)^e."""
+    u = [initial_steps] * size
     t = [last] * size
     for k in range(size - 2, -1, -1):
-        u[k] = initial_size + size * t[k + 1] * u[k + 1]
+        u[k] = initial_steps + size * t[k + 1] * u[k + 1]
         t[k] = settle(u[k]) + t[k + 1]
-    table = UnitTable(initial_size, growth_base, exponent, tuple(u), tuple(t))
+    gn, gd = granularity.numerator, granularity.denominator
+    base_num = growth[0] * max(initial_steps * gn, gd)
+    base_den = growth[1] * gd
     for j in range(size):
-        if u[size - 1 - j] > table.doubly_exponential_ceiling(j):
+        e = exponent**j
+        if u[size - 1 - j] * gn * base_den**e > gd * base_num**e:
             raise InternalInvariantError(
                 f"modulus table exceeds its closed-form ceiling at height {j}"
             )
-    return table
+    return UnitTable(granularity, initial_steps, growth, exponent, tuple(u), tuple(t))
 
 
 def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
     """The product of every radius's box count."""
     cap = 1
     for table in tables:
-        for c in table.radii:
-            cap *= kbox_count(c, system.rounding)
+        for c in table.nums:
+            cap *= kbox_count(c, table.den, system.rounding)
     return cap
 
 
@@ -311,7 +346,8 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def mat_inv(m: RationalMatrix) -> RationalMatrix:
-    """The inverse read off the RREF of [M | I]; ValueError when M is singular."""
+    """The inverse read off the RREF of [M | I]; ValueError when M is
+    singular.  The tests and the benchmark build matrices with it."""
     n = len(m)
     rows, pivots = _echelon(
         _integer_rows([[*row, *(int(i == j) for j in range(n))]
@@ -593,9 +629,14 @@ def _block_structure(spectrum, eig_power, n: int) -> list[tuple[int, int]]:
     return structure
 
 
-def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[JordanBlock, ...]]:
-    """Exact Jordan decomposition M = P J P^-1 over the rationals: P and the
-    blocks of J, checked exactly as M P = P J with P of full rank.
+def jnf_rational(
+    matrix: RationalMatrix,
+) -> tuple[IntMatrix, tuple[int, ...], tuple[JordanBlock, ...]]:
+    """Exact Jordan decomposition M = P J P^-1 over the rationals, checked
+    exactly as M P = P J with P of full rank: (columns, scales, blocks),
+    column i of P being the integer vector columns[i] over scales[i], one
+    scale per block (the least common denominator of its columns), and
+    the blocks of J.
 
     The eigenvalues come in ascending order, the blocks of one eigenvalue
     largest first.  Each block of size s takes as v the first nullspace
@@ -645,6 +686,8 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[JordanBl
     # M p_i = lambda p_i + p_(i-1) is A q_i = r q_i + d q_(i-1) on the
     # block's columns q_i = L p_i, L their least common denominator
     blocks = []
+    columns: IntMatrix = []
+    scales: list[int] = []
     start = 0
     for r, size in structure:
         cols = basis[start:start + size]
@@ -656,26 +699,60 @@ def jnf_rational(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[JordanBl
                     r * x + d * y for x, y in zip(q, prev)]:
                 raise InternalInvariantError("Jordan reconstruction mismatch")
             prev = q
+            columns.append(q)
+        scales += [lcm] * size
         blocks.append(JordanBlock(size, Fraction(abs(r), d), Angle(0) if r >= 0 else Angle(1)))
         start += size
-    if _rank(_integer_rows(basis)) < n:
+    if _rank(columns) < n:
         raise InternalInvariantError("Jordan reconstruction mismatch")
-    return tuple(tuple(col[i] for col in basis) for i in range(n)), tuple(blocks)
+    return columns, tuple(scales), tuple(blocks)
 
 
 @dataclass(frozen=True)
 class Eigenbasis:
     """Where a rational-matrix system is watched: its Jordan basis
     z = P^-1 x, with P^-1 held as the integer matrix B = E*P^-1, the blocks
-    of its Jordan form, start and target in z, and delta, the rounding's
-    effect bound there (the grid's scaled by the maximum absolute row sum
-    of P^-1)."""
+    of its Jordan form, delta, the rounding's effect bound there (the
+    grid's scaled by the maximum absolute row sum of P^-1), and start and
+    target in z as the integer vectors B k, for the state x = k*g in grid
+    units: z = (B k)*g/E."""
 
     b: IntegerMatrix
     delta: Fraction
     blocks: tuple[JordanBlock, ...]
-    initial: tuple[Fraction, ...]
-    target: tuple[Fraction, ...]
+    granularity: Fraction
+    initial_bk: tuple[int, ...]
+    target_bk: tuple[int, ...]
+
+    @property
+    def initial(self) -> tuple[Fraction, ...]:
+        return self._z(self.initial_bk)
+
+    @property
+    def target(self) -> tuple[Fraction, ...]:
+        return self._z(self.target_bk)
+
+    def _z(self, bk: Sequence[int]) -> tuple[Fraction, ...]:
+        scale = self.granularity / self.b.den
+        return tuple(v * scale for v in bk)
+
+
+def _scaled_inverse(columns: IntMatrix, scales: Sequence[int]) -> IntegerMatrix:
+    """P^-1 as B = E*P^-1 with E least, for P with column i the integer
+    vector columns[i] over scales[i]: with Q the integer matrix of the
+    columns, P^-1 = diag(scales) Q^-1, and row k of Q^-1 is row k of the
+    echelon of [Q | I] over its pivot."""
+    n = len(columns)
+    rows, _ = _echelon([[*(col[i] for col in columns), *(int(i == j) for j in range(n))]
+                        for i in range(n)])
+    parts = []
+    for k, (s, row) in enumerate(zip(scales, rows)):
+        num = [s * x for x in row[n:]]
+        pivot = row[k]
+        common = math.gcd(pivot, *num) * (1 if pivot > 0 else -1)
+        parts.append(([x // common for x in num], pivot // common))
+    e = math.lcm(*(d for _, d in parts))
+    return IntegerMatrix.of_integers([[x * (e // d) for x in num] for num, d in parts], e)
 
 
 def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], int]:
@@ -683,44 +760,46 @@ def eigenbasis(system: RationalSystem) -> tuple[Eigenbasis, list[RadiusTable], i
     proved bound on the number of distinct states.
 
     The state x = k*g is the kernel's integer vector k, so z = (B k)*g/E:
-    start and target in z are one integer product each, scaled once.  A
-    block's radii read the largest |z| of its start and target.  The
-    bound counts grid points x = P z in the box the radii span: coordinate
-    i stays within floor(sum_d |p_id| c_d / g) grid steps, summed on
-    integer numerators.  A modulus-one eigenvalue raises
+    start and target in z are one integer product each.  A block's radii
+    read the largest |z| of its start and target.  The bound counts grid
+    points x = P z in the box the radii span: coordinate i stays within
+    floor(sum_d |p_id| c_d / g) grid steps, summed on integer numerators
+    over one denominator.  A modulus-one eigenvalue raises
     ModulusOneSpectrumError, a non-rational one NonRationalSpectrumError.
     """
-    p, blocks = jnf_rational(system.matrix)
-    b = IntegerMatrix(mat_inv(p))
+    columns, scales, blocks = jnf_rational(system.matrix)
+    b = _scaled_inverse(columns, scales)
     kernel = system.kernel
     spec = system.rounding
     g = spec.granularity
-    scale = g / b.den
     effect = effect_bound(spec)
     row_sum = max(sum(abs(c) for _, c in row) for row in b.rows)
     basis = Eigenbasis(
         b,
         Fraction(effect.numerator * row_sum, effect.denominator * b.den),
         blocks,
-        tuple(v * scale for v in b.times(kernel.initial)),
-        tuple(v * scale for v in b.times(kernel.target)),
+        g,
+        tuple(b.times(kernel.initial)),
+        tuple(b.times(kernel.target)),
     )
     tables = []
     start = 0
     for block in blocks:
         end = start + block.size
-        z = (*basis.initial[start:end], *basis.target[start:end])
-        tables.append(radii(block, basis.delta, max(map(abs, z))))
+        # the largest |z| of the block's start and target, top*g/E
+        top = max(map(abs, (*basis.initial_bk[start:end], *basis.target_bk[start:end])))
+        modulus = Fraction(top * g.numerator, b.den * g.denominator)
+        tables.append(radii(block, basis.delta, modulus))
         start = end
-    all_radii = [c for table in tables for c in table.radii]
-    # radius d is reach[d] / radius_den, and P is rows / den
-    radius_den = math.lcm(*(c.denominator for c in all_radii))
-    reach = [c.numerator * (radius_den // c.denominator) for c in all_radii]
-    pm = IntegerMatrix(p)
-    over = pm.den * radius_den * g.numerator
+    # |p_id| c_d = |Q_id| c_d/s_d; with radius c_d = nums/den, c_d/s_d is
+    # reach[d]/over on the common denominator over
+    radius_parts = [(table.den, c) for table in tables for c in table.nums]
+    over = math.lcm(*(den * s for (den, _), s in zip(radius_parts, scales)))
+    reach = [c * (over // (den * s)) for (den, c), s in zip(radius_parts, scales)]
+    over *= g.numerator
     cap = 1
-    for row in pm.rows:
-        steps = sum(abs(c) * reach[d] for d, c in row) * g.denominator // over
+    for i in range(len(columns)):
+        steps = sum(abs(col[i]) * r for col, r in zip(columns, reach)) * g.denominator // over
         cap *= 2 * steps + 1
     return basis, tables, cap
 
@@ -734,20 +813,19 @@ class _EigenbasisEscape:
     reaches c_d*E/g, that is its ceiling.
     """
 
-    def __init__(self, b: IntegerMatrix, radii_flat: Sequence[Fraction],
+    def __init__(self, b: IntegerMatrix, tables: Sequence[RadiusTable],
                  granularity: Fraction) -> None:
         self.b = b
-        self.radii = radii_flat
+        # (numerator, denominator) of each coordinate's radius
+        self.radii = tuple((c, table.den) for table in tables for c in table.nums)
         over = b.den * granularity.denominator
-        self.bounds = tuple(
-            -(-c.numerator * over // (c.denominator * granularity.numerator))
-            for c in radii_flat
-        )
+        self.bounds = tuple(-(-c * over // (den * granularity.numerator))
+                            for c, den in self.radii)
 
     def observe_initial(self, state: Sequence[int]) -> Optional[Certificate]:
         for d, (v, bound) in enumerate(zip(self.b.times(state), self.bounds)):
             if abs(v) >= bound:
-                return EscapedRadius(d, self.radii[d])
+                return EscapedRadius(d, Fraction(*self.radii[d]))
         return None
 
     def observe(self, step_index, prev, new) -> Optional[Certificate]:
@@ -765,11 +843,7 @@ def decide_hyperbolic_general(system: RationalSystem) -> Verdict:
     seen in that basis.
     """
     basis, tables, cap = eigenbasis(system)
-    escape = _EigenbasisEscape(
-        basis.b,
-        [c for table in tables for c in table.radii],
-        system.rounding.granularity,
-    )
+    escape = _EigenbasisEscape(basis.b, tables, system.rounding.granularity)
     kernel = system.kernel
     return iterate(
         kernel.step,

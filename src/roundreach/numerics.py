@@ -9,8 +9,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-import mpmath
-
 from .errors import (
     NotRealError,
     OrderMismatchError,
@@ -389,6 +387,8 @@ def embed_polar(modulus: Rational, angle: Angle, order: int) -> CycloNum:
 
 @lru_cache(maxsize=None)
 def _interval_cos(order: int, j: int, prec: int):
+    import mpmath
+
     saved = mpmath.iv.prec
     mpmath.iv.prec = prec
     try:
@@ -399,6 +399,8 @@ def _interval_cos(order: int, j: int, prec: int):
 
 def _interval_real_value(z: CycloNum):
     """Certified mpmath interval for the (real) value of z at current iv precision."""
+    import mpmath
+
     prec = mpmath.iv.prec
     total = mpmath.iv.mpf(0)
     for j, c in enumerate(z.num):
@@ -420,8 +422,11 @@ def refine(enclose, cap: int, decide):
     53 bits would round them and could move a floor) and calls
     `decide(floor(lo), floor(hi))`.  The first verdict that is not None is
     returned.  The precision doubles from _PREC_START up to `cap`; past the
-    cap the answer is None.
+    cap the answer is None.  mpmath is imported here, on the first
+    refinement, so a run that never refines never loads it.
     """
+    import mpmath
+
     prec = _PREC_START
     saved = mpmath.iv.prec
     try:

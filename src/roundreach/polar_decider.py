@@ -11,8 +11,7 @@ dimension rotates.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
@@ -89,22 +88,27 @@ def resource_bounds(
     """The settling-time and modulus tables of one unit-modulus block of a
     polar instance: a dimension settles into rotation or produces a
     divergence certificate within ceil((Y + u)*(2R)^2) steps of the one
-    below, Y the target's summed moduli; the ceiling's exponent is 2."""
+    below, Y the target's summed moduli; the ceiling's exponent is 2.  The
+    summed moduli are read in grid units off the kernel."""
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("resource tables are defined for polar rounding")
     block, start, end = system.unit_block(block_index)
-    initial_size = sum((p.modulus for p in system.initial[start:end]), Fraction(0))
-    target_size = sum((p.modulus for p in system.target[start:end]), Fraction(0))
+    kernel = system.kernel
+    initial = sum(k for k, _ in kernel.initial[start:end])
+    target = sum(k for k, _ in kernel.target[start:end])
     size = block.size
+    g = spec.granularity
+    gn, gd = g.numerator, g.denominator
     angle_count_sq = (2 * spec.angle_resolution) ** 2
-    growth_base = (3 * size * max(target_size, Fraction(1)) * angle_count_sq
-                   * max(initial_size, Fraction(1)))
+    # 3*size*max(target*g, 1)*(2R)^2*max(initial*g, 1)
+    growth = (3 * size * max(target * gn, gd) * angle_count_sq * max(initial * gn, gd),
+              gd * gd)
 
-    def settle(u: Fraction) -> int:
-        return ceil((target_size + u) * angle_count_sq)
+    def settle(u: int) -> int:
+        return -(-(target + u) * gn * angle_count_sq // gd)
 
-    return unit_table(size, initial_size, 1, settle, growth_base, 2)
+    return unit_table(size, g, initial, 1, settle, growth, 2)
 
 
 class _DimensionMachine:
@@ -313,9 +317,8 @@ def polar_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
             states *= table.step_bound(spec)
             continue
         settle += table.settle_bounds[0]
-        for bound in table.modulus_bounds:
-            steps = int(bound / spec.granularity) + 1
-            states *= 1 + steps * 2 * spec.angle_resolution
+        for u in table.modulus_steps:
+            states *= 1 + (u + 1) * 2 * spec.angle_resolution
     return settle + states + 2
 
 

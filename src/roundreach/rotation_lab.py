@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
-import mpmath
-
 from .errors import UndecidableTieError
 # certified_floor stays bound here for perfbench/layertrace.py's exact-fallback
 # counter; a rational angle falls back through StepKernel, so none arrive
@@ -68,6 +66,8 @@ class IrrationalTheta:
 
     def interval(self):
         """Certified interval for the angle at the current iv precision."""
+        import mpmath
+
         base = mpmath.iv.mpf(2) ** (
             mpmath.iv.mpf(self.exponent.numerator)
             / mpmath.iv.mpf(self.exponent.denominator)
@@ -113,6 +113,8 @@ class _IntervalRotator:
     interval precision; an unresolved tie at the cap is an error."""
 
     def __init__(self, theta: IrrationalTheta) -> None:
+        import mpmath
+
         self.theta = theta
         saved = mpmath.iv.prec
         try:
@@ -127,6 +129,8 @@ class _IntervalRotator:
         self.step = rounded_rotation(RULES[_HALF_UP.kind].bracket, cos_f, sin_f, self._refine)
 
     def _refine(self, a: int, b: int) -> int:
+        import mpmath
+
         def enclose():
             box = self.theta.interval()
             return a * mpmath.iv.cos(box) - b * mpmath.iv.sin(box) + mpmath.iv.mpf("0.5")

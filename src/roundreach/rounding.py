@@ -294,8 +294,14 @@ def round_value(value: CycloLike, spec: RoundingSpec) -> GridPoint:
 
 def effect_bound(spec: RoundingSpec) -> Fraction:
     """The rounding effect bound: per component for Argand, on the modulus for Polar."""
+    return _scaled_effect(spec, 1, 1)
+
+
+def _scaled_effect(spec: RoundingSpec, num: int, den: int) -> Fraction:
+    """The effect bound times num/den, built as one Fraction."""
     kind = spec.kind if isinstance(spec, ArgandRounding) else spec.modulus_kind
-    return RULES[kind].effect * spec.granularity
+    effect, g = RULES[kind].effect, spec.granularity
+    return Fraction(num * effect.numerator * g.numerator, den * effect.denominator * g.denominator)
 
 
 def modulus_effect_bound(spec: RoundingSpec, real_only: bool = False) -> Fraction:
@@ -305,21 +311,20 @@ def modulus_effect_bound(spec: RoundingSpec, real_only: bool = False) -> Fractio
     combine to at most sqrt(2) times the component bound; 3/2 is the rational
     over-approximation used. Real-only orbits keep the component bound itself.
     """
-    base = effect_bound(spec)
     if isinstance(spec, PolarRounding) or real_only:
-        return base
-    return Fraction(3, 2) * base
+        return _scaled_effect(spec, 1, 1)
+    return _scaled_effect(spec, 3, 2)
 
 
-def kbox_count(radius: Rational, spec: RoundingSpec) -> int:
-    """An upper bound on the admissible points of modulus at most radius,
-    from one floor division.  A ball of k grid steps lies in the box
-    |a|, |b| <= floor(k), which holds (2*floor(k) + 1)^2 points; the polar
-    count 1 + floor(k)*2R is the ball's exact count."""
-    k = _fraction(radius) / spec.granularity
-    if k < 0:
+def kbox_count(num: int, den: int, spec: RoundingSpec) -> int:
+    """An upper bound on the admissible points of modulus at most num/den
+    (den > 0), from one floor division.  A ball of k grid steps lies in
+    the box |a|, |b| <= floor(k), which holds (2*floor(k) + 1)^2 points;
+    the polar count 1 + floor(k)*2R is the ball's exact count."""
+    if num < 0:
         return 0
-    half = math.floor(k)
+    g = spec.granularity
+    half = num * g.denominator // (den * g.numerator)
     if isinstance(spec, PolarRounding):
         return 1 + half * 2 * spec.angle_resolution
     return (2 * half + 1) ** 2

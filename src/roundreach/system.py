@@ -534,6 +534,15 @@ class IntegerMatrix:
             for row in matrix
         )
 
+    @classmethod
+    def of_integers(cls, rows: Sequence[Sequence[int]], den: int) -> "IntegerMatrix":
+        """The matrix M with D*M the integer rows and D = den, which the
+        caller gives as the least such denominator."""
+        matrix = cls.__new__(cls)
+        matrix.den = den
+        matrix.rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+        return matrix
+
     def times(self, k: Sequence[int]) -> list[int]:
         out = []
         for row in self.rows:

@@ -21,6 +21,9 @@ from roundreach.system import JnfSystem, JordanBlock, RationalSystem
 FL, MU, TR = (RoundingKind.FLOOR, RoundingKind.MINIMAL_ERROR_UP,
               RoundingKind.TRUNCATE)
 
+# the grids the set-up's differential tests move the corpora onto
+GRIDS = (Fraction(1), Fraction(1, 2), Fraction(3, 2))
+
 
 def hyperbolic_corpus():
     """Criterion 4: 200 systems with no modulus-one block."""
@@ -125,3 +128,26 @@ def rational_corpus():
         initial = tuple(Fraction(rng.randint(-10, 10)) for _ in range(n))
         target = tuple(Fraction(rng.randint(-10, 10)) for _ in range(n))
         yield RationalSystem(matrix, initial, target, ArgandRounding(kinds[trial % 3]))
+
+
+def on_grid(system, g):
+    """The system with its start, target and rounding on the g-grid: the
+    corpora's points are whole grid steps of 1, and every rounding kind
+    commutes with scaling, so the orbit scales with them."""
+    spec = system.rounding
+    if isinstance(system, RationalSystem):
+        return RationalSystem(system.matrix, tuple(v * g for v in system.initial),
+                              tuple(v * g for v in system.target),
+                              ArgandRounding(spec.kind, g))
+    if isinstance(spec, PolarRounding):
+        spec = PolarRounding(spec.modulus_kind, spec.angle_resolution, g)
+
+        def move(p):
+            return PolarPoint(p.modulus * g, p.angle_index)
+    else:
+        spec = ArgandRounding(spec.kind, g)
+
+        def move(p):
+            return ArgandPoint(p.re * g, p.im * g)
+    return JnfSystem(system.blocks, tuple(map(move, system.initial)),
+                     tuple(map(move, system.target)), spec)

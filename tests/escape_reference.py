@@ -3,26 +3,24 @@ grid-unit integers, kept as a test reference.
 
 `escape_table` read each block's moduli off its `GridPoint`s through
 `modulus_upper` (an exact rational root, else `ceil_sqrt` on the grid) and
-ran the radius chain in `Fraction` arithmetic; `eigenbasis` found start and
-target in z with two `Fraction` `mat_vec` calls on P^-1, its effect bound
-with `max_abs_row_sum`, and its state-count cap by `Fraction` sums.  They
-are kept here unchanged, so differential tests can check the integer
-builders against them.  Only the tests import this module.
+ran the radius chain in `Fraction` arithmetic, into a table of `Fraction`
+radii; `eigenbasis` found start and target in z with two `Fraction`
+`mat_vec` calls on P^-1, its effect bound with `max_abs_row_sum`, and its
+state-count cap by `Fraction` sums.  They are kept here unchanged, so
+differential tests can check the integer builders against them;
+`jordan_basis` reads `jnf_rational`'s integer columns back into the
+`Fraction` matrix P.  Only the tests import this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from roundreach.errors import InternalInvariantError, ModulusOneSpectrumError
-from roundreach.hyperbolic import (
-    RadiusTable,
-    jnf_rational,
-    mat_inv,
-    mat_vec,
-)
+from roundreach.hyperbolic import jnf_rational, mat_inv, mat_vec
 from roundreach.numerics import ceil_sqrt
 from roundreach.rounding import (
     ArgandRounding,
@@ -33,6 +31,25 @@ from roundreach.rounding import (
 from roundreach.system import JnfSystem, JordanBlock, RationalSystem
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+@dataclass(frozen=True)
+class RadiusTable:
+    """Per-dimension escape radii for one block, as `Fraction`s."""
+
+    eigen_modulus: Fraction
+    delta: Fraction
+    ell: Fraction
+    radii: tuple[Fraction, ...]
+
+
+def jordan_basis(matrix: RationalMatrix):
+    """`jnf_rational`'s P as a `Fraction` matrix, column i being its
+    integer column i over its scale, and the blocks."""
+    columns, scales, blocks = jnf_rational(matrix)
+    p = tuple(tuple(Fraction(col[i], s) for col, s in zip(columns, scales))
+              for i in range(len(columns)))
+    return p, blocks
 
 
 def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -123,7 +140,7 @@ def max_abs_row_sum(m: RationalMatrix) -> Fraction:
 def eigenbasis(system: RationalSystem):
     """(P^-1, delta, start in z, target in z, the blocks' radius tables,
     the state-count cap), each built in `Fraction` arithmetic."""
-    p, blocks = jnf_rational(system.matrix)
+    p, blocks = jordan_basis(system.matrix)
     p_inverse = mat_inv(p)
     delta = effect_bound(system.rounding) * max_abs_row_sum(p_inverse)
     initial = mat_vec(p_inverse, system.initial)

@@ -707,3 +707,29 @@ def test_decide_runs_without_sympy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outcome"] == "reached"
+
+
+def test_decide_runs_without_mpmath(tmp_path):
+    # a hyperbolic decide and a QBF compile, each in a fresh interpreter,
+    # settle every rounding in integers, so neither loads mpmath
+    blocks = (JordanBlock(2, Fraction(3), Angle(Fraction(1, 2))),
+              JordanBlock(1, Fraction(1, 2), Angle(Fraction(1))))
+    points = [tuple(ArgandPoint(Fraction(a), Fraction(b)) for a, b in row)
+              for row in (((1, 2), (-3, 1), (7, 0)), ((0, 0), (4, -4), (1, 0)))]
+    system = JnfSystem(blocks, *points, ArgandRounding(RoundingKind.FLOOR))
+    instance = write(tmp_path, "hyper.json", serialize_instance(system))
+    formula = write(tmp_path, "f.txt", "exists x1 forall x2 : (x1 | !x2)\n")
+    out = str(tmp_path / "qbf.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for args in (["decide", instance], ["compile-qbf", formula, "-o", out]):
+        script = (
+            "import sys\n"
+            "from roundreach import cli\n"
+            f"code = cli.main({args!r})\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, (args, proc.stderr)
+    assert json.loads(Path(out).read_text())["kind"] == "hardness"

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 import escape_reference
 import sympy_jordan
 from corpora import (
+    GRIDS as CORPUS_GRIDS,
     argand_corpus,
     hyperbolic_corpus,
+    on_grid,
     polar_corpus,
     rational_corpus,
     rational_matrices,
 )
-from escape_reference import max_abs_row_sum, modulus_upper
+from escape_reference import jordan_basis, max_abs_row_sum, modulus_upper
 from sympy_jordan import jordan_matrix
 from roundreach.argand_decider import decide_truncation
 from ball_reference import kball_count
@@ -199,7 +201,7 @@ def test_mat_inv_inverts_or_rejects_singular(m):
 
 def test_jnf_rational_reconstructs():
     for m, eigs in itertools.islice(rational_matrices(), 20):
-        p2, blocks = jnf_rational(m)
+        p2, blocks = jordan_basis(m)
         assert mat_mul(mat_mul(p2, jordan_matrix(blocks)), mat_inv(p2)) == m
         assert sorted(abs(b.eigen_modulus) for b in blocks for _ in range(b.size)) == \
             sorted(abs(e) for e in eigs)
@@ -257,7 +259,7 @@ def test_jnf_rational_rejects_a_repeated_column(monkeypatch):
 
 def jnf_p_j(m):
     """jnf_rational's P and the J its blocks make."""
-    p, blocks = jnf_rational(m)
+    p, blocks = jordan_basis(m)
     return p, jordan_matrix(blocks)
 
 
@@ -411,9 +413,16 @@ def test_decide_general_nontrivial_basis():
     assert isinstance(verdict.certificate, EscapedRadius)
 
 
+def _radius_table(radii_flat):
+    """A table of these radii, on their common denominator."""
+    den = math.lcm(*(c.denominator for c in radii_flat))
+    nums = tuple(c.numerator * (den // c.denominator) for c in radii_flat)
+    return RadiusTable(Fraction(2), Fraction(1), Fraction(1), nums, den)
+
+
 def _escape_analyzer(spec, radii_over_g):
     g = spec.granularity
-    table = RadiusTable(Fraction(2), g, g, tuple(r * g for r in radii_over_g))
+    table = _radius_table([r * g for r in radii_over_g])
     return HyperbolicBlockAnalyzer(1, table, spec)
 
 
@@ -462,7 +471,8 @@ def test_eigenbasis_escape_edge_in_grid_units(g):
     wide = Fraction(10**6)
     # the radius z_0 reaches at k = (1, 1) exactly, and one off the grid
     for radius in (Fraction(5, 6) * g, Fraction(3, 4) * g):
-        escape = _EigenbasisEscape(IntegerMatrix(p_inverse), (radius, wide), g)
+        escape = _EigenbasisEscape(IntegerMatrix(p_inverse),
+                                   [_radius_table((radius, wide))], g)
         for k in ((1, 1), (-1, -1), (3, -2), (5, -5)):
             assert escape.observe_initial(k) == EscapedRadius(0, radius), (radius, k)
             assert escape.observe(0, None, k) == EscapedRadius(0, radius)
@@ -471,7 +481,7 @@ def test_eigenbasis_escape_edge_in_grid_units(g):
             assert escape.observe_initial(k) is None, (radius, k)
     # every small state against the exact test |z_d| >= c_d
     radii_flat = (Fraction(5, 6) * g, Fraction(2) * g)
-    escape = _EigenbasisEscape(IntegerMatrix(p_inverse), radii_flat, g)
+    escape = _EigenbasisEscape(IntegerMatrix(p_inverse), [_radius_table(radii_flat)], g)
     for k in itertools.product(range(-4, 5), repeat=2):
         z = mat_vec(p_inverse, [v * g for v in k])
         expected = next((EscapedRadius(d, c) for d, (v, c) in enumerate(zip(z, radii_flat))
@@ -564,7 +574,8 @@ def test_box_and_disc_caps_give_the_same_verdicts(monkeypatch):
     boxed = [dispatch(s) for s in systems]
     box_runs = runs[:]
     runs.clear()
-    monkeypatch.setattr(hyperbolic, "kbox_count", kball_count)
+    monkeypatch.setattr(hyperbolic, "kbox_count",
+                        lambda num, den, spec: kball_count(Fraction(num, den), spec))
     assert [dispatch(s) for s in systems] == boxed
     disc_runs = runs
     assert len(disc_runs) == len(box_runs) >= 400
@@ -580,7 +591,7 @@ def test_an_orbit_forced_to_its_cap_ends_at_the_exact_cap(monkeypatch):
     system = _real_system([JordanBlock(1, Fraction(2), Angle(Fraction(0)))],
                           [(1,)], [(2**8,)], FL)
     assert decide_hyperbolic_jnf(system) == Reached(8)
-    monkeypatch.setattr(hyperbolic, "kbox_count", lambda c, spec: 7)
+    monkeypatch.setattr(hyperbolic, "kbox_count", lambda num, den, spec: 7)
     assert decide_hyperbolic_jnf(system) == NotReached(CycleDetected(7))
 
 
@@ -672,19 +683,20 @@ def _random_rational_systems(count):
 
 
 def test_eigenbasis_matches_the_fraction_reference():
-    for system in [*rational_corpus(), *_random_rational_systems(200)]:
+    on_grids = [on_grid(system, g) for g in CORPUS_GRIDS for system in rational_corpus()]
+    for system in [*on_grids, *_random_rational_systems(200)]:
         basis, tables, cap = eigenbasis(system)
         p_inverse, delta, initial, target, ref_tables, ref_cap = (
             escape_reference.eigenbasis(system))
-        n = len(p_inverse)
-        for column in range(n):
-            unit = [int(i == column) for i in range(n)]
-            assert basis.b.times(unit) == [basis.b.den * v for v in mat_vec(p_inverse, unit)]
+        # B = E*P^-1 with E the least common denominator of P^-1
+        b = IntegerMatrix(p_inverse)
+        assert (basis.b.den, basis.b.rows) == (b.den, b.rows), system
         assert (basis.delta, basis.initial, basis.target) == (delta, initial, target)
-        assert tables == ref_tables
+        assert [(t.eigen_modulus, t.delta, t.ell, t.radii) for t in tables] == [
+            (t.eigen_modulus, t.delta, t.ell, t.radii) for t in ref_tables]
         assert cap == ref_cap
         # the escape analyzer's integer bounds are the ceilings of c*E/g
         radii_flat = [c for table in tables for c in table.radii]
-        escape = _EigenbasisEscape(basis.b, radii_flat, system.rounding.granularity)
+        escape = _EigenbasisEscape(basis.b, tables, system.rounding.granularity)
         assert escape.bounds == tuple(
             math.ceil(c * basis.b.den / system.rounding.granularity) for c in radii_flat)
