@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
+from .hyperbolic import Fragment, UnitTable, decide_by_blocks, step_cap, unit_table
 from .numerics import Angle, ceil_sqrt, floor_sqrt
 from .rounding import (
     ArgandRounding,
@@ -67,19 +67,29 @@ def niven_classify(angle: Angle) -> AngleClass:
 _ZERO = (0, 0)
 
 
-def truncation_bounds(
-    system: JnfSystem, block_index: Optional[int] = None
-) -> UnitTable:
+def _sq(x: tuple[int, int]) -> int:
+    """The squared modulus of a coordinate (a, b) in grid units, over g^2."""
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def truncation_bounds(system: JnfSystem, block_index: int) -> UnitTable:
     """The budget tables of one unit-modulus block under
     modulus-non-increasing rounding: coordinate k resolves within
     ceil((2*u[k]/g)^size) steps, which for u[k] = U*g is (2U)^size, and the
     ceiling's exponent is size + 1.  initial_size is the summed 1-norm of
-    the block's starting coordinates, read in grid units off the kernel."""
+    the block's starting coordinates, read in grid units off the kernel.
+    Past its top settle bound the block may still owe a scheduled
+    divergence, within the target's 1-norm over g, the top modulus budget,
+    the target's largest squared modulus over g^2, and 8 steps more; it
+    then has at most 4 states, a constant rotator on a right angle."""
     spec = system.rounding
     if not isinstance(spec, ArgandRounding):
         raise ValueError("these budgets are defined for componentwise rounding")
     block, start, end = system.unit_block(block_index)
-    initial = sum(abs(a) + abs(b) for a, b in system.kernel.initial[start:end])
+    kernel = system.kernel
+    initial = sum(abs(a) + abs(b) for a, b in kernel.initial[start:end])
+    target = kernel.target[start:end]
+    reach = sum(abs(a) + abs(b) for a, b in target) + max(map(_sq, target)) + 8
     size = block.size
     g = spec.granularity
     gn, gd = g.numerator, g.denominator
@@ -90,7 +100,8 @@ def truncation_bounds(
     def settle(u: int) -> int:
         return (2 * u) ** size
 
-    return unit_table(size, g, initial, settle(initial), settle, growth, size + 1)
+    return unit_table(size, g, initial, settle(initial), settle, growth, size + 1,
+                      lambda u: (reach + u[0], 4))
 
 
 def _divergence_due(
@@ -106,11 +117,6 @@ def _divergence_due(
         ceil_sqrt(4 * above_sq), 2
     )
     return floor_sqrt(reach * reach / value_sq) + 1
-
-
-def _sq(x: tuple[int, int]) -> int:
-    """The squared modulus of a coordinate (a, b) in grid units, over g^2."""
-    return x[0] * x[0] + x[1] * x[1]
 
 
 class _ArgandBlockAnalyzer:
@@ -183,11 +189,6 @@ class _ArgandBlockAnalyzer:
         )
         self.pending = (due, a - 1)
         return None
-
-    def _watch(
-        self, step_index: int, a: int, prev: Sequence, new: Sequence
-    ) -> Optional[Certificate]:
-        raise NotImplementedError
 
     def observe(
         self, step_index: int, prev: Sequence, new: Sequence
@@ -304,32 +305,13 @@ class ExpansionBlockAnalyzer(_ArgandBlockAnalyzer):
 
 
 def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
-    """Safety-net step bound: per-block budgets, target-distance slack for
-    the scheduled divergences, and a joint state count for the cycle, read
-    off the blocks' tables."""
-    spec = system.rounding
-    settle = 0
-    states = 1
-    for (start, end), table in zip(system.block_slices(), tables):
-        if isinstance(table, RadiusTable):
-            states *= table.step_bound(spec)
-            continue
-        # the target's 1-norm over g and its largest squared modulus over
-        # g^2, both integers in grid units
-        target = system.kernel.target[start:end]
-        slack = (
-            sum(abs(a) + abs(b) for a, b in target)
-            + table.modulus_steps[0]
-            + max(map(_sq, target))
-            + 8
-        )
-        settle += table.settle_bounds[0] + slack
-        states *= 4
-    return settle + states + 2
+    """hyperbolic.step_cap.  No decider calls this name; it stays because
+    perfbench/layertrace.py TARGETS looks it up."""
+    return step_cap(system, tables)
 
 
-TRUNCATION = Fragment(argand_step_cap, truncation_bounds, TruncationBlockAnalyzer)
-EXPANSION = Fragment(argand_step_cap, truncation_bounds, ExpansionBlockAnalyzer)
+TRUNCATION = Fragment(truncation_bounds, TruncationBlockAnalyzer)
+EXPANSION = Fragment(truncation_bounds, ExpansionBlockAnalyzer)
 
 
 def _decide_argand(system: JnfSystem, kind: RoundingKind, fragment: Fragment) -> Verdict:

@@ -28,6 +28,7 @@ from .hyperbolic import (
     decide_hyperbolic_general,
     decide_hyperbolic_jnf,
     eigenbasis,
+    step_cap,
 )
 from .numerics import Angle
 from .polar_decider import POLAR, decide_polar
@@ -87,6 +88,20 @@ def _rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+# CPython 3.11 refuses to write an integer of more than 4300 digits in
+# decimal, and past a million digits writing one takes minutes
+_PRINTABLE = 10**4300
+
+
+def _bound_str(value: Fraction) -> str:
+    """A nonnegative bound as `bounds` prints it: exact, or as < 2^N, N the
+    bit length of its ceiling, once it has more than 4300 digits."""
+    value = Fraction(value)
+    if value.numerator < _PRINTABLE and value.denominator < _PRINTABLE:
+        return _rational_str(value)
+    return f"< 2^{(-(-value.numerator // value.denominator)).bit_length()}"
 
 
 def _parse_angle(text) -> Angle:
@@ -389,7 +404,7 @@ def _table_lines(chosen: Route, system: Instance) -> list[str]:
         blocks, proved = basis.blocks, True
     else:
         tables = fragment.tables(system)
-        cap = fragment.step_cap(system, tables)
+        cap = step_cap(system, tables)
         # the deciders pass system.is_hyperbolic as cap_is_state_bound
         lines, blocks, proved = [], system.blocks, system.is_hyperbolic
     for i, (block, table) in enumerate(zip(blocks, tables)):
@@ -401,20 +416,20 @@ def _table_lines(chosen: Route, system: Instance) -> list[str]:
         if isinstance(table, RadiusTable):
             lines.append(
                 "  escape radius per dimension: "
-                + ", ".join(_rational_str(r) for r in table.radii)
+                + ", ".join(_bound_str(r) for r in table.radii)
             )
             continue
         lines.append(
             "  modulus ceiling per dimension: "
-            + ", ".join(_rational_str(u) for u in table.modulus_bounds)
+            + ", ".join(_bound_str(u) for u in table.modulus_bounds)
         )
         lines.append(
             "  settle bound per dimension:    "
-            + ", ".join(str(t) for t in table.settle_bounds)
+            + ", ".join(_bound_str(t) for t in table.settle_bounds)
         )
-        lines.append(f"  growth base: {_rational_str(table.growth_base)}")
+        lines.append(f"  growth base: {_bound_str(table.growth_base)}")
     label = "proved state bound" if proved else "safety net"
-    lines.append(f"step cap: {cap} ({label})")
+    lines.append(f"step cap: {_bound_str(cap)} ({label})")
     return lines
 
 

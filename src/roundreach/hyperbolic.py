@@ -63,14 +63,11 @@ class RadiusTable:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     def step_bound(self, spec: RoundingSpec) -> int:
-        """States available to this block: the product of the box counts,
-        floored by the bounding-hypercube count (2*Cmax/g)^size."""
+        """States available to this block: the product of the box counts."""
         product = 1
         for c in self.nums:
             product *= kbox_count(c, self.den, spec)
-        g = spec.granularity
-        side, over = 2 * max(self.nums) * g.denominator, self.den * g.numerator
-        return max(product, -(-side**self.size // over**self.size))
+        return product
 
 
 def _larger(a: Rational, b: Rational) -> Rational:
@@ -188,6 +185,9 @@ class UnitTable:
     of the block's starting coordinates, and growth the growth base as a
     (numerator, denominator) pair.  The rational views below are for
     output.
+
+    The block's part of the step cap: it is done within settle_steps, and
+    from then on it has at most `states` states.
     """
 
     granularity: Fraction
@@ -196,6 +196,8 @@ class UnitTable:
     exponent: int
     modulus_steps: tuple[int, ...]
     settle_bounds: tuple[int, ...]
+    settle_steps: int
+    states: int
 
     @property
     def initial_size(self) -> Fraction:
@@ -223,15 +225,18 @@ def unit_table(
     settle: Callable[[int], int],
     growth: tuple[int, int],
     exponent: int,
+    count: Callable[[tuple[int, ...]], tuple[int, int]],
 ) -> UnitTable:
     """Evaluate the budget recurrence of a unit-modulus block in grid steps:
     the bottom coordinate settles by step `last`, and coordinate k, watched
     once the one below has settled, stays within
     initial_steps + size*t[k+1]*u[k+1] steps and resolves within
-    settle(u[k]) more.  Checks the modulus table against
-    doubly_exponential_ceiling on integer numerators: with g = gn/gd, the
-    clamped initial size C = max(initial_steps*gn, gd)/gd and the growth
-    base G = Gn/Gd, u*g <= (G*C)^e reads u*gn*(Gd*gd)^e <= gd*(Gn*Cn)^e."""
+    settle(u[k]) more.  count(u) gives, from the modulus table, the steps
+    the block may take past t[0] and its state count.  Checks the modulus
+    table against doubly_exponential_ceiling on integer numerators: with
+    g = gn/gd, the clamped initial size C = max(initial_steps*gn, gd)/gd
+    and the growth base G = Gn/Gd, u*g <= (G*C)^e reads
+    u*gn*(Gd*gd)^e <= gd*(Gn*Cn)^e."""
     u = [initial_steps] * size
     t = [last] * size
     for k in range(size - 2, -1, -1):
@@ -246,28 +251,37 @@ def unit_table(
             raise InternalInvariantError(
                 f"modulus table exceeds its closed-form ceiling at height {j}"
             )
-    return UnitTable(granularity, initial_steps, growth, exponent, tuple(u), tuple(t))
+    u, t = tuple(u), tuple(t)
+    slack, states = count(u)
+    return UnitTable(granularity, initial_steps, growth, exponent, u, t, t[0] + slack, states)
 
 
-def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
-    """The product of every radius's box count."""
-    cap = 1
+def step_cap(system: JnfSystem, tables: Sequence) -> int:
+    """The pigeonhole cap of a Jordan-form decider, read off every block's
+    table: the product of the tables' state counts, a RadiusTable's boxes
+    or a UnitTable's states.  With no modulus-one block that product bounds
+    the distinct states the orbit can visit.  Otherwise the cap is a
+    safety net: every unit block's settle steps, plus the product, plus 2."""
+    spec = system.rounding
+    settle, states = 0, 1
     for table in tables:
-        for c in table.nums:
-            cap *= kbox_count(c, table.den, system.rounding)
-    return cap
+        if isinstance(table, RadiusTable):
+            states *= table.step_bound(spec)
+        else:
+            settle += table.settle_steps
+            states *= table.states
+    return states if system.is_hyperbolic else settle + states + 2
 
 
 @dataclass(frozen=True)
 class Fragment:
     """What a Jordan-form decider runs on: unit_tables(system, index) builds
-    the UnitTable of a block whose eigenvalue has modulus one, unit_analyzer
-    (offset, block, the system's StepKernel) watches such a block, reading
-    the rounding, the field order and the encoded target from the kernel,
-    and step_cap(system, tables) reads the cap off every block's table.
-    With no unit_tables the fragment covers no modulus-one block."""
+    the UnitTable of a block whose eigenvalue has modulus one, and
+    unit_analyzer(offset, block, the system's StepKernel) watches such a
+    block, reading the rounding, the field order and the encoded target
+    from the kernel.  With no unit_tables the fragment covers no
+    modulus-one block; step_cap reads the cap off the tables."""
 
-    step_cap: Callable[[JnfSystem, Sequence], int]
     unit_tables: Optional[Callable[[JnfSystem, int], Any]] = None
     unit_analyzer: Optional[Callable[..., BlockAnalyzer]] = None
 
@@ -283,7 +297,7 @@ class Fragment:
         ]
 
 
-HYPERBOLIC = Fragment(hyperbolic_step_cap)
+HYPERBOLIC = Fragment()
 
 
 def block_tables(system: JnfSystem) -> list[RadiusTable]:
@@ -308,7 +322,7 @@ def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     return run_lock_step(
         system,
         analyzers,
-        step_cap=fragment.step_cap(system, tables),
+        step_cap=step_cap(system, tables),
         cap_is_state_bound=system.is_hyperbolic,
     )
 

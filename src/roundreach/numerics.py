@@ -144,12 +144,6 @@ class Angle:
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.pi_multiple + other.pi_multiple)
 
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.pi_multiple - other.pi_multiple)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.pi_multiple)
-
     def is_zero(self) -> bool:
         return self.pi_multiple == 0
 

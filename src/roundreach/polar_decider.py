@@ -15,7 +15,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError
-from .hyperbolic import Fragment, RadiusTable, UnitTable, decide_by_blocks, unit_table
+from .hyperbolic import Fragment, UnitTable, decide_by_blocks, step_cap, unit_table
 from .numerics import Angle, CycloNum, Rational, embed_polar, modulus_sq, sign_of_real
 from .rounding import PolarRounding, modulus_effect_bound
 from .system import (
@@ -82,14 +82,14 @@ class PhiMode(enum.Enum):
     PHI_SMALL = "small"
 
 
-def resource_bounds(
-    system: JnfSystem, block_index: Optional[int] = None
-) -> UnitTable:
+def resource_bounds(system: JnfSystem, block_index: int) -> UnitTable:
     """The settling-time and modulus tables of one unit-modulus block of a
     polar instance: a dimension settles into rotation or produces a
     divergence certificate within ceil((Y + u)*(2R)^2) steps of the one
     below, Y the target's summed moduli; the ceiling's exponent is 2.  The
-    summed moduli are read in grid units off the kernel."""
+    summed moduli are read in grid units off the kernel.  Once settled, the
+    block has at most 1 + (u + 1)*2R states per coordinate, u its modulus
+    budget."""
     spec = system.rounding
     if not isinstance(spec, PolarRounding):
         raise ValueError("resource tables are defined for polar rounding")
@@ -108,7 +108,13 @@ def resource_bounds(
     def settle(u: int) -> int:
         return -(-(target + u) * gn * angle_count_sq // gd)
 
-    return unit_table(size, g, initial, 1, settle, growth, 2)
+    def count(budgets: tuple[int, ...]) -> tuple[int, int]:
+        states = 1
+        for u in budgets:
+            states *= 1 + (u + 1) * 2 * spec.angle_resolution
+        return 0, states
+
+    return unit_table(size, g, initial, 1, settle, growth, 2, count)
 
 
 class _DimensionMachine:
@@ -305,24 +311,12 @@ class PolarBlockAnalyzer:
 
 
 def polar_step_cap(system: JnfSystem, tables: Optional[Sequence] = None) -> int:
-    """Safety-net step bound: settle times plus a joint state count, read
-    off the blocks' tables (POLAR's, built here when none are given)."""
-    spec = system.rounding
-    if tables is None:
-        tables = POLAR.tables(system)
-    settle = 0
-    states = 1
-    for table in tables:
-        if isinstance(table, RadiusTable):
-            states *= table.step_bound(spec)
-            continue
-        settle += table.settle_bounds[0]
-        for u in table.modulus_steps:
-            states *= 1 + (u + 1) * 2 * spec.angle_resolution
-    return settle + states + 2
+    """hyperbolic.step_cap over POLAR's tables, built here when none are
+    given."""
+    return step_cap(system, POLAR.tables(system) if tables is None else tables)
 
 
-POLAR = Fragment(polar_step_cap, resource_bounds, PolarBlockAnalyzer)
+POLAR = Fragment(resource_bounds, PolarBlockAnalyzer)
 
 
 def decide_polar(system: JnfSystem) -> Verdict:

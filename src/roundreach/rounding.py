@@ -166,9 +166,6 @@ class ArgandPoint:
         object.__setattr__(self, "re", _fraction(self.re))
         object.__setattr__(self, "im", _fraction(self.im))
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def modulus_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

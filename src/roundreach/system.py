@@ -90,17 +90,9 @@ class JnfSystem:
             at += b.size
         return out
 
-    def unit_block(self, index: Optional[int] = None) -> tuple[JordanBlock, int, int]:
-        """A block whose eigenvalue has modulus one, with its coordinate
-        range: the indexed one, or with no index the only one."""
-        if index is None:
-            units = [i for i, b in enumerate(self.blocks) if b.eigen_modulus == 1]
-            if len(units) != 1:
-                raise ValueError(
-                    "pass block_index when the system has several unit blocks"
-                    if units else "the system has no block of eigenvalue modulus one"
-                )
-            index = units[0]
+    def unit_block(self, index: int) -> tuple[JordanBlock, int, int]:
+        """The indexed block, whose eigenvalue must have modulus one, with
+        its coordinate range."""
         modulus = self.blocks[index].eigen_modulus
         if modulus != 1:
             raise ValueError(f"block {index} has eigenvalue modulus {modulus}, not one")
@@ -509,10 +501,6 @@ class RationalSystem:
         for v in (*self.initial, *self.target):
             if (v / g).denominator != 1:
                 raise ValueError(f"{v} is not on the granularity-{g} grid")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
 
     @cached_property
     def kernel(self) -> "RationalKernel":

@@ -1,13 +1,12 @@
-"""The step caps as they were computed from `Fraction` tables, kept as a
-test reference.
+"""The step cap as computed from `Fraction` tables, kept as a test
+reference.
 
-`RadiusTable.step_bound`, `hyperbolic_step_cap`, `argand_step_cap` and
-`polar_step_cap` read their counts off `Fraction` radii and moduli, one
-`kbox_count` division of a `Fraction` radius by the granularity per
-radius.  They are kept here as they were, over the `Fraction` tables of
-`escape_reference` and `unit_tables_reference` (`tables`), so
-differential tests can check the integer caps against them.  Only the
-tests import this module.
+`RadiusTable.step_bound` and `hyperbolic.step_cap` read their counts off
+integer tables.  Here the same rule reads them off `Fraction` radii and
+moduli, one `kbox_count` division of a `Fraction` radius by the
+granularity per radius, over the `Fraction` tables of `escape_reference`
+and `unit_tables_reference` (`tables`), so differential tests can check
+the integer caps against it.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -34,14 +33,11 @@ def kbox_count(radius: Fraction, spec: RoundingSpec) -> int:
 
 
 def step_bound(table: RadiusTable, spec: RoundingSpec) -> int:
-    """RadiusTable.step_bound: the product of the box counts, floored by
-    the bounding-hypercube count (2*Cmax/g)^size."""
+    """RadiusTable.step_bound: the product of the box counts."""
     product = 1
     for c in table.radii:
         product *= kbox_count(c, spec)
-    cmax = max(table.radii)
-    cube = (2 * cmax / spec.granularity) ** len(table.radii)
-    return max(product, math.ceil(cube))
+    return product
 
 
 def tables(system: JnfSystem) -> list:
@@ -54,44 +50,40 @@ def tables(system: JnfSystem) -> list:
             for i, block in enumerate(system.blocks)]
 
 
-def hyperbolic_step_cap(system: JnfSystem, tables: Sequence[RadiusTable]) -> int:
-    cap = 1
-    for table in tables:
-        for c in table.radii:
-            cap *= kbox_count(c, system.rounding)
-    return cap
-
-
-def argand_step_cap(system: JnfSystem, tables: Sequence) -> int:
+def unit_count(system: JnfSystem, index: int, table) -> tuple[int, int]:
+    """A unit block's settle steps and state count.  Under polar rounding:
+    its top settle bound, and 1 + (u + 1)*2R states per coordinate of
+    modulus budget u*g.  Under truncation and expansion: the top settle
+    bound plus the scheduled divergences' slack, and 4 states."""
     spec = system.rounding
-    settle = 0
-    states = 1
-    for (start, end), table in zip(system.block_slices(), tables):
-        if isinstance(table, RadiusTable):
-            states *= step_bound(table, spec)
-            continue
-        target = system.kernel.target[start:end]
-        slack = (
-            sum(abs(a) + abs(b) for a, b in target)
-            + math.ceil(table.modulus_bounds[0] / spec.granularity)
-            + max(a * a + b * b for a, b in target)
-            + 8
-        )
-        settle += table.settle_bounds[0] + slack
-        states *= 4
-    return settle + states + 2
-
-
-def polar_step_cap(system: JnfSystem, tables: Sequence) -> int:
-    spec = system.rounding
-    settle = 0
-    states = 1
-    for table in tables:
-        if isinstance(table, RadiusTable):
-            states *= step_bound(table, spec)
-            continue
-        settle += table.settle_bounds[0]
+    if isinstance(spec, PolarRounding):
+        states = 1
         for bound in table.modulus_bounds:
             steps = int(bound / spec.granularity) + 1
             states *= 1 + steps * 2 * spec.angle_resolution
-    return settle + states + 2
+        return table.settle_bounds[0], states
+    start, end = system.block_slices()[index]
+    target = system.kernel.target[start:end]
+    slack = (
+        sum(abs(a) + abs(b) for a, b in target)
+        + math.ceil(table.modulus_bounds[0] / spec.granularity)
+        + max(a * a + b * b for a, b in target)
+        + 8
+    )
+    return table.settle_bounds[0] + slack, 4
+
+
+def step_cap(system: JnfSystem, tables: Sequence) -> int:
+    """hyperbolic.step_cap: the product of the blocks' state counts, a
+    proved bound when no eigenvalue has modulus one; otherwise every unit
+    block's settle steps, plus the product, plus 2."""
+    settle = 0
+    states = 1
+    for index, table in enumerate(tables):
+        if isinstance(table, RadiusTable):
+            states *= step_bound(table, system.rounding)
+            continue
+        steps, count = unit_count(system, index, table)
+        settle += steps
+        states *= count
+    return states if system.is_hyperbolic else settle + states + 2

@@ -10,6 +10,7 @@ import sympy
 from roundreach.numerics import Angle
 from roundreach.rounding import ArgandPoint, ArgandRounding, RoundingKind
 from roundreach.argand_decider import (
+    TruncationBlockAnalyzer,
     decide_expansion,
     decide_truncation,
     niven_classify,
@@ -148,14 +149,16 @@ def test_truncation_builds_each_escape_table_once(monkeypatch):
 
 def test_truncation_bounds_frozen_tables():
     s = make(B1_45, (A(3),), (A(0),), TR)
-    b = truncation_bounds(s)
+    b = truncation_bounds(s, 0)
     assert b.initial_size == 3
     assert b.modulus_bounds == (Fraction(3),)
     assert b.settle_bounds == (6,)
     assert b.growth_base == 12
+    # 6 plus the divergence slack: 1-norm 0, top budget 3, squared modulus 0, 8
+    assert (b.settle_steps, b.states) == (17, 4)
 
     s = make(B2_45, (A(3), A(2)), (A(0), A(0)), TR)
-    b = truncation_bounds(s)
+    b = truncation_bounds(s, 0)
     assert b.initial_size == 5
     assert b.modulus_bounds == (Fraction(1005), Fraction(5))
     assert b.settle_bounds == (4040200, 100)
@@ -172,7 +175,7 @@ def test_truncation_bounds_ceiling_sweep():
                         for _ in range(size))
         target = tuple(A(0) for _ in range(size))
         s = make(blocks, initial, target, TR, g)
-        b = truncation_bounds(s)
+        b = truncation_bounds(s, 0)
         for j in range(size):
             assert b.modulus_bounds[size - 1 - j] <= b.doubly_exponential_ceiling(j)
         assert all(a >= c for a, c in zip(b.settle_bounds, b.settle_bounds[1:]))
@@ -240,3 +243,48 @@ def test_truncation_package_orbits_match_integer_model():
             state = step(s, state)
             model = _truncated_eighth_turn(*model)
             assert (state[0].re, state[0].im) == model
+
+
+def test_truncation_watch_climbs_past_zero_targets_as_brute_force_does(monkeypatch):
+    # targets zero at the bottom of an off-axis block: each coordinate that
+    # truncates to zero hands the watch up, and a block that dies entirely
+    # stays all zero while a second block, zero but aimed at (1, 0), keeps
+    # the orbit running until it repeats
+    climbs, all_zero_steps = [], []
+    watch = TruncationBlockAnalyzer._watch
+    zero_floor = TruncationBlockAnalyzer._assert_zero_floor
+
+    def spy_watch(self, step_index, a, prev, new):
+        cert = watch(self, step_index, a, prev, new)
+        if cert is None and self.active != a:
+            climbs.append((a, self.active))
+        return cert
+
+    def spy_zero_floor(self, new, below):
+        if below == -1:
+            all_zero_steps.append(new)
+        return zero_floor(self, new, below)
+
+    monkeypatch.setattr(TruncationBlockAnalyzer, "_watch", spy_watch)
+    monkeypatch.setattr(TruncationBlockAnalyzer, "_assert_zero_floor", spy_zero_floor)
+    rng = random.Random(2027)
+    idle = JordanBlock(1, Fraction(1, 2), Angle(Fraction(0)))
+    for trial in range(60):
+        size = rng.randint(2, 3)
+        angle = Angle(rng.choice([Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(2, 3)]))
+        initial = tuple(A(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(size))
+        live = rng.randint(0, size - 1)
+        target = tuple(A(rng.randint(-2, 2), rng.randint(-2, 2)) if j < live else A(0)
+                       for j in range(size))
+        blocks = (JordanBlock(size, Fraction(1), angle),)
+        if trial % 2:
+            blocks, initial, target = blocks + (idle,), initial + (A(0),), target + (A(1),)
+        s = make(blocks, initial, target, TR)
+        mine, ref = decide_truncation(s), brute_force_decide(s, step_bound=10**5)
+        assert ref != NotReached(CycleDetected(10**5)), s
+        assert isinstance(mine, Reached) == isinstance(ref, Reached), s
+        if isinstance(ref, Reached):
+            assert mine == ref, s
+    assert len(climbs) >= 20
+    assert len(all_zero_steps) >= 5
+    assert all(all(x == (0, 0) for x in state[:-1]) for state in all_zero_steps)

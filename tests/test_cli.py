@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus, rational_corpus
-from roundreach import hyperbolic, system as system_module
+from roundreach import argand_decider, cli, hyperbolic, system as system_module
 from roundreach.cli import dispatch, main, parse_instance, serialize_instance, verdict_json
 from roundreach.numerics import Angle
 from roundreach.qbf_compiler import GadgetFamily
@@ -556,7 +556,7 @@ step cap: 785 (safety net)
 """
 
 # SHA-256 of the `bounds` output of every system of criteria 4, 6 and 7 in turn
-BOUNDS_CORPUS_DIGEST = "4e3728466bae3e8fa96117d9ccf71331c716b2616a2fb56ccab9c32abcd68f92"
+BOUNDS_CORPUS_DIGEST = "e6aa57d5e7c1f4a0714904f17a5bb67b6e42a9d7bc34eda042d263a051c44dce"
 
 
 def test_bounds_bytes_are_pinned(tmp_path, capsys):
@@ -575,6 +575,50 @@ def test_bounds_bytes_are_pinned(tmp_path, capsys):
         assert main(["bounds", str(path)]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == BOUNDS_CORPUS_DIGEST
+
+
+def truncation_block(size: int) -> JnfSystem:
+    """One truncation block at angle pi/3 that starts on its target, every
+    point (3, 0)."""
+    points = tuple(ArgandPoint(Fraction(3), Fraction(0)) for _ in range(size))
+    return JnfSystem((JordanBlock(size, Fraction(1), Angle(Fraction(1, 3))),),
+                     points, points, ArgandRounding(RoundingKind.TRUNCATE))
+
+
+def assert_printed(text: str, value: int) -> None:
+    """`bounds` writes a value of up to 4300 digits exactly, else < 2^N."""
+    if value < 10**4300:
+        assert text == str(value)
+    else:
+        assert text == f"< 2^{value.bit_length()}"
+
+
+@pytest.mark.parametrize("size", [5, 6, 7])
+def test_bounds_writes_huge_unit_budgets_by_bit_length(size, tmp_path, capsys, monkeypatch):
+    # the settle budgets grow doubly exponentially in the block size: the
+    # top one has 10,477 digits at size 5 and 3.2 million at size 7
+    tables, caps = [], []
+    unit_table, step_cap = argand_decider.unit_table, cli.step_cap
+    monkeypatch.setattr(argand_decider, "unit_table",
+                        lambda *args: tables.append(unit_table(*args)) or tables[-1])
+    monkeypatch.setattr(cli, "step_cap", lambda *args: caps.append(step_cap(*args)) or caps[-1])
+    path = write(tmp_path, "inst.json", serialize_instance(truncation_block(size)))
+    assert main(["bounds", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (table,), (cap,) = tables, caps
+
+    def values(line: str) -> list[str]:
+        return line.split(":", 1)[1].strip().split(", ")
+
+    assert lines[1].startswith("  modulus ceiling per dimension: ")
+    for text, u in zip(values(lines[1]), table.modulus_steps, strict=True):
+        assert_printed(text, u)
+    assert lines[2].startswith("  settle bound per dimension: ")
+    for text, t in zip(values(lines[2]), table.settle_bounds, strict=True):
+        assert_printed(text, t)
+    assert values(lines[2])[0].startswith("< 2^")
+    assert lines[-1].startswith("step cap: ") and lines[-1].endswith(" (safety net)")
+    assert_printed(lines[-1][len("step cap: "):-len(" (safety net)")], cap)
 
 
 def rescaled(system, g: Fraction):

@@ -10,15 +10,8 @@ import caps_reference
 from corpora import GRIDS, argand_corpus, hyperbolic_corpus, on_grid, polar_corpus
 from roundreach.argand_decider import EXPANSION, TRUNCATION
 from roundreach.cli import route
-from roundreach.hyperbolic import HYPERBOLIC, RadiusTable
+from roundreach.hyperbolic import HYPERBOLIC, RadiusTable, step_cap
 from roundreach.polar_decider import POLAR
-
-REFERENCE_CAPS = {
-    HYPERBOLIC: caps_reference.hyperbolic_step_cap,
-    TRUNCATION: caps_reference.argand_step_cap,
-    EXPANSION: caps_reference.argand_step_cap,
-    POLAR: caps_reference.polar_step_cap,
-}
 
 
 def fields(table):
@@ -32,7 +25,7 @@ def fields(table):
 
 @pytest.mark.parametrize("g", GRIDS)
 def test_block_tables_and_step_caps_match_the_fraction_reference(g):
-    checked = dict.fromkeys(REFERENCE_CAPS, 0)
+    checked = dict.fromkeys((HYPERBOLIC, TRUNCATION, EXPANSION, POLAR), 0)
     for corpus in (hyperbolic_corpus, polar_corpus, argand_corpus):
         for system in corpus():
             system = on_grid(system, g)
@@ -40,12 +33,14 @@ def test_block_tables_and_step_caps_match_the_fraction_reference(g):
             tables = fragment.tables(system)
             expected = caps_reference.tables(system)
             assert [fields(t) for t in tables] == [fields(t) for t in expected], system
-            for table, ref in zip(tables, expected):
+            for index, (table, ref) in enumerate(zip(tables, expected)):
                 if isinstance(table, RadiusTable):
                     spec = system.rounding
                     assert table.step_bound(spec) == caps_reference.step_bound(ref, spec)
-            cap = fragment.step_cap(system, tables)
-            assert cap == REFERENCE_CAPS[fragment](system, expected), system
+                else:
+                    count = caps_reference.unit_count(system, index, ref)
+                    assert (table.settle_steps, table.states) == count, system
+            assert step_cap(system, tables) == caps_reference.step_cap(system, expected), system
             checked[fragment] += 1
     # criterion 4 runs under the escape-radius and truncation fragments,
     # criterion 6 under polar, criterion 7 under truncation and expansion

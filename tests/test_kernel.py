@@ -28,7 +28,7 @@ MODULI = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 # the axes, each of Niven's rational cases off them (denominators 3, 4, 6),
 # and angles whose cos and sin are both irrational
 ANGLES = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
-          Fraction(2, 3), Fraction(5, 6), Fraction(7, 4),
+          Fraction(3, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 4),
           Fraction(1, 7), Fraction(2, 5), Fraction(1, 42)]
 GRANULARITIES = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
 

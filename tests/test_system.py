@@ -222,6 +222,27 @@ def test_brute_force_ball_bound():
     assert isinstance(verdict.certificate, EscapedRadius)
 
 
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_polar_ball_edge_in_grid_units(g):
+    # two quarter-turn rotators keep every modulus, so from angle index 1
+    # the orbit repeats its start at step 4 unless a coordinate lies outside
+    # the ball; a polar coordinate is outside when its modulus k*g exceeds
+    # the radius, whatever its angle index
+    spec = PolarRounding(MU, 2, g)
+    quarter = JordanBlock(1, Fraction(1), Angle(Fraction(1, 2)))
+
+    def oracle(x, radius):
+        system = JnfSystem((quarter, quarter), x, (P(100 * g), P(100 * g)), spec)
+        return brute_force_decide(system, ball_bound=radius, step_bound=10)
+
+    for units in (1, 4):
+        radius = units * g
+        on, past = P(units * g, 1), P((units + 1) * g, 3)
+        assert oracle((on, on), radius) == NotReached(CycleDetected(4))
+        assert oracle((on, past), radius) == NotReached(EscapedRadius(1, radius))
+        assert oracle((past, on), radius) == NotReached(EscapedRadius(0, radius))
+
+
 def test_brute_force_rational_path():
     m = ((Fraction(1, 2),),)
     rs = RationalSystem(m, (Fraction(9),), (Fraction(0),), ArgandRounding(FL, Fraction(1)))

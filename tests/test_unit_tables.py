@@ -86,19 +86,10 @@ def _argand(blocks) -> JnfSystem:
     return JnfSystem(blocks, points, points, ArgandRounding(RoundingKind.TRUNCATE))
 
 
-def test_unit_block_needs_a_unit_block():
-    system = _argand((HYPERBOLIC,))
-    with pytest.raises(ValueError, match="no block of eigenvalue modulus one"):
-        system.unit_block()
-    with pytest.raises(ValueError, match="no block of eigenvalue modulus one"):
-        truncation_bounds(system)
-
-
 def test_unit_block_rejects_an_index_off_the_unit_circle():
     unit = JordanBlock(1, Fraction(1), Angle(Fraction(1, 4)))
     system = _argand((unit, HYPERBOLIC))
     assert system.unit_block(0) == (unit, 0, 1)
-    assert system.unit_block() == (unit, 0, 1)
     with pytest.raises(ValueError, match="block 1 has eigenvalue modulus 2, not one"):
         system.unit_block(1)
     with pytest.raises(ValueError, match="block 1 has eigenvalue modulus 2, not one"):
