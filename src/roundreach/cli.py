@@ -75,9 +75,20 @@ Instance = Union[RationalSystem, JnfSystem]
 
 
 def _parse_rational(text) -> Fraction:
+    """A rational string as Fraction(text) reads it.  The two forms
+    serialize_instance writes, -?d+ and -?d+/d+ in ASCII digits with a
+    nonzero denominator, are read as integers; Fraction's own parser takes
+    every other string, so it alone decides what is accepted."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     try:
+        if text.isascii():
+            num, slash, den = text.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.strip("0"):
+                    return Fraction(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}") from exc
@@ -121,9 +132,11 @@ def _array(value, what: str) -> list:
     return value
 
 
-def _require_fields(obj: dict, required: Sequence[str], what: str) -> None:
+def _require_fields(obj: dict, required: tuple[str, ...], what: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    if tuple(obj) == required:  # the key order serialize_instance writes
+        return
     missing = [k for k in required if k not in obj]
     if missing:
         raise ValueError(f"{what} is missing field(s) {missing}")

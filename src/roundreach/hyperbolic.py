@@ -30,6 +30,7 @@ from .system import (
     JnfSystem,
     JordanBlock,
     RationalSystem,
+    Reached,
     Verdict,
     iterate,
     run_lock_step,
@@ -308,9 +309,13 @@ def block_tables(system: JnfSystem) -> list[RadiusTable]:
 def decide_by_blocks(system: JnfSystem, fragment: Fragment) -> Verdict:
     """Run the lock-step driver over the fragment's tables: the escape-radius
     analyzer on every block with a radius table, the fragment's unit
-    analyzer on the others, and the cap read off the same tables."""
-    tables = fragment.tables(system)
+    analyzer on the others, and the cap read off the same tables.  A start
+    on the target is Reached(0), as iterate would answer, before any table
+    is built: a large unit block's settle budgets cost seconds."""
     kernel = system.kernel
+    if kernel.initial == kernel.target:
+        return Reached(0)
+    tables = fragment.tables(system)
     analyzers = [
         HyperbolicBlockAnalyzer(start, table, system.rounding)
         if isinstance(table, RadiusTable)

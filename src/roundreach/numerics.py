@@ -130,7 +130,11 @@ class Angle:
     pi_multiple: Fraction
 
     def __init__(self, numerator: Rational, denominator: int = 1) -> None:
-        frac = Fraction(numerator, denominator) % 2
+        if (denominator == 1 and isinstance(numerator, Fraction)
+                and 0 <= numerator.numerator < 2 * numerator.denominator):
+            frac = numerator  # already reduced and in [0, 2)
+        else:
+            frac = Fraction(numerator, denominator) % 2
         object.__setattr__(self, "pi_multiple", frac)
 
     @property
@@ -312,11 +316,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return Fraction(self.num[0], self.den)
-
     def is_real_symbolic(self) -> bool:
         return self == self.conjugate()
 
@@ -439,12 +438,78 @@ def refine(enclose, cap: int, decide):
     return None
 
 
+# 4*cos(pi*m/12) over the basis (1, sqrt2, sqrt3, sqrt6): for m in [0, 6],
+# and by cos(pi - x) = -cos(x) and cos(2pi - x) = cos(x) for m in [0, 24)
+_COS_FIRST = ((4, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 2, 0, 0),
+              (2, 0, 0, 0), (0, -1, 0, 1), (0, 0, 0, 0))
+_COS_TWELFTHS = tuple(
+    _COS_FIRST[m] if m <= 6 else tuple(-v for v in _COS_FIRST[12 - m])
+    for m in (min(k, 24 - k) for k in range(24))
+)
+
+
+def _sign_sqrt2(x: int, y: int) -> int:
+    """Sign of x + y*sqrt2 for integers x, y."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    n = x * x - 2 * y * y
+    return sx * ((n > 0) - (n < 0))
+
+
+def _sign_biquadratic(a: int, b: int, c: int, d: int) -> int:
+    """Sign of p + q*sqrt3 with p = a + b*sqrt2 and q = c + d*sqrt2: where
+    p and q have opposite signs it is p's sign times that of
+    p^2 - 3q^2 = (a^2 + 2b^2 - 3c^2 - 6d^2) + 2(ab - 3cd)*sqrt2."""
+    sp, sq = _sign_sqrt2(a, b), _sign_sqrt2(c, d)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    return sp * _sign_sqrt2(a * a + 2 * b * b - 3 * c * c - 6 * d * d, 2 * (a * b - 3 * c * d))
+
+
+def _floor_root(y: int, k: int) -> int:
+    """floor(y*sqrt(k)) for a k that is not a square."""
+    s = math.isqrt(k * y * y)
+    return s if y >= 0 else -s - 1
+
+
+def _biquadratic_floor(z: CycloNum) -> Union[int, None]:
+    """The floor of a non-rational real z in integers, when its field order
+    divides 24, so that z is (a + b*sqrt2 + c*sqrt3 + d*sqrt6)/D with
+    D = 4*den; None for other orders.  Flooring each root term puts the
+    numerator S in [S_lo, S_lo + 3), which leaves at most two candidate
+    floors for D >= 4, and one exact sign picks between them."""
+    if 24 % z.order:
+        return None
+    step = 24 // z.order
+    a = b = c = d = 0
+    for j, coef in enumerate(z.num):
+        if coef:
+            ca, cb, cc, cd = _COS_TWELFTHS[j * step]
+            a, b, c, d = a + coef * ca, b + coef * cb, c + coef * cc, d + coef * cd
+    den = 4 * z.den
+    low = a + _floor_root(b, 2) + _floor_root(c, 3) + _floor_root(d, 6)
+    lo, hi = low // den, (low + 2) // den
+    if lo == hi or _sign_biquadratic(a - hi * den, b, c, d) < 0:
+        return lo
+    return hi
+
+
 def _decide_real(z: CycloNum, decide):
-    """`refine` on the real value of a non-rational z, up to `_PREC_CAP`.
+    """`refine` on the real value of a non-rational z, up to `_PREC_CAP`;
+    in fields of order dividing 24, decide(f, f) on the floor f that
+    `_biquadratic_floor` reads in integers, so mpmath is not needed there.
 
     An irrational value sits strictly inside some unit interval and is never
     zero, so the decisions asked here settle at some finite precision.
     """
+    f = _biquadratic_floor(z)
+    if f is not None:
+        return decide(f, f)
     verdict = refine(lambda: _interval_real_value(z), _PREC_CAP, decide)
     if verdict is None:
         raise PrecisionExhaustedError("refinement exceeded the precision cap")

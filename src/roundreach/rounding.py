@@ -108,6 +108,11 @@ RULES: dict[RoundingKind, KindRule] = {
 }
 
 
+def _fraction(value: Rational) -> Fraction:
+    # Fraction(q) on a Fraction rebuilds it through an ABC instance check
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class ArgandRounding:
     """Componentwise rounding of real and imaginary parts on the g-grid."""
@@ -116,8 +121,8 @@ class ArgandRounding:
     granularity: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "granularity", Fraction(self.granularity))
-        if self.granularity <= 0:
+        object.__setattr__(self, "granularity", _fraction(self.granularity))
+        if self.granularity.numerator <= 0:
             raise ValueError("granularity must be positive")
 
 
@@ -142,19 +147,14 @@ class PolarRounding:
     granularity: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "granularity", Fraction(self.granularity))
-        if self.granularity <= 0:
+        object.__setattr__(self, "granularity", _fraction(self.granularity))
+        if self.granularity.numerator <= 0:
             raise ValueError("granularity must be positive")
         if checked_int(self.angle_resolution, "angle_resolution") < 2:
             raise ValueError("angle resolution must be at least 2")
 
 
 RoundingSpec = Union[ArgandRounding, PolarRounding]
-
-
-def _fraction(value: Rational) -> Fraction:
-    # Fraction(q) on a Fraction rebuilds it through an ABC instance check
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,9 @@ class PolarPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", _fraction(self.modulus))
-        if self.modulus < 0:
+        if self.modulus.numerator < 0:
             raise ValueError("modulus must be nonnegative")
-        if self.modulus == 0 and self.angle_index != 0:
+        if not self.modulus and self.angle_index != 0:
             raise ValueError("the origin carries angle index 0")
 
     def is_zero(self) -> bool:
@@ -216,17 +216,30 @@ def point_value(point: GridPoint, spec: RoundingSpec, order: int) -> CycloNum:
     return point.value(order, spec.angle_resolution)
 
 
-def is_admissible(point: GridPoint, spec: RoundingSpec) -> bool:
+def grid_steps(value: Fraction, g: Fraction) -> Optional[int]:
+    """value/g when it is an integer, else None: one integer division."""
+    steps, rem = divmod(value.numerator * g.denominator, value.denominator * g.numerator)
+    return None if rem else steps
+
+
+def grid_units(point: GridPoint, spec: RoundingSpec) -> Optional[tuple[int, int]]:
+    """The point in grid units, the inverse of grid_point, or None when it
+    is not admissible: of the other shape, off the g-grid, or with an angle
+    index outside [0, 2R)."""
+    g = spec.granularity
     if isinstance(spec, ArgandRounding):
         if not isinstance(point, ArgandPoint):
-            return False
-        g = spec.granularity
-        return (point.re / g).denominator == 1 and (point.im / g).denominator == 1
+            return None
+        a, b = grid_steps(point.re, g), grid_steps(point.im, g)
+        return None if a is None or b is None else (a, b)
     if not isinstance(point, PolarPoint):
-        return False
-    if (point.modulus / spec.granularity).denominator != 1:
-        return False
-    return 0 <= point.angle_index < 2 * spec.angle_resolution
+        return None
+    k, i = grid_steps(point.modulus, g), point.angle_index
+    return None if k is None or not 0 <= i < 2 * spec.angle_resolution else (k, i)
+
+
+def is_admissible(point: GridPoint, spec: RoundingSpec) -> bool:
+    return grid_units(point, spec) is not None
 
 
 def round_real(value: CycloLike, kind: RoundingKind, granularity: Rational = 1) -> Fraction:

@@ -19,9 +19,11 @@ from .rounding import (
     PolarRounding,
     RULES,
     RoundingSpec,
+    _fraction,
     checked_int,
     grid_point,
-    is_admissible,
+    grid_steps,
+    grid_units,
     point_value,
     round_value,
 )
@@ -34,10 +36,10 @@ class JordanBlock:
     eigen_angle: Angle
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigen_modulus", Fraction(self.eigen_modulus))
+        object.__setattr__(self, "eigen_modulus", _fraction(self.eigen_modulus))
         if checked_int(self.size, "block size") < 1:
             raise ValueError("block size must be positive")
-        if self.eigen_modulus < 0:
+        if self.eigen_modulus.numerator < 0:
             raise ValueError("eigenvalue modulus must be nonnegative")
 
 
@@ -46,13 +48,17 @@ class JnfSystem:
     """A Jordan-form system: block-diagonal dynamics with per-step rounding.
 
     Within a block, coordinate j is fed by coordinate j+1 (the last block
-    coordinate is autonomous). Initial and target are stored as grid points.
+    coordinate is autonomous). Initial and target are stored as grid points,
+    and in grid units (`rounding.grid_units`) as initial_units and
+    target_units, encoded once here.
     """
 
     blocks: tuple[JordanBlock, ...]
     initial: tuple[GridPoint, ...]
     target: tuple[GridPoint, ...]
     rounding: RoundingSpec
+    initial_units: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    target_units: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -60,9 +66,15 @@ class JnfSystem:
         dim = sum(b.size for b in self.blocks)
         if len(self.initial) != dim or len(self.target) != dim:
             raise ValueError("initial/target length must match total dimension")
+        spec = self.rounding
+        units = []
         for pt in (*self.initial, *self.target):
-            if not is_admissible(pt, self.rounding):
-                raise ValueError(f"point {pt} is not admissible under {self.rounding}")
+            x = grid_units(pt, spec)
+            if x is None:
+                raise ValueError(f"point {pt} is not admissible under {spec}")
+            units.append(x)
+        object.__setattr__(self, "initial_units", tuple(units[:dim]))
+        object.__setattr__(self, "target_units", tuple(units[dim:]))
 
     @property
     def dimension(self) -> int:
@@ -147,11 +159,6 @@ _TWO_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 _ORIGIN = (0, 0)
 
 
-def _units(value: Rational, g: Fraction) -> int:
-    """A value on the g-grid in grid units."""
-    return value.numerator * g.denominator // (value.denominator * g.numerator)
-
-
 def _fits(magnitude: float) -> bool:
     """Every float sum bounded by twice the magnitude stays finite."""
     return 4.0 * magnitude < math.inf
@@ -161,10 +168,10 @@ class StepKernel:
     """One rounded step of a Jordan-form system on integer coordinates.
 
     A coordinate is a pair in grid units: (a, b) for ArgandPoint(a*g, b*g)
-    and (k, i) for PolarPoint(k*g, i); `initial` and `target` hold the
-    system's start and target in these units, encoded once.  Coordinate j
-    becomes the rounding of w = lambda*x_j + x_(j+1) (no second term at
-    the end of a block), with lambda = (p/q)*zeta^m, zeta = e^(2*pi*i/N)
+    and (k, i) for PolarPoint(k*g, i); `initial` and `target` are the
+    system's start and target in these units, as the system encoded them.
+    Coordinate j becomes the rounding of w = lambda*x_j + x_(j+1) (no
+    second term at the end of a block), with lambda = (p/q)*zeta^m, zeta = e^(2*pi*i/N)
     and N the system's field order.  Each update is decided in integers
     where w is rational in the grid's terms, by a float bracket elsewhere,
     and by the exact cyclotomic value through `round_value` when the
@@ -225,9 +232,8 @@ class StepKernel:
         self.spec = spec
         self.polar = isinstance(spec, PolarRounding)
         self.rule = RULES[spec.modulus_kind if self.polar else spec.kind]
-        self.g = spec.granularity
-        self.initial = self.encode(system.initial)
-        self.target = self.encode(system.target)
+        self.initial = system.initial_units
+        self.target = system.target_units
 
     # the field and the updates are built on the first step, so a run that
     # concludes on its start builds neither
@@ -256,10 +262,8 @@ class StepKernel:
     # -- grid points <-> integer coordinates
 
     def encode(self, state: Sequence[GridPoint]) -> tuple[tuple[int, int], ...]:
-        g = self.g
-        if self.polar:
-            return tuple((_units(pt.modulus, g), pt.angle_index) for pt in state)
-        return tuple((_units(pt.re, g), _units(pt.im, g)) for pt in state)
+        spec = self.spec
+        return tuple(grid_units(pt, spec) for pt in state)
 
     def decode(self, state: Sequence[tuple[int, int]]) -> tuple[GridPoint, ...]:
         spec = self.spec
@@ -476,20 +480,24 @@ def simulate(system: Union[JnfSystem, RationalSystem], steps: int) -> list[tuple
 
 @dataclass(frozen=True)
 class RationalSystem:
-    """x' = round(M x) with a rational matrix and componentwise real rounding."""
+    """x' = round(M x) with a rational matrix and componentwise real rounding.
+    Initial and target are also stored in grid units, as initial_units and
+    target_units, encoded once here."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
     initial: tuple[Fraction, ...]
     target: tuple[Fraction, ...]
     rounding: ArgandRounding
+    initial_units: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    target_units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rounding, ArgandRounding):
             raise ValueError("a rational-matrix instance needs componentwise rounding")
         object.__setattr__(self, "matrix",
-                           tuple(tuple(Fraction(v) for v in row) for row in self.matrix))
-        object.__setattr__(self, "initial", tuple(Fraction(v) for v in self.initial))
-        object.__setattr__(self, "target", tuple(Fraction(v) for v in self.target))
+                           tuple(tuple(map(_fraction, row)) for row in self.matrix))
+        object.__setattr__(self, "initial", tuple(map(_fraction, self.initial)))
+        object.__setattr__(self, "target", tuple(map(_fraction, self.target)))
         n = len(self.matrix)
         if n == 0:
             raise ValueError("a system needs at least one dimension")
@@ -498,9 +506,14 @@ class RationalSystem:
         if len(self.initial) != n or len(self.target) != n:
             raise ValueError("initial/target length must match dimension")
         g = self.rounding.granularity
+        units = []
         for v in (*self.initial, *self.target):
-            if (v / g).denominator != 1:
+            k = grid_steps(v, g)
+            if k is None:
                 raise ValueError(f"{v} is not on the granularity-{g} grid")
+            units.append(k)
+        object.__setattr__(self, "initial_units", tuple(units[:n]))
+        object.__setattr__(self, "target_units", tuple(units[n:]))
 
     @cached_property
     def kernel(self) -> "RationalKernel":
@@ -546,19 +559,19 @@ class RationalKernel:
     x = k*g is the integer vector k in grid units.  M x / g = M k, and every
     rounding kind commutes with scaling by g, so k' is M k rounded to
     integers: coordinate i is RULES[kind].ratio((A k)_i, D), with A = D*M
-    the matrix as an `IntegerMatrix`.  `initial` and `target` hold the
-    system's start and target in grid units, encoded once."""
+    the matrix as an `IntegerMatrix`.  `initial` and `target` are the
+    system's start and target in grid units, as the system encoded them."""
 
     def __init__(self, system: RationalSystem) -> None:
         self.g = system.rounding.granularity
         self.ratio = RULES[system.rounding.kind].ratio
         self.matrix = IntegerMatrix(system.matrix)
-        self.initial = self.encode(system.initial)
-        self.target = self.encode(system.target)
+        self.initial = system.initial_units
+        self.target = system.target_units
 
     def encode(self, state: Sequence[Rational]) -> tuple[int, ...]:
         g = self.g
-        return tuple(_units(v, g) for v in state)
+        return tuple(grid_steps(v, g) for v in state)
 
     def decode(self, state: Sequence[int]) -> tuple[Fraction, ...]:
         g = self.g

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry point."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,10 +9,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import argand_corpus, hyperbolic_corpus, polar_corpus, rational_corpus
 from roundreach import argand_decider, cli, hyperbolic, system as system_module
@@ -218,6 +223,146 @@ def test_malformed_field_rejected(tmp_path, capsys, case):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def on_half_grid(obj: dict) -> dict:
+    obj["rounding"]["granularity"] = "1/2"
+    return obj
+
+
+def set_in(path: tuple, value):
+    """An edit of an instance object that puts value at the key path."""
+
+    def edit(obj: dict) -> dict:
+        holder = obj
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        return obj
+
+    return edit
+
+
+RE = ("initial", 0, "re")
+# a bad instance per case: an example, the edits made to its JSON object,
+# and the exact line `decide` writes to stderr
+ERROR_TABLE = {
+    "zero-denominator": (truncation_example, [set_in(RE, "1/0")], "error: bad rational '1/0'"),
+    "not-a-number": (truncation_example, [set_in(RE, "x")], "error: bad rational 'x'"),
+    "signed-denominator": (truncation_example, [set_in(RE, "1/-2")],
+                           "error: bad rational '1/-2'"),
+    "decimal-numerator": (truncation_example, [set_in(RE, "1.5/2")],
+                          "error: bad rational '1.5/2'"),
+    "json-number": (truncation_example, [set_in(RE, 5)],
+                    "error: expected a rational string, got 5"),
+    "zero-granularity": (truncation_example, [set_in(("rounding", "granularity"), "0")],
+                         "error: granularity must be positive"),
+    "argand-off-grid": (
+        truncation_example, [on_half_grid, set_in(RE, "1/3")],
+        "error: point ArgandPoint(re=Fraction(1, 3), im=Fraction(0, 1)) is not admissible "
+        "under ArgandRounding(kind=<RoundingKind.TRUNCATE: 'truncate'>, "
+        "granularity=Fraction(1, 2))"),
+    "polar-off-grid": (
+        polar_example, [on_half_grid, set_in(("target", 1, "modulus"), "3/4")],
+        "error: point PolarPoint(modulus=Fraction(3, 4), angle_index=0) is not admissible "
+        "under PolarRounding(modulus_kind=<RoundingKind.MINIMAL_ERROR_UP: 'minimal_error_up'>, "
+        "angle_resolution=2, granularity=Fraction(1, 2))"),
+    "rational-off-grid": (rational_example, [on_half_grid, set_in(("target", 1), "5/4")],
+                          "error: 5/4 is not on the granularity-1/2 grid"),
+    "negative-modulus": (polar_example, [set_in(("initial", 0, "modulus"), "-5")],
+                         "error: modulus must be nonnegative"),
+    "angle-index-past-2R": (
+        polar_example, [set_in(("initial", 1, "angle_index"), 4)],
+        "error: point PolarPoint(modulus=Fraction(4, 1), angle_index=4) is not admissible "
+        "under PolarRounding(modulus_kind=<RoundingKind.MINIMAL_ERROR_UP: 'minimal_error_up'>, "
+        "angle_resolution=2, granularity=Fraction(1, 1))"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_TABLE))
+def test_bad_instance_error_text_is_pinned(tmp_path, capsys, case):
+    example, edits, message = ERROR_TABLE[case]
+    obj = json.loads(serialize_instance(example()))
+    for edit in edits:
+        obj = edit(obj)
+    path = write(tmp_path, "bad.json", json.dumps(obj))
+    assert main(["decide", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def fraction_parse_rational(text) -> Fraction:
+    """The reference reader: every rational string through Fraction(text)."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}") from exc
+
+
+def parsed_or_error(text: str):
+    try:
+        return repr(parse_instance(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def instances_holding(number: str) -> list[str]:
+    """Instance texts with the number string as a matrix entry, and as a
+    block's angle and a point's real part on the granularity-1/2 grid."""
+    rational = json.loads(serialize_instance(rational_example()))
+    rational["matrix"][0][1] = number
+    jnf = json.loads(serialize_instance(truncation_example()))
+    jnf["rounding"]["granularity"] = "1/2"
+    jnf["blocks"][0]["angle"] = number + " pi"
+    jnf["initial"][0]["re"] = number
+    return [json.dumps(rational), json.dumps(jnf)]
+
+
+def assert_parses_as_fraction_does(number: str) -> None:
+    for text in instances_holding(number):
+        mine = parsed_or_error(text)
+        with mock.patch.object(cli, "_parse_rational", fraction_parse_rational):
+            assert mine == parsed_or_error(text)
+
+
+NUMERATORS = st.integers(0, 200).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+DENOMINATORS = st.integers(0, 200).flatmap(lambda bits: st.integers(0, 2**bits))
+CANONICAL_NUMBERS = st.one_of(
+    NUMERATORS.map(str),
+    st.tuples(NUMERATORS, DENOMINATORS).map(lambda pair: f"{pair[0]}/{pair[1]}"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANONICAL_NUMBERS)
+def test_canonical_numbers_parse_as_fraction_reads_them(number):
+    assert_parses_as_fraction_does(number)
+
+
+# Fraction(text) also takes "1_000", " 3 ", "1e3", "007" and the Arabic-Indic "٣".
+# Six characters keep an exponent below 10^4, whose power builds at once;
+# two signed digit runs around one separator reach spellings like "1/-2"
+SIGNS = st.sampled_from(["", "-", "+"])
+DIGITS = st.text(alphabet="019٣", max_size=3)
+NUMBER_STRINGS = st.one_of(
+    st.text(alphabet="0123456789+-/._e \n٣", max_size=6),
+    st.tuples(SIGNS, DIGITS, st.sampled_from(["", "/", ".", "e", "_", " ", "\n"]), SIGNS, DIGITS)
+    .map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(NUMBER_STRINGS)
+def test_any_number_string_parses_or_fails_as_fraction_does(number):
+    assert_parses_as_fraction_does(number)
+
+
+@pytest.mark.parametrize("number", ["1_000", " 3 ", "1e3", "007", "٣", "-0", "4/0", "6/-4"])
+def test_fraction_spellings_parse_as_fraction_reads_them(number):
+    assert_parses_as_fraction_does(number)
 
 
 @pytest.mark.parametrize("theta", ["1/0 pi", "2^(1/0) pi", "2^(1/2)/0 pi"])
@@ -524,7 +669,10 @@ def test_bounds_prints_the_cap_the_decider_runs_under(tmp_path, capsys, monkeypa
                                   RoundingKind.FLOOR)
     truncate = two_blocks(UNIT_45, RoundingKind.TRUNCATE)
     expand = two_blocks(UNIT_45, RoundingKind.EXPAND)
-    routes = (floor_hyperbolic, polar_example(), truncate, expand, rational_example())
+    # decide runs no orbit from a start on its target, so this one moves
+    polar = dataclasses.replace(polar_example(), target=(PolarPoint(Fraction(4), 1),
+                                                         PolarPoint(Fraction(4), 0)))
+    routes = (floor_hyperbolic, polar, truncate, expand, rational_example())
     for system in routes:
         path = write(tmp_path, "inst.json", serialize_instance(system))
         assert main(["decide", path]) == 0
@@ -619,6 +767,16 @@ def test_bounds_writes_huge_unit_budgets_by_bit_length(size, tmp_path, capsys, m
     assert values(lines[2])[0].startswith("< 2^")
     assert lines[-1].startswith("step cap: ") and lines[-1].endswith(" (safety net)")
     assert_printed(lines[-1][len("step cap: "):-len(" (safety net)")], cap)
+
+
+def test_decide_answers_a_start_on_its_target_before_the_tables(tmp_path, capsys):
+    # the size-7 block's settle budgets take seconds to build, and a start
+    # on the target needs none of them
+    path = write(tmp_path, "inst.json", serialize_instance(truncation_block(7)))
+    began = time.perf_counter()
+    assert main(["decide", path]) == 0
+    assert time.perf_counter() - began < 1.0
+    assert json.loads(capsys.readouterr().out)["step"] == 0
 
 
 def rescaled(system, g: Fraction):
@@ -754,18 +912,26 @@ def test_decide_runs_without_sympy(tmp_path):
 
 
 def test_decide_runs_without_mpmath(tmp_path):
-    # a hyperbolic decide and a QBF compile, each in a fresh interpreter,
-    # settle every rounding in integers, so neither loads mpmath
+    # a hyperbolic decide, a polar decide in the order-24 field and a QBF
+    # compile, each in a fresh interpreter, settle every rounding and sign in
+    # integers, so none loads mpmath
     blocks = (JordanBlock(2, Fraction(3), Angle(Fraction(1, 2))),
               JordanBlock(1, Fraction(1, 2), Angle(Fraction(1))))
     points = [tuple(ArgandPoint(Fraction(a), Fraction(b)) for a, b in row)
               for row in (((1, 2), (-3, 1), (7, 0)), ((0, 0), (4, -4), (1, 0)))]
     system = JnfSystem(blocks, *points, ArgandRounding(RoundingKind.FLOOR))
     instance = write(tmp_path, "hyper.json", serialize_instance(system))
+    # its divergence test signs |w|^2 - 36 for a w with sqrt2 and sqrt3 parts
+    polar = JnfSystem((JordanBlock(2, Fraction(1), Angle(Fraction(1, 4))),),
+                      (PolarPoint(Fraction(7), 3), PolarPoint(Fraction(2), 4)),
+                      (PolarPoint(Fraction(6), 3), PolarPoint(Fraction(2), 3)),
+                      PolarRounding(RoundingKind.FLOOR, 3))
+    polar_instance = write(tmp_path, "polar.json", serialize_instance(polar))
     formula = write(tmp_path, "f.txt", "exists x1 forall x2 : (x1 | !x2)\n")
     out = str(tmp_path / "qbf.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for args in (["decide", instance], ["compile-qbf", formula, "-o", out]):
+    for args in (["decide", instance], ["decide", polar_instance],
+                 ["compile-qbf", formula, "-o", out]):
         script = (
             "import sys\n"
             "from roundreach import cli\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fraction_cyclo as ref
 from angle_reference import angle_cos, angle_distance, angle_sin
+from rational_value import as_rational
 from roundreach import numerics
 from roundreach.errors import NotRealError, OrderMismatchError, PrecisionExhaustedError
 from roundreach.numerics import (
@@ -117,14 +118,14 @@ def test_order_mismatch_rejected():
 def test_rational_embedding_roundtrip(q):
     z = CycloNum.from_rational(12, q)
     assert z.is_rational()
-    assert z.as_rational() == q
+    assert as_rational(z) == q
 
 
 @given(rationals, rationals)
 def test_arithmetic_agrees_with_fractions(p, q):
     zp, zq = CycloNum.from_rational(8, p), CycloNum.from_rational(8, q)
-    assert (zp + zq).as_rational() == p + q
-    assert (zp * zq).as_rational() == p * q
+    assert as_rational(zp + zq) == p + q
+    assert as_rational(zp * zq) == p * q
 
 
 @given(rationals)
@@ -153,6 +154,10 @@ def test_certified_floor_on_irrationals():
     root3 = CycloNum.zeta_pow(12, 1) + CycloNum.zeta_pow(12, 11)
     assert certified_floor(root3) == 1
     assert certified_floor(root3 + 100) == 101
+    # (3 + 2sqrt2 + sqrt3 + 2sqrt6)/4 = 12.46/4: the root terms' fractional
+    # parts add up to more than 2
+    root2, root3 = ROOT2_24, ROOT3_24
+    assert certified_floor((3 + 2 * root2 + root3 + 2 * root2 * root3) / 4) == 3
 
 
 def test_certified_floor_rejects_imaginary():
@@ -235,9 +240,9 @@ def test_embed_polar_known_points():
     z = embed_polar(Fraction(2), Angle(Fraction(1, 2)), 4)
     assert z == CycloNum.i_unit(4) * 2
     z = embed_polar(Fraction(3), Angle(Fraction(1)), 4)
-    assert z.is_rational() and z.as_rational() == -3
+    assert z.is_rational() and as_rational(z) == -3
     z = embed_polar(Fraction(5), Angle(Fraction(1, 4)), 8)
-    assert modulus_sq(z).as_rational() == 25
+    assert as_rational(modulus_sq(z)) == 25
 
 
 def test_nearest_angle_index_quadrants():
@@ -399,53 +404,119 @@ def test_numerators_beyond_float_range_use_intervals():
     assert sign_of_real(v - Fraction(141, 100)) == 1
 
 
-def silver_power(k: int) -> tuple[CycloNum, int]:
-    """(1 + sqrt2)^k and the integer L = (1 + sqrt2)^k + (1 - sqrt2)^k.
+# a unit u > 1 and its conjugate of modulus below one: the silver ratio
+# 1 + sqrt2 in the order-8 field, whose real values are floored in
+# integers, and the golden ratio 1 + 2cos(2pi/5) in the order-20 field,
+# whose real values go up the interval ladder
+UNITS = {
+    8: lambda: (1 + sqrt2(), 1 - sqrt2()),
+    20: lambda: (1 + CycloNum.zeta_pow(20, 4) + CycloNum.zeta_pow(20, 16),
+                 1 + CycloNum.zeta_pow(20, 8) + CycloNum.zeta_pow(20, 12)),
+}
 
-    |1 - sqrt2|^k is tiny, so (1 + sqrt2)^k sits just below L for even k
-    and just above for odd k.
+
+def unit_power(k: int, order: int = 8) -> tuple[CycloNum, int]:
+    """u^k and the integer L = u^k + u'^k for UNITS[order] = (u, u').
+
+    |u'|^k is tiny and u' < 0, so u^k sits just below L for even k and
+    just above for odd k.
     """
-    up = 1 + sqrt2()
-    down = 1 - sqrt2()
-    power_up, power_down = CycloNum.from_rational(8, 1), CycloNum.from_rational(8, 1)
+    up, down = UNITS[order]()
+    power_up, power_down = CycloNum.from_rational(order, 1), CycloNum.from_rational(order, 1)
     for _ in range(k):
         power_up, power_down = power_up * up, power_down * down
-    lucas = (power_up + power_down).as_rational()
+    lucas = as_rational(power_up + power_down)
     assert lucas.denominator == 1
     return power_up, int(lucas)
 
 
 @pytest.mark.parametrize("k", [30, 31, 60, 61])
 def test_values_within_float_slack_of_an_integer(k):
-    power_up, lucas = silver_power(k)
-    expected = lucas - 1 if k % 2 == 0 else lucas
-    assert certified_floor(power_up) == expected
-    assert sign_of_real(power_up - lucas) == (-1 if k % 2 == 0 else 1)
-    assert certified_floor(power_up / 3, Fraction(1, 3)) == expected
+    for order in UNITS:
+        power_up, lucas = unit_power(k, order)
+        expected = lucas - 1 if k % 2 == 0 else lucas
+        assert certified_floor(power_up) == expected
+        assert sign_of_real(power_up - lucas) == (-1 if k % 2 == 0 else 1)
+        assert certified_floor(power_up / 3, Fraction(1, 3)) == expected
 
 
 def test_precision_cap_fails_loudly(monkeypatch):
-    # (1 + sqrt2)^60 is within 10^-22 of an integer near 2^75, which one
-    # 64-bit enclosure cannot separate from it
-    power_up, lucas = silver_power(60)
+    # the golden ratio to the 100th is within 10^-20 of an integer near
+    # 2^69, which one 64-bit enclosure cannot separate from it
+    power_up, lucas = unit_power(100, 20)
     monkeypatch.setattr(numerics, "_PREC_CAP", 64)
     with pytest.raises(PrecisionExhaustedError):
         certified_floor(power_up)
     with pytest.raises(PrecisionExhaustedError):
         sign_of_real(power_up - lucas)
+    # an order dividing 24 is floored in integers and needs no enclosure
+    power_up, lucas = unit_power(60, 8)
+    assert certified_floor(power_up) == lucas - 1
+    assert sign_of_real(power_up - lucas) == -1
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(25, 120), st.sampled_from((1, -1)), st.integers(1, 12))
-def test_near_integer_values_match_fraction_reference(k, sign, d):
+@given(st.integers(25, 120), st.sampled_from((1, -1)), st.integers(1, 12),
+       st.sampled_from(sorted(UNITS)))
+def test_near_integer_values_match_fraction_reference(k, sign, d, order):
     # from k = 25 on, a 64-bit enclosure of (1 + sqrt2)^k straddles an
-    # integer, so these values need the ladder's higher rungs
-    power_up, lucas = silver_power(k)
+    # integer, so these values need the ladder's higher rungs, or the
+    # integer floor of an order dividing 24
+    power_up, lucas = unit_power(k, order)
     x, L = power_up * sign, lucas * sign
-    rx = ref.CycloNum(8, x.coeffs)
+    rx = ref.CycloNum(order, x.coeffs)
     g = Fraction(1, d)
     assert certified_floor(x, g) == ref.certified_floor(rx, g)
     assert sign_of_real(x - L) == ref.sign_of_real(rx - L)
+
+
+# sqrt2 = 2cos(pi/4) and sqrt3 = 2cos(pi/6) in the order-24 field
+ROOT2_24 = CycloNum.zeta_pow(24, 3) + CycloNum.zeta_pow(24, 21)
+ROOT3_24 = CycloNum.zeta_pow(24, 2) + CycloNum.zeta_pow(24, 22)
+
+
+# units of the real subfields of orders 8, 12 and 24: 1 + sqrt2, 2 + sqrt3
+# and 5 + 2*sqrt6 = (sqrt2 + sqrt3)^2, whose powers lie near integers
+SUBFIELD_UNITS = {
+    8: lambda: 1 + sqrt2(),
+    12: lambda: 2 + CycloNum.zeta_pow(12, 1) + CycloNum.zeta_pow(12, 11),
+    24: lambda: cyclo_power(ROOT2_24 + ROOT3_24, 2),
+}
+
+
+def cyclo_power(z: CycloNum, k: int) -> CycloNum:
+    out = CycloNum.from_rational(z.order, 1)
+    for _ in range(k):
+        out = out * z
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SUBFIELD_UNITS)), st.data())
+def test_integer_floor_matches_interval_refinement(order, data):
+    # twice the real part of w, |w|^2 less an integer, a unit's power moved
+    # by a small rational, which lies near a multiple of 1/den, or in order
+    # 24 an integer plus y*sqrt2 + c*sqrt3 + d*sqrt6 within 1/2 of zero
+    bits = data.draw(st.sampled_from((2, 8, 80)))
+    numerators = st.integers(-(2**bits), 2**bits)
+    denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**40))
+    shape = data.draw(st.sampled_from(("real part", "modulus", "unit power", "near zero")))
+    if shape == "near zero":
+        assume(order == 24)
+        y, c, d = (data.draw(st.integers(-(2**20), 2**20)) for _ in range(3))
+        roots = y * ROOT2_24 + c * ROOT3_24 + d * ROOT2_24 * ROOT3_24
+        z = roots - round(y * math.sqrt(2) + c * math.sqrt(3) + d * math.sqrt(6))
+    elif shape == "unit power":
+        z = cyclo_power(SUBFIELD_UNITS[order](), data.draw(st.integers(1, 40))) * data.draw(
+            st.sampled_from((1, -1))) + Fraction(data.draw(numerators), data.draw(denominators))
+    else:
+        w = CycloNum(order, [Fraction(data.draw(numerators), data.draw(denominators))
+                             for _ in range(totient(order))])
+        z = w + w.conjugate() if shape == "real part" else modulus_sq(w) - data.draw(numerators)
+    assume(not z.is_rational())
+    ladder = numerics.refine(lambda: numerics._interval_real_value(z), numerics._PREC_CAP,
+                             numerics.settled_floor)
+    assert numerics._biquadratic_floor(z) == ladder
 
 
 def test_equal_values_from_different_denominators_are_canonical():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from disk_reference import reference_disk
 from rational_rotator import RationalRotator
+from rational_value import as_rational
 from roundreach.errors import UndecidableTieError
 from roundreach import rotation_lab
 from roundreach.numerics import Angle
@@ -322,5 +323,5 @@ def test_interval_rotator_agrees_with_exact_on_rational_angle(turn, a, b):
         # only a genuine half-integer tie can defeat intervals
         half = Fraction(1, 2)
         assert any((v + half).is_rational() and
-                   Fraction((v + half).as_rational()).denominator == 1
+                   as_rational(v + half).denominator == 1
                    for v in reference.parts(a, b))

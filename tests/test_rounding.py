@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fraction_cyclo as ref
 from ball_reference import kball_count
+from rational_value import as_rational
 from roundreach.numerics import Angle, CycloNum, embed_polar, modulus_sq, totient
 from roundreach.rounding import (
     RULES,
@@ -239,7 +240,7 @@ def test_effect_bound_covers_rounding_move():
         z = CycloNum.from_rational(4, re) + CycloNum.i_unit(4) * im
         p = round_value(z, spec)
         moved = point_value(p, spec, 4) - z
-        assert modulus_sq(moved).as_rational() <= delta_sq
+        assert as_rational(modulus_sq(moved)) <= delta_sq
 
 
 def test_kball_count_small_radii():
