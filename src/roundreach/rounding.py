@@ -238,10 +238,6 @@ def grid_units(point: GridPoint, spec: RoundingSpec) -> Optional[tuple[int, int]
     return None if k is None or not 0 <= i < 2 * spec.angle_resolution else (k, i)
 
 
-def is_admissible(point: GridPoint, spec: RoundingSpec) -> bool:
-    return grid_units(point, spec) is not None
-
-
 def round_real(value: CycloLike, kind: RoundingKind, granularity: Rational = 1) -> Fraction:
     """Round a real value to the g-grid with the given kind; exact.
 

@@ -4,7 +4,7 @@ the shared decision driver, and the orbit-shape loop."""
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -742,7 +742,8 @@ def iterate(
 class OrbitRecord:
     """One start point's orbit: the states before the cycle and the cycle
     length (None when the budget ran out or a tie was undecidable).
-    `visited` replays the orbit from the successor map it was found on.
+    `visited` replays the orbit from the successor mapping it was found on,
+    which the records of one `orbit_shapes` call share.
     A slot dataclass: it compares by start and shape, never by the map."""
 
     start: Any
@@ -762,7 +763,33 @@ class OrbitRecord:
         return tuple(out)
 
 
-_NO_SUCCESSOR = object()
+_TIE = -1  # the succ entry of a state whose step raised UndecidableTieError
+
+
+class _Successors(Mapping):
+    """The read-only successor map of one `orbit_shapes` call, read through
+    its state ids: a state that tied, or that no start's orbit stepped, has
+    no entry."""
+
+    __slots__ = ("_index", "_states", "_succ", "_ties")
+
+    def __init__(self, index: dict[Any, int], states: list[Any], succ: list[int],
+                 ties: int) -> None:
+        self._index, self._states, self._succ, self._ties = index, states, succ, ties
+
+    def __getitem__(self, state: Any) -> Any:
+        i = self._index[state]
+        j = self._succ[i] if i < len(self._succ) else _TIE
+        if j == _TIE:
+            raise KeyError(state)
+        return self._states[j]
+
+    def __iter__(self) -> Iterator[Any]:
+        states = self._states
+        return (states[i] for i, j in enumerate(self._succ) if j != _TIE)
+
+    def __len__(self) -> int:
+        return len(self._succ) - self._ties
 
 
 def orbit_shapes(
@@ -778,63 +805,85 @@ def orbit_shapes(
     state whose step raises UndecidableTieError (unresolved at the last
     completed step).
 
-    A walk marks its own states with their index along it in the one label
-    dict, so one lookup per state finds a finished label or a closing cycle.
+    Each state is hashed once, when the sweep first reaches it, into a
+    dense id: the distinct starts take 0..u-1 and each new state the next
+    id, and the rest of the work reads lists indexed by id. The sweep
+    steps one whole level before the next and appends a level's new states
+    in order, so every level is one id range and the states are stepped in
+    id order. Hence `succ[i]` is the successor of id i, and the ids past
+    the end of `succ` are exactly the states that no start's orbit steps.
     """
+    index: dict[Any, int] = {}
+    start_ids = [index.setdefault(start, len(index)) for start in starts]
+    states = list(index)
+    distinct = len(states)
     # level sweep from all starts at once: level k + 1 is the states first
     # reached from level k, so each state is stepped at its first generation
-    generation = dict.fromkeys(starts, 0)
-    successors: dict[Any, Any] = {}
-    level, k = list(generation), 0
-    while level and k < budget:
+    generations = [0] * distinct
+    succ: list[int] = []
+    ties: list[int] = []
+    lo, hi, k = 0, distinct, 0
+    while lo < hi and k < budget:
         k += 1
-        ahead = []
-        for state in level:
+        n = hi
+        for state in states[lo:hi]:
             try:
-                successors[state] = new_state = step(state)
+                new_state = step(state)
             except UndecidableTieError:
+                ties.append(len(succ))
+                succ.append(_TIE)
                 continue
-            if new_state not in generation:
-                generation[new_state] = k
-                ahead.append(new_state)
-        level = ahead
-    # path labelling: shape[x] is (steps to x's cycle, its period), or (steps
-    # to a state with no successor, None); a walk stops at a labelled state,
-    # and the int index it gives its own states is replaced before it ends
-    shape: dict[Any, Union[int, tuple[int, Optional[int]]]] = {}
-    for start in generation:
-        if start in shape:
+            j = index.setdefault(new_state, n)
+            if j == n:
+                states.append(new_state)
+                n += 1
+            succ.append(j)
+        generations += [k] * (n - hi)
+        lo, hi = hi, n
+    # path labelling: tails[i] and periods[i] are the steps from i to its
+    # cycle and the cycle's period, or the steps to a state with no
+    # successor (a tie, or past every start's budget) and period 0. -1 is
+    # unlabelled, and a walk marks its own states -2 - (index along it)
+    # until it ends, so one read per state tells a label from a closing cycle
+    stepped = len(succ)
+    tails = [-1] * stepped + [0] * (len(states) - stepped)
+    for i in ties:
+        tails[i] = 0
+    periods = [0] * len(states)
+    for first in range(distinct):
+        if tails[first] != -1:
             continue
-        path: list[Any] = []
-        state, label = start, None
-        while label is None:
-            successor = successors.get(state, _NO_SUCCESSOR)
-            if successor is _NO_SUCCESSOR:  # a tie, or past every start's budget
-                label = shape[state] = (0, None)
-                break
-            shape[state] = len(path)
-            path.append(state)
-            state = successor
-            label = shape.get(state)
-        if isinstance(label, int):
-            cycle = path[label:]
-            del path[label:]
-            label = (0, len(cycle))
-            shape.update(dict.fromkeys(cycle, label))
-        tail, period = label
-        for extra, member in enumerate(reversed(path), 1):
-            shape[member] = (tail + extra, period)
+        path: list[int] = []
+        i, tail = first, -1
+        while tail == -1:
+            tails[i] = -2 - len(path)
+            path.append(i)
+            i = succ[i]
+            tail = tails[i]
+        if tail < -1:  # the walk met itself: the rest of its path is a cycle
+            at = -2 - tail
+            period = len(path) - at
+            for member in path[at:]:
+                tails[member], periods[member] = 0, period
+            del path[at:]
+            tail = 0
+        else:
+            period = periods[i]
+        for member in reversed(path):
+            tail += 1
+            tails[member], periods[member] = tail, period
     # a start iterated alone runs at most `budget` steps: a stop past them,
     # or a cycle it would close later, leaves it unresolved at `budget`
+    successors = _Successors(index, states, succ, len(ties))
     records = []
-    for start in starts:
-        tail, period = shape[start]
+    for start, i in zip(starts, start_ids):
+        tail, period = tails[i], periods[i] or None
         if period is None:
             tail = min(tail, budget)
         elif tail + period > budget:
             tail, period = budget, None
         records.append(OrbitRecord(start, tail, period, successors))
-    return generation, tuple(records)
+    return dict(zip(states, generations)), tuple(records)
 
 
 def orbit_shape(step: Callable[[Any], Any], start: Any, budget: int) -> OrbitRecord:

@@ -19,7 +19,7 @@ from roundreach.rounding import (
     PolarRounding,
     RoundingKind,
     effect_bound,
-    is_admissible,
+    grid_units,
     kbox_count,
     modulus_effect_bound,
     point_value,
@@ -29,6 +29,14 @@ from roundreach.rounding import (
 
 FL, CE = RoundingKind.FLOOR, RoundingKind.CEIL
 TR, EX, MU = RoundingKind.TRUNCATE, RoundingKind.EXPAND, RoundingKind.MINIMAL_ERROR_UP
+
+
+def is_admissible(point, spec) -> bool:
+    """The point lies on the spec's grid: of its shape, on the g-grid, and
+    with an angle index in range.  Only tests ask; the program reads
+    `grid_units`."""
+    return grid_units(point, spec) is not None
+
 
 grid_rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=8

@@ -584,3 +584,35 @@ def test_orbit_shapes_match_per_start_reference(data):
     starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     budget = data.draw(st.integers(1, 2 * n + 1))
     _assert_matches_reference(successor, ties, starts, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_shapes_successor_map_holds_each_completed_step(data):
+    # the graphs of test_orbit_shapes_match_per_start_reference
+    n = data.draw(st.integers(1, 24))
+    successor = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    ties = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    budget = data.draw(st.integers(1, 2 * n + 1))
+    step_fn = _graph_step(successor, ties, [])
+    cells, orbits = orbit_shapes(step_fn, starts, budget)
+    # a state has an entry iff the sweep stepped it (its generation is below
+    # the budget) and its step did not tie
+    stepped = {x for x, generation in cells.items() if generation < budget and x not in ties}
+    for record in orbits:
+        successors = record.successors
+        assert set(successors) == stepped
+        assert len(successors) == len(stepped)
+        assert all(successors[x] == successor[x] for x in successors)
+        for x in cells.keys() - stepped:  # a tie, or reached only at the budget
+            assert x not in successors
+            with pytest.raises(KeyError):
+                successors[x]
+        with pytest.raises(KeyError):
+            successors[len(successor)]  # never reached
+        with pytest.raises(TypeError):
+            successors[starts[0]] = starts[0]
+    again = orbit_shapes(step_fn, starts, budget)[1][0].successors
+    assert again is not orbits[0].successors
+    assert again == orbits[0].successors
