@@ -24,7 +24,7 @@ from .errors import UndecidableTieError
 # certified_floor stays bound here for perfbench/layertrace.py's exact-fallback
 # counter; a rational angle falls back through StepKernel, so none arrive
 from .numerics import Angle, certified_floor, refine, settled_floor  # noqa: F401
-from .rounding import RULES, ArgandPoint, ArgandRounding, RoundingKind
+from .rounding import RULES, ArgandPoint, ArgandRounding, RoundingKind, checked_int
 from .system import (
     JnfSystem,
     JordanBlock,
@@ -157,6 +157,11 @@ def _rotation_step(theta: Union[Theta, str]) -> Callable[[IntPair], IntPair]:
     return lambda p: update(p, (0, 0)) or step((p,))[0]
 
 
+def _int_pair(p, what: str) -> IntPair:
+    """The point's two coordinates, each of which must be an int."""
+    return checked_int(p[0], f"{what} x"), checked_int(p[1], f"{what} y")
+
+
 # rotate_round's steps, one per parsed angle; run_disk builds its own step
 # each call, so no angle's step outlives a disk
 _memo_rotation_step = lru_cache(maxsize=64)(_rotation_step)
@@ -168,7 +173,7 @@ def rotate_round(p: IntPair, theta: Union[Theta, str]) -> IntPair:
     is built once per angle and reused by later calls."""
     if isinstance(theta, str):
         theta = parse_theta(theta)
-    return _memo_rotation_step(theta)((int(p[0]), int(p[1])))
+    return _memo_rotation_step(theta)(_int_pair(p, "point"))
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def run_orbit(start: IntPair, theta: Union[Theta, str], budget: int = 1_000_000)
     """Iterate one start point until its orbit repeats or the budget ends."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return orbit_shape(_rotation_step(theta), (int(start[0]), int(start[1])), budget)
+    return orbit_shape(_rotation_step(theta), _int_pair(start, "start"), budget)
 
 
 def disk_points(radius: int) -> list[IntPair]:

@@ -4,7 +4,7 @@ the shared decision driver, and the orbit-shape loop."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -740,56 +740,16 @@ def iterate(
 
 @dataclass(slots=True)
 class OrbitRecord:
-    """One start point's orbit: the states before the cycle and the cycle
-    length (None when the budget ran out or a tie was undecidable).
-    `visited` replays the orbit from the successor mapping it was found on,
-    which the records of one `orbit_shapes` call share.
-    A slot dataclass: it compares by start and shape, never by the map."""
+    """One start point's orbit shape: the start, the steps before its cycle
+    and the cycle length (None when the budget ran out or a tie was
+    undecidable, the transient then counting the steps that completed)."""
 
     start: Any
     transient: int
     period: Optional[int]
-    successors: Mapping[Any, Any] = field(repr=False, compare=False)
-
-    @property
-    def visited(self) -> tuple[tuple[Any, int], ...]:
-        """Every visited state with its first-visit step: the transient and
-        one period, or up to the state where the orbit stopped."""
-        state = self.start
-        out = [(state, 0)]
-        for i in range(1, self.transient + (self.period or 1)):
-            state = self.successors[state]
-            out.append((state, i))
-        return tuple(out)
 
 
 _TIE = -1  # the succ entry of a state whose step raised UndecidableTieError
-
-
-class _Successors(Mapping):
-    """The read-only successor map of one `orbit_shapes` call, read through
-    its state ids: a state that tied, or that no start's orbit stepped, has
-    no entry."""
-
-    __slots__ = ("_index", "_states", "_succ", "_ties")
-
-    def __init__(self, index: dict[Any, int], states: list[Any], succ: list[int],
-                 ties: int) -> None:
-        self._index, self._states, self._succ, self._ties = index, states, succ, ties
-
-    def __getitem__(self, state: Any) -> Any:
-        i = self._index[state]
-        j = self._succ[i] if i < len(self._succ) else _TIE
-        if j == _TIE:
-            raise KeyError(state)
-        return self._states[j]
-
-    def __iter__(self) -> Iterator[Any]:
-        states = self._states
-        return (states[i] for i, j in enumerate(self._succ) if j != _TIE)
-
-    def __len__(self) -> int:
-        return len(self._succ) - self._ties
 
 
 def orbit_shapes(
@@ -800,10 +760,10 @@ def orbit_shapes(
 
     Returns every state within `budget` steps of a start with the first
     generation at which any start reaches it, and one `OrbitRecord` per
-    start, in order. Each start's record is what iterating it alone gives:
-    the orbit stops at its first repeat, after `budget` steps, or at a
-    state whose step raises UndecidableTieError (unresolved at the last
-    completed step).
+    start, in order, holding only the start, transient and period. Each
+    start's record is what iterating it alone gives: the orbit stops at its
+    first repeat, after `budget` steps, or at a state whose step raises
+    UndecidableTieError (unresolved at the last completed step).
 
     Each state is hashed once, when the sweep first reaches it, into a
     dense id: the distinct starts take 0..u-1 and each new state the next
@@ -874,7 +834,6 @@ def orbit_shapes(
             tails[member], periods[member] = tail, period
     # a start iterated alone runs at most `budget` steps: a stop past them,
     # or a cycle it would close later, leaves it unresolved at `budget`
-    successors = _Successors(index, states, succ, len(ties))
     records = []
     for start, i in zip(starts, start_ids):
         tail, period = tails[i], periods[i] or None
@@ -882,7 +841,7 @@ def orbit_shapes(
             tail = min(tail, budget)
         elif tail + period > budget:
             tail, period = budget, None
-        records.append(OrbitRecord(start, tail, period, successors))
+        records.append(OrbitRecord(start, tail, period))
     return dict(zip(states, generations)), tuple(records)
 
 

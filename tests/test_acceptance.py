@@ -6,6 +6,7 @@ represented by the bound computations these tests exercise, not asserted
 empirically.
 """
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -26,6 +27,8 @@ from roundreach.numerics import (
     sign_of_real,
 )
 from roundreach.rounding import (
+    ArgandPoint,
+    ArgandRounding,
     PolarPoint,
     PolarRounding,
     RoundingKind,
@@ -37,6 +40,7 @@ from roundreach.system import (
     Reached,
     brute_force_decide,
     orbit_shape,
+    simulate,
     step,
 )
 from roundreach.hyperbolic import block_tables, decide_hyperbolic_jnf
@@ -46,6 +50,7 @@ from roundreach.polar_decider import (
     resource_bounds,
 )
 from roundreach.argand_decider import (
+    _ArgandBlockAnalyzer,
     decide_expansion,
     decide_truncation,
     niven_classify,
@@ -255,7 +260,8 @@ def test_criterion_5_rotation_tower_growth():
             s = JnfSystem(blocks, start, start, spec)
             run = orbit_shape(lambda state: step(s, state), start, 10_000)
             assert (run.transient, run.period) == (transient, 4)
-            largest = tuple(max(state[k].modulus for state, _i in run.visited)
+            states = simulate(s, run.transient + run.period)
+            largest = tuple(max(state[k].modulus for state in states)
                             for k in range(d))
             assert largest == tuple(4 ** 2 ** (d - 1 - k) for k in range(d))
 
@@ -304,6 +310,75 @@ def test_criterion_7_argand_randomized():
                 if any(p.re or p.im for p in state):
                     assert niven_classify(angle).axis_multiple_90, (
                         angle, state)
+
+
+# -- criteria 6 and 7 on near misses: targets turned off the orbit ----------
+
+NEAR_MISS_STEPS = (1, 3, 6, 12)
+
+
+def _turned(point, spec):
+    """The point turned with its modulus kept: a polar point one grid
+    angle on (the origin stays), an Argand point a quarter turn."""
+    if isinstance(spec, ArgandRounding):
+        return ArgandPoint(-point.im, point.re)
+    if not point.modulus:
+        return point
+    return PolarPoint(point.modulus,
+                      (point.angle_index + 1) % (2 * spec.angle_resolution))
+
+
+def _verdict_name(verdict):
+    return type(getattr(verdict, "certificate", verdict)).__name__
+
+
+def test_criteria_6_and_7_near_miss_targets(monkeypatch):
+    # a random target's modulus almost never matches the orbit's, so the
+    # criteria's runs rarely reach the unit analyzers' exact checks; a
+    # target turned off an orbit state keeps its modulus and reaches them
+    checks = []
+    assert_no_rounding = _ArgandBlockAnalyzer._assert_no_rounding
+
+    def counted(self, prev, new):
+        checks.append(prev)
+        assert_no_rounding(self, prev, new)
+
+    monkeypatch.setattr(_ArgandBlockAnalyzer, "_assert_no_rounding", counted)
+    polar, argand = collections.Counter(), collections.Counter()
+    disagreements = 0
+    label = "near-miss targets decide as brute force (800 runs)"
+    with criterion("6/7", label, 600.0):
+        for corpus, counts in ((polar_corpus(), polar), (argand_corpus(), argand)):
+            for system in corpus:
+                spec = system.rounding
+                if isinstance(spec, PolarRounding):
+                    decide, step_bound, ball_bound = decide_polar, None, None
+                elif spec.kind is TR:
+                    decide, step_bound, ball_bound = decide_truncation, 2000, None
+                else:
+                    decide, step_bound, ball_bound = decide_expansion, 2000, Fraction(1000)
+                states = simulate(system, max(NEAR_MISS_STEPS))
+                for k in NEAR_MISS_STEPS:
+                    target = tuple(_turned(p, spec) for p in states[k])
+                    near = JnfSystem(system.blocks, system.initial, target, spec)
+                    mine = decide(near)
+                    ref = brute_force_decide(
+                        near, step_bound=step_bound or polar_step_cap(near),
+                        ball_bound=ball_bound)
+                    counts[_verdict_name(mine)] += 1
+                    if (isinstance(mine, Reached) != isinstance(ref, Reached)
+                            or isinstance(mine, Reached) and mine != ref):
+                        disagreements += 1
+    print(f"polar {dict(polar)}; argand {dict(argand)}; "
+          f"{len(checks)} exact no-rounding checks; {disagreements} disagreements")
+    assert disagreements == 0
+    assert polar["DivergedPastTarget"] >= 157
+    assert polar["CycleDetected"] >= 56
+    assert polar["Reached"] >= 187
+    assert argand["DivergedPastTarget"] >= 196
+    assert argand["StabilizedMismatch"] >= 97
+    assert argand["Reached"] >= 107
+    assert len(checks) >= 504
 
 
 # -- criterion 8: angle classification table --------------------------------

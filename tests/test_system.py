@@ -485,7 +485,12 @@ def test_lock_step_and_orbit_shape_agree_on_one_step():
         verdict = run_lock_step(system, [_SilentAnalyzer()], step_cap=budget,
                                 cap_is_state_bound=True)
         shape = orbit_shape(kernel.step, kernel.initial, budget)
-        hits = [i for state, i in shape.visited if state == kernel.target]
+        # the kernel's orbit through its transient and one period, or up to
+        # the budget when it closes no cycle there
+        orbit = [kernel.initial]
+        while len(orbit) < shape.transient + (shape.period or 1):
+            orbit.append(kernel.step(orbit[-1]))
+        hits = [i for i, state in enumerate(orbit) if state == kernel.target]
         if hits:
             expected = Reached(hits[0])
         elif shape.period is None:
@@ -507,7 +512,6 @@ def test_orbit_shape_ends_unresolved_at_an_undecidable_tie():
     run = orbit_shape(step_fn, 0, 100)
     assert run.period is None
     assert run.transient == 2
-    assert run.visited == ((0, 0), (1, 1), (2, 2))
 
 
 def _graph_step(successor, ties, calls):
@@ -527,7 +531,8 @@ def _assert_matches_reference(successor, ties, starts, budget):
         _graph_step(successor, ties, reference_calls), starts, budget)
     assert cells == ref_cells
     assert tuple(o.start for o in orbits if o.period is None) == ref_unresolved
-    assert tuple((o.start, o.transient, o.period, o.visited) for o in orbits) == ref_shapes
+    assert (tuple((o.start, o.transient, o.period) for o in orbits)
+            == tuple(shape[:3] for shape in ref_shapes))
     # each state is stepped once, and only if some start's own orbit steps it
     assert len(calls) == len(set(calls))
     assert set(calls) == set(reference_calls)
@@ -584,35 +589,3 @@ def test_orbit_shapes_match_per_start_reference(data):
     starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     budget = data.draw(st.integers(1, 2 * n + 1))
     _assert_matches_reference(successor, ties, starts, budget)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_orbit_shapes_successor_map_holds_each_completed_step(data):
-    # the graphs of test_orbit_shapes_match_per_start_reference
-    n = data.draw(st.integers(1, 24))
-    successor = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    ties = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
-    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    budget = data.draw(st.integers(1, 2 * n + 1))
-    step_fn = _graph_step(successor, ties, [])
-    cells, orbits = orbit_shapes(step_fn, starts, budget)
-    # a state has an entry iff the sweep stepped it (its generation is below
-    # the budget) and its step did not tie
-    stepped = {x for x, generation in cells.items() if generation < budget and x not in ties}
-    for record in orbits:
-        successors = record.successors
-        assert set(successors) == stepped
-        assert len(successors) == len(stepped)
-        assert all(successors[x] == successor[x] for x in successors)
-        for x in cells.keys() - stepped:  # a tie, or reached only at the budget
-            assert x not in successors
-            with pytest.raises(KeyError):
-                successors[x]
-        with pytest.raises(KeyError):
-            successors[len(successor)]  # never reached
-        with pytest.raises(TypeError):
-            successors[starts[0]] = starts[0]
-    again = orbit_shapes(step_fn, starts, budget)[1][0].successors
-    assert again is not orbits[0].successors
-    assert again == orbits[0].successors
