@@ -144,42 +144,44 @@ def canonicalize(formula: QbfFormula) -> QbfFormula:
     new_prefix = tuple(
         ("a" if pos % 2 == 1 else "e", pos) for pos in range(1, len(quants) + 1)
     )
-
-    def remap(expr: BoolExpr) -> BoolExpr:
-        if isinstance(expr, Var):
-            return Var(rename[expr.index])
-        if isinstance(expr, Not):
-            return Not(remap(expr.sub))
-        if isinstance(expr, And):
-            return And(remap(expr.left), remap(expr.right))
-        if isinstance(expr, Or):
-            return Or(remap(expr.left), remap(expr.right))
-        return expr
-
-    out = QbfFormula(new_prefix, remap(formula.matrix))
+    out = QbfFormula(new_prefix, _remap(formula.matrix, rename))
     if not out.is_canonical():
         raise InternalInvariantError("canonicalization failed to normalize the prefix")
     return out
+
+
+def _remap(expr: BoolExpr, rename: dict[int, int]) -> BoolExpr:
+    """expr with its variables renamed.  Like `_expand` and `_lower`, a
+    module-level function: a recursive closure holds its own cell, a
+    reference cycle left for the cyclic collector on every call."""
+    if isinstance(expr, Var):
+        return Var(rename[expr.index])
+    if isinstance(expr, Not):
+        return Not(_remap(expr.sub, rename))
+    if isinstance(expr, And):
+        return And(_remap(expr.left, rename), _remap(expr.right, rename))
+    if isinstance(expr, Or):
+        return Or(_remap(expr.left, rename), _remap(expr.right, rename))
+    return expr
 
 
 def evaluate_qbf(formula: QbfFormula, limit: int = 16) -> bool:
     """Semantic truth value by exhaustive quantifier expansion."""
     if len(formula.prefix) > limit:
         raise ValueError(f"refusing to expand more than {limit} quantifiers")
-    assignment: dict[int, bool] = {}
+    return _expand(formula, 0, {})
 
-    def rec(i: int) -> bool:
-        if i == len(formula.prefix):
-            return eval_expr(formula.matrix, assignment)
-        quant, v = formula.prefix[i]
-        results = []
-        for val in (False, True):
-            assignment[v] = val
-            results.append(rec(i + 1))
-        del assignment[v]
-        return all(results) if quant == "a" else any(results)
 
-    return rec(0)
+def _expand(formula: QbfFormula, i: int, assignment: dict[int, bool]) -> bool:
+    if i == len(formula.prefix):
+        return eval_expr(formula.matrix, assignment)
+    quant, v = formula.prefix[i]
+    results = []
+    for val in (False, True):
+        assignment[v] = val
+        results.append(_expand(formula, i + 1, assignment))
+    del assignment[v]
+    return all(results) if quant == "a" else any(results)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +584,25 @@ def _leaf_operand(node: BoolExpr, layout: VarLayout) -> Operand:
     raise InternalInvariantError("operator operands must be lowered first")
 
 
+def _lower(node: BoolExpr, target: Optional[int], family: GadgetFamily,
+           layout: VarLayout, rows: list[tuple[int, IntegerRow]], aux: list[int]) -> Operand:
+    """Append node's rows, children first; return the operand it writes."""
+    if isinstance(node, (Var, Const)):
+        return _leaf_operand(node, layout)
+    if target is None:
+        target = layout.psi_aux(aux[0])
+        aux[0] += 1
+    if isinstance(node, Not):
+        u = _lower(node.sub, None, family, layout, rows, aux)
+        rows.append((target, not_row(u, layout.const)))
+    else:
+        u = _lower(node.left, None, family, layout, rows, aux)
+        v = _lower(node.right, None, family, layout, rows, aux)
+        gate = and_row if isinstance(node, And) else or_row
+        rows.append((target, gate(family, u, v, layout.const)))
+    return Operand.of(target)
+
+
 def lower_gadgets(
     expr: BoolExpr,
     family: GadgetFamily,
@@ -593,32 +614,10 @@ def lower_gadgets(
     the evaluation pool, the root writes the evaluated-matrix slot.
     """
     rows: list[tuple[int, IntegerRow]] = []
-    next_aux = [0]
-
-    def lower(node: BoolExpr, target: Optional[int]) -> Operand:
-        if isinstance(node, (Var, Const)):
-            return _leaf_operand(node, layout)
-        if target is None:
-            target = layout.psi_aux(next_aux[0])
-            next_aux[0] += 1
-        if isinstance(node, Not):
-            u = lower(node.sub, None)
-            rows.append((target, not_row(u, layout.const)))
-        elif isinstance(node, And):
-            u = lower(node.left, None)
-            v = lower(node.right, None)
-            rows.append((target, and_row(family, u, v, layout.const)))
-        else:
-            u = lower(node.left, None)
-            v = lower(node.right, None)
-            rows.append((target, or_row(family, u, v, layout.const)))
-        return Operand.of(target)
-
-    if isinstance(expr, (Var, Const)):
-        return []
-    # the root writes psi directly; children go to the scratch pool
-    lower(expr, layout.psi)
-    if next_aux[0] > layout.l:
+    aux = [0]
+    # the root writes psi, children the scratch pool, a leaf matrix nothing
+    _lower(expr, layout.psi, family, layout, rows, aux)
+    if aux[0] > layout.l:
         raise InternalInvariantError("scratch pool overflow in the lowering")
     return rows
 
@@ -719,43 +718,54 @@ def lower_qbf_to_program(formula: QbfFormula, family: GadgetFamily) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Explosion into one matrix
+# The hardness system
 
 
 @dataclass(frozen=True)
 class HardnessInstance:
     """A sparse rounded linear system carrying one sweep instruction per step.
 
-    The state is m stacked copies of the program variables; the single
-    nonzero copy advances one position per step, through instruction j on
-    hop j. The target is all-ones in copy zero.  Each matrix row is the
-    gadget row in unscaled_rows times factor.
+    The state is m stacked copies of the program variables; copy c + 1
+    (mod m) reads copy c through instruction c, an unwritten variable copying
+    through, so the single nonzero copy advances one position per step.  The
+    start is 1 in copy zero's constant slot, the target all-ones in copy
+    zero.  Each matrix row is a gadget row times factor; the rows are built
+    only when read.
     """
 
     program: Program
-    unscaled_rows: tuple[IntegerRow, ...]
-    initial: tuple[int, ...]
-    target: tuple[int, ...]
     factor: Fraction = Fraction(1)
 
     @property
     def dimension(self) -> int:
-        return len(self.unscaled_rows)
+        return self.program.step_count * self.program.var_count
 
     @property
     def rounding(self) -> ArgandRounding:
         return ArgandRounding(self.program.family.rounding_kind)
 
-    @cached_property
-    def integer_rows(self) -> tuple[tuple[IntegerRow, ...], tuple[tuple[int, ...], ...]]:
-        """The rows with the factor folded in by `scaled_row`, and for each
-        column the rows that read it; built once per instance."""
-        rows = tuple(scaled_row(row, self.factor) for row in self.unscaled_rows)
-        readers: list[list[int]] = [[] for _ in rows]
-        for r, (terms, _den) in enumerate(rows):
-            for col, _num in terms:
-                readers[col].append(r)
-        return rows, tuple(map(tuple, readers))
+    @property
+    def initial(self) -> tuple[int, ...]:
+        const = self.program.layout.const
+        return (0,) * const + (1,) + (0,) * (self.dimension - const - 1)
+
+    @property
+    def target(self) -> tuple[int, ...]:
+        t = self.program.var_count
+        return (1,) * t + (0,) * (self.dimension - t)
+
+    @property
+    def unscaled_rows(self) -> tuple[IntegerRow, ...]:
+        """The exploded gadget rows, copy by copy, in state columns."""
+        t = self.program.var_count
+        instructions = self.program.instructions
+        rows: list[IntegerRow] = []
+        for hop in range(-1, len(instructions) - 1):
+            src = hop % len(instructions) * t
+            for v in range(t):
+                terms, den = instructions[hop].get(v, (((v, 1),), 1))
+                rows.append((tuple((src + col, num) for col, num in terms), den))
+        return tuple(rows)
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -765,35 +775,25 @@ class HardnessInstance:
                      for terms, den in self.unscaled_rows)
 
 
-def explode_program_to_matrix(program: Program) -> HardnessInstance:
-    t = program.var_count
-    m = program.step_count
-    rows: list[IntegerRow] = []
-    for copy in range(m):
-        hop = (copy - 1) % m
-        instr = program.instructions[hop]
-        src = hop * t
-        for v in range(t):
-            # a variable the instruction does not write copies through
-            terms, den = instr.get(v, (((v, 1),), 1))
-            rows.append((tuple((src + col, num) for col, num in terms), den))
-    initial = [0] * (m * t)
-    initial[program.layout.const] = 1
-    target = [0] * (m * t)
-    for v in range(t):
-        target[v] = 1
-    return HardnessInstance(program, tuple(rows), tuple(initial), tuple(target))
-
-
 def hardness_step(instance: HardnessInstance, state: Sequence[int]) -> tuple[int, ...]:
-    """One rounded step of the system.  Only the rows that read a nonzero
-    entry are evaluated: any other row sums to 0, which every family rounds
-    to 0, so the step is exact on every integer state, reachable or not."""
-    rows, readers = instance.integer_rows
+    """One rounded step, read off the program copy by copy.  Only a copy
+    after a nonzero one is computed: any other row sums to 0, which every
+    family rounds to 0, so the step is exact on every integer state."""
+    t = instance.program.var_count
+    instructions = instance.program.instructions
     ratio = RULES[instance.program.family.rounding_kind].ratio
-    out = [0] * len(rows)
-    for r in {r for col in compress(range(len(state)), state) for r in readers[col]}:
-        out[r] = round_row(rows[r], state, ratio)
+    a, d = instance.factor.numerator, instance.factor.denominator
+    out = [0] * len(state)
+    for c in {i // t for i in compress(range(len(state)), state)}:
+        src = state[c * t:(c + 1) * t]
+        copy = list(src) if d == a else [ratio(a * x, d) for x in src]
+        for slot, (terms, den) in instructions[c].items():
+            acc = 0
+            for col, num in terms:
+                acc += num * src[col]
+            copy[slot] = ratio(a * acc, d * den)
+        dst = (c + 1) % len(instructions) * t
+        out[dst:dst + t] = copy
     return tuple(out)
 
 
@@ -879,4 +879,4 @@ def perturb(instance: HardnessInstance, factor: Fraction) -> HardnessInstance:
 
 
 def compile_qbf(formula: QbfFormula, family: GadgetFamily) -> HardnessInstance:
-    return explode_program_to_matrix(lower_qbf_to_program(formula, family))
+    return HardnessInstance(lower_qbf_to_program(formula, family))

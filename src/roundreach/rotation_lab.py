@@ -158,7 +158,9 @@ def _rotation_step(theta: Union[Theta, str]) -> Callable[[IntPair], IntPair]:
 
 
 def _int_pair(p, what: str) -> IntPair:
-    """The point's two coordinates, each of which must be an int."""
+    """The point's coordinates: exactly two, each of which must be an int."""
+    if len(p) != 2:
+        raise ValueError(f"{what} must have two coordinates, got {len(p)}")
     return checked_int(p[0], f"{what} x"), checked_int(p[1], f"{what} y")
 
 

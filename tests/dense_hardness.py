@@ -1,19 +1,20 @@
 """The original dense `Fraction` hardness step, kept as a test reference,
 and the program interpreter the tests check the explosion against.
 
-`roundreach.qbf_compiler.hardness_step` stores each row as integer
-numerators over one denominator, with the scale factor folded in, and
-evaluates only the rows that read a nonzero state entry.  This module keeps
-the earlier step: every row summed in `Fraction` arithmetic, scaled by the
+`roundreach.qbf_compiler.hardness_step` reads the program copy by copy:
+it computes only the copies after a nonzero copy, in integer numerators
+over one denominator with the scale factor folded into each ratio.  This
+module keeps the earlier step over the exploded rows: every row of
+`HardnessInstance.rows` summed in `Fraction` arithmetic, scaled by the
 factor afterwards, and rounded by `round_real`, so differential tests can
-check the integer step against an independent exact implementation.  Only
-the tests import it.  `round_real` is memoized here: a step rounds only a
-few distinct sums, and the tests run the reference over whole orbits.
+check the copy-by-copy step against an independent exact implementation.
+Only the tests import it.  `round_real` is memoized here: a step rounds
+only a few distinct sums, and the tests run the reference over whole
+orbits.
 
 `run_program_sweep` runs a lowered program instruction by instruction, and
-`hardness_simulate` steps an exploded instance with the integer
-`hardness_step`, so tests can check that one trip around the copies is one
-sweep.
+`hardness_simulate` steps an instance with `hardness_step`, so tests can
+check that one trip around the copies is one sweep.
 """
 
 from __future__ import annotations

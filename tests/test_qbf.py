@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 import dense_hardness
 from dense_hardness import hardness_simulate, program_initial_state, run_program_sweep
 from roundreach import qbf_compiler
+from roundreach.cli import hardness_json
 from roundreach.errors import GadgetBrokenError
 from roundreach.qbf_compiler import (
     And,
     Const,
     GadgetFamily,
+    HardnessInstance,
     Not,
     Operand,
     Or,
@@ -31,7 +34,6 @@ from roundreach.qbf_compiler import (
     eval_expr,
     evaluate_qbf,
     expr_vars,
-    explode_program_to_matrix,
     hardness_step,
     lower_qbf_to_program,
     not_row,
@@ -211,7 +213,7 @@ def test_explosion_dimension_and_lock_step():
     f = canonicalize(parse_prefix_formula("forall x1 exists x2 : x1 & x2"))
     n, l = len(f.prefix), op_count(f.matrix)
     program = lower_qbf_to_program(f, GadgetFamily.MINIMAL_ERROR)
-    instance = explode_program_to_matrix(program)
+    instance = HardnessInstance(program)
     assert instance.dimension == (3 * n + 1 + l) * (4 * n + 15 + l)
     # one trip around the copies applies exactly one program sweep
     m = program.step_count
@@ -288,6 +290,8 @@ SMALL_FORMULAS = (
     "forall x1 exists x2 : x1 | !x2",
     "forall x1 exists x2 : x1 & x2",
     "exists x1 : !x1",
+    # four canonical quantifiers: three ripple rounds, each resetting its carry
+    "forall x1 exists x2 forall x3 : x1 & !x3 | x2",
 )
 
 
@@ -305,6 +309,24 @@ def test_hardness_step_matches_dense_reference(family, factor, data):
     state = tuple(data.draw(st.lists(entries, min_size=instance.dimension,
                                      max_size=instance.dimension)))
     assert hardness_step(instance, state) == dense_hardness.dense_hardness_step(instance, state)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1), Fraction(11, 10)], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hardness_step_matches_dense_reference_on_two_nonzero_copies(family, factor):
+    # copy m - 1 wraps around into copy 0 while copy 1 writes copy 2
+    base = _small_instance(SMALL_FORMULAS[0], family)
+    instance = dataclasses.replace(base, factor=factor)
+    t, m = base.program.var_count, base.program.step_count
+    state = [0] * instance.dimension
+    for k, v in enumerate((1, 0, 2, -1, 1, 3, 0, 1, -2, 1, 1, 0, 1, 2, -3, 1, 0, 1, 1, 2, 1, 0, 1, 1)):
+        state[t + k] = v
+        state[(m - 1) * t + k] = -v if k % 3 else v
+    state = tuple(state)
+    stepped = hardness_step(instance, state)
+    assert stepped == dense_hardness.dense_hardness_step(instance, state)
+    nonzero = {i // t for i, v in enumerate(stepped) if v}
+    assert nonzero == {0, 2}
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
@@ -331,29 +353,38 @@ def test_corpus_orbits_match_dense_reference(perturbed, monkeypatch):
                 == dense_hardness.dense_hardness_simulate(instance, steps)), formula
 
 
-def test_integer_rows_are_built_once_per_instance(monkeypatch):
-    built = []
-    real_scaled_row = qbf_compiler.scaled_row
-
-    def counting_scaled_row(row, factor):
-        built.append(factor)
-        return real_scaled_row(row, factor)
-
-    monkeypatch.setattr(qbf_compiler, "scaled_row", counting_scaled_row)
+def test_exploded_rows_are_built_only_for_the_json_output():
+    # compile, perturb and decide read the program; only the JSON output
+    # (and the dense reference) build the exploded rows
     base = compile_qbf(parse_prefix_formula("forall x1 exists x2 : x1 | x2"),
                        GadgetFamily.MINIMAL_ERROR)
-    hardness_simulate(base, 3 * base.program.step_count)
-    assert built == [Fraction(1)] * base.dimension
-
     scaled = perturb(base, Fraction(11, 10))
-    scaled = perturb(scaled, Fraction(10, 9))
-    built.clear()
-    hardness_simulate(scaled, 3 * base.program.step_count)
-    hardness_simulate(base, 3 * base.program.step_count)
-    assert built == [Fraction(11, 9)] * base.dimension
-    rows, _readers = scaled.integer_rows
-    assert rows == tuple(real_scaled_row(row, Fraction(11, 9)) for row in base.unscaled_rows)
-    assert base.integer_rows[0] == base.unscaled_rows
+    for instance in (base, scaled):
+        assert decide_hardness(instance, instance.program.step_count * 2 ** 4)[0]
+        assert "rows" not in vars(instance) and "unscaled_rows" not in vars(instance)
+    payload = hardness_json(scaled)
+    assert "rows" in vars(scaled)
+    assert len(payload["rows"]) == scaled.dimension == len(scaled.unscaled_rows)
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    # each recursion in the compiler is a module-level function, so a
+    # compile frees everything it made by reference counting alone
+    formulas = [parse_prefix_formula(text) for text in (
+        "forall x1 exists x2 : x1 | !x2",
+        "exists x3 forall x1 : (x1 & x3) | !(x1 | x3)",  # not canonical
+    )]
+    gc.collect()
+    gc.disable()
+    try:
+        for formula in formulas:
+            evaluate_qbf(formula)
+            for family in FAMILIES:
+                instance = perturb(compile_qbf(formula, family), Fraction(1))
+                decide_hardness(instance, instance.program.step_count * 2 ** 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_integer_row_folds_the_factor_over_one_denominator():

@@ -55,6 +55,15 @@ def test_non_integer_points_are_refused(point):
         rotate_round(point, "2^(2/5)/10 pi")
 
 
+@pytest.mark.parametrize("point", [(1, 0, 5), (1, 0, 7), (1,), ()])
+def test_points_without_exactly_two_coordinates_are_refused(point):
+    # reading only p[0] and p[1] stepped (1, 0, 5) as (1, 0); (1,) raised IndexError
+    with pytest.raises(ValueError, match=f"must have two coordinates, got {len(point)}"):
+        rotate_round(point, "1/2 pi")
+    with pytest.raises(ValueError, match=f"must have two coordinates, got {len(point)}"):
+        run_orbit(point, "1/2 pi")
+
+
 def test_rotate_round_builds_one_step_per_angle(monkeypatch):
     built = []
     init = StepKernel.__init__
